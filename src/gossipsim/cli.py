@@ -31,17 +31,7 @@ from .harness import (
     witness_mirror,
     witness_symmetry,
 )
-from .model import (
-    BOARD_CLASSES,
-    FW,
-    ModelError,
-    NW,
-    PROGRAM_DFT,
-    PROGRAM_FW_DFT,
-    PROGRAM_PATH_ENUM,
-    PROGRAMS,
-    snapshot_hash,
-)
+from .model import BOARD_CLASSES, PROGRAM_DFT, PROGRAMS, REQUIREMENTS, ModelError, snapshot_hash
 from .scheduler import (
     ASYNC_RANDOM_FAIR,
     ASYNC_ROUND_ROBIN,
@@ -97,15 +87,22 @@ def check_legality(protocol: str, board: str, schedule: str, unsafe_async: bool)
         raise CliError(f"unknown board class {board!r}")
     if schedule not in SCHEDULES:
         raise CliError(f"unknown schedule {schedule!r}")
-    if board == NW:
-        raise CliError(f"{protocol} cannot run on NW whiteboards", EXIT_ILLEGAL)
-    if protocol == PROGRAM_DFT and schedule != SYNC and not unsafe_async:
+    boards, sync_only = REQUIREMENTS[protocol]
+    if board not in boards:
+        raise CliError(f"{protocol} cannot run on {board} whiteboards", EXIT_ILLEGAL)
+    if sync_only and schedule != SYNC and not unsafe_async:
         raise CliError(
-            "dft_kminus1 is synchronous-only (timer protocol); use --unsafe-async to force",
+            f"{protocol} is synchronous-only (timer protocol); use --unsafe-async to force",
             EXIT_ILLEGAL,
         )
-    if protocol in (PROGRAM_FW_DFT, PROGRAM_PATH_ENUM) and board != FW:
-        raise CliError(f"{protocol} requires FW whiteboards", EXIT_ILLEGAL)
+
+
+def check_params(args) -> None:
+    """Reject numeric options outside their documented ranges."""
+    if args.k < 1:
+        raise CliError(f"--k must be at least 1, got {args.k}")
+    if args.max_steps < 0:
+        raise CliError(f"--max-steps must be non-negative, got {args.max_steps}")
 
 
 def make_policy(args) -> SchedulePolicy:
@@ -155,6 +152,7 @@ def _write_report(report: dict, path: str | None) -> None:
 
 def cmd_run(args) -> int:
     check_legality(args.protocol, args.board, args.schedule, args.unsafe_async)
+    check_params(args)
     graph = load_graph(args.graph)
     policy = make_policy(args)
     cfg = fuzz_config(
@@ -171,23 +169,21 @@ def cmd_run(args) -> int:
         fh, observer = _trace_writer(args.trace)
     try:
         if args.schedule == SYNC and args.protocol == PROGRAM_DFT:
-            probe = cfg.clone()
-            rep = detect_cycle(probe, args.duplex, budget=args.max_steps or None)
+            rep = detect_cycle(
+                cfg, args.duplex, budget=args.max_steps or None, observer=observer
+            )
             bounds = audit_move_bounds(rep.records, graph)
             report = {
                 "status": rep.status,
                 "prefix": rep.prefix_len,
                 "period": rep.period,
                 "quiescent": len(rep.quiescent),
-                "movers": [probe.agents[i].ident for i in rep.movers],
+                "movers": [cfg.agents[i].ident for i in rep.movers],
                 "gossip_step": rep.gossip_step,
                 "releases_in_cycle": rep.releases_in_cycle,
                 "fwd_max": bounds.fwd_max,
                 "back_max": bounds.back_max,
             }
-            if observer is not None:
-                steps = rep.prefix_len + rep.period if rep.status == CYCLE else rep.prefix_len
-                run(cfg, policy, args.duplex, max_steps=steps, observer=observer)
             status_ok = rep.status == CYCLE
         else:
             trace = run(
@@ -261,16 +257,21 @@ def _fuzz_one(params: tuple) -> dict:
 
 def cmd_fuzz(args) -> int:
     check_legality(args.protocol, args.board, args.schedule, args.unsafe_async)
+    check_params(args)
     load_graph(args.graph)  # validate early
     try:
         lo, hi = (int(x) for x in args.seeds.split(":"))
     except ValueError:
         raise CliError(f"bad --seeds {args.seeds!r} (want LO:HI)") from None
+    if lo >= hi:
+        raise CliError(f"empty --seeds range {args.seeds!r} (want LO < HI)")
+    if args.jobs < 1:
+        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
     params = [
         (args.graph, args.protocol, args.k, args.board, args.duplex, args.schedule, s, args.max_steps)
         for s in range(lo, hi)
     ]
-    if args.jobs > 1 and params:
+    if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_fuzz_one, params))
     else:

@@ -21,6 +21,7 @@ from .model import (
     ModelError,
     PROGRAM_DFT,
     PROGRAM_PATH_ENUM,
+    PathCursor,
     Token,
     Whiteboard,
     assoc_put,
@@ -28,7 +29,6 @@ from .model import (
     make_configuration,
     state_key,
 )
-from .protocol_suite import fresh_cursor_regs
 from .scheduler import HALF, SchedulePolicy, StepRecord, SYNC, run, sync_round
 from .topology import PortLabeledGraph, build_ring, mirror_join
 
@@ -128,16 +128,13 @@ def fuzz_config(
         )
         if program == PROGRAM_PATH_ENUM:
             if rng.random() < spec.table_garbage_rate:
-                # corrupt cursor; the walker resets it on first activation
-                agent.regs = {"len": rng.randint(-3, 99), "labels": "junk"}
-            else:
-                agent.regs = fresh_cursor_regs()
+                # corrupt cursor (a return trail without labels); the walker
+                # resets it on first activation
+                agent.cursor = PathCursor(rng.randint(-3, 99), trail=(0,))
         else:
             # arbitrary internal state: a stale parked flag must be shed
-            if rng.random() < spec.table_garbage_rate:
-                agent.regs["parked"] = True
-            if rng.random() < spec.table_garbage_rate:
-                agent.regs["bounced"] = True
+            agent.parked = rng.random() < spec.table_garbage_rate
+            agent.bounced = rng.random() < spec.table_garbage_rate
         agents.append(agent)
 
     cfg = make_configuration(
@@ -223,12 +220,14 @@ def detect_cycle(
     *,
     budget: int | None = None,
     frozen: bool = False,
+    observer=None,
 ) -> CycleReport:
     """Run synchronous rounds until an exact state repeat.
 
     States are compared by full structural equality (the round counter
     excluded), so the returned (prefix, period) pair is exact, not a hash
     coincidence.  ``cfg`` is mutated; clone first to keep the start state.
+    ``observer(cfg, record)`` runs after every round, for monitoring.
     """
     work = cfg
     limit = budget if budget is not None else default_cycle_budget(cfg)
@@ -261,6 +260,8 @@ def detect_cycle(
                 records=records,
             )
         records.append(sync_round(work, duplex, frozen=frozen))
+        if observer is not None:
+            observer(work, records[-1])
         step += 1
 
     cycle_positions = positions[prefix : prefix + period]
@@ -490,15 +491,7 @@ def witness_symmetry(
     if k < 1 or n % k != 0:
         raise HarnessError(f"{k} does not divide {n}")
     g = build_ring(n)
-    agents = [
-        Agent(
-            ident=None,
-            pos=j * (n // k),
-            program=PROGRAM_PATH_ENUM,
-            regs=fresh_cursor_regs(),
-        )
-        for j in range(k)
-    ]
+    agents = [Agent(ident=None, pos=j * (n // k), program=PROGRAM_PATH_ENUM) for j in range(k)]
     cfg = make_configuration(g, agents, board_class, l_max=n)
     report = detect_cycle(cfg, HALF, budget=budget)
     meetings = sum(len(rec.colocated) for rec in report.records)

@@ -13,11 +13,10 @@ cycle detection can use it directly as a dictionary key.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Any, NamedTuple
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .topology import PortLabeledGraph
 
@@ -36,6 +35,13 @@ PROGRAM_FW_DFT = "fw_async_dft"
 PROGRAM_PATH_ENUM = "anon_path_enum"
 PROGRAMS = (PROGRAM_DFT, PROGRAM_FW_DFT, PROGRAM_PATH_ENUM)
 
+# protocol -> (board classes it may run on, synchronous schedules only)
+REQUIREMENTS = {
+    PROGRAM_DFT: ((CW, FW), True),
+    PROGRAM_FW_DFT: ((FW,), False),
+    PROGRAM_PATH_ENUM: ((FW,), False),
+}
+
 
 class ModelError(ValueError):
     pass
@@ -52,30 +58,45 @@ class Token(NamedTuple):
     payload: str
 
 
+class PathCursor(NamedTuple):
+    """An anonymous walker's position in the lexicographic enumeration of
+    fixed-length walks from its home node; the default starts phase 1.
+
+    ``labels[j]`` is the port taken at depth ``j`` of the current walk,
+    ``trail`` holds the return ports back home (one per booked move),
+    ``next_label`` is the port to try at the current depth, and
+    ``pending`` marks a forward move whose outcome is not booked yet.
+    """
+
+    length: int = 1
+    labels: tuple[int, ...] = ()
+    trail: tuple[int, ...] = ()
+    next_label: int = 0
+    pending: bool = False
+
+
 @dataclass(slots=True)
 class Agent:
-    """One mobile agent.  ``ident`` is None for anonymous agents."""
+    """One mobile agent.  ``ident`` is None for anonymous agents.
+
+    ``parked`` and ``bounced`` are the DFT agent's registers, ``cursor``
+    the walk enumerator's.  Every field but ``known`` holds an immutable
+    value, so a clone copies only that set.
+    """
 
     ident: int | None
     pos: int
     t_bit: bool = False
     known: set[Token] = field(default_factory=set)
     program: str = PROGRAM_DFT
-    regs: dict[str, Any] = field(default_factory=dict)
+    parked: bool = False
+    bounced: bool = False
+    cursor: PathCursor = PathCursor()
     arrival_port: int = 0
     last_move_accepted: bool = True
 
     def clone(self) -> "Agent":
-        return Agent(
-            ident=self.ident,
-            pos=self.pos,
-            t_bit=self.t_bit,
-            known=set(self.known),
-            program=self.program,
-            regs=copy.deepcopy(self.regs),
-            arrival_port=self.arrival_port,
-            last_move_accepted=self.last_move_accepted,
-        )
+        return replace(self, known=set(self.known))
 
 
 @dataclass(slots=True)
@@ -229,8 +250,6 @@ def merge_gossip(cfg: Configuration, node: int) -> None:
     for a in here:
         if len(a.known) != len(union):
             a.known = set(union)
-        elif a.known != union:  # pragma: no cover - same size, different content
-            a.known = set(union)
 
 
 def _token_key(tok: Token) -> tuple[str, str]:
@@ -244,16 +263,12 @@ def _agent_key(a: Agent) -> tuple:
         a.t_bit,
         tuple(sorted(a.known)),
         a.program,
-        tuple(sorted((k, _freeze(v)) for k, v in a.regs.items())),
+        a.parked,
+        a.bounced,
+        a.cursor,
         a.arrival_port,
         a.last_move_accepted,
     )
-
-
-def _freeze(value):
-    if isinstance(value, list):
-        return tuple(_freeze(v) for v in value)
-    return value
 
 
 def _board_key(b: Whiteboard) -> tuple:
@@ -335,7 +350,9 @@ def config_to_json(cfg: Configuration) -> str:
                 "t_bit": a.t_bit,
                 "known": sorted([list(t) for t in a.known]),
                 "program": a.program,
-                "regs": {k: a.regs[k] for k in sorted(a.regs)},
+                "parked": a.parked,
+                "bounced": a.bounced,
+                "cursor": a.cursor._asdict(),
                 "arrival_port": a.arrival_port,
             }
             for a in cfg.agents

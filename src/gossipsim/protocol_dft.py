@@ -109,7 +109,7 @@ def _traversal_visit(
 
     if assoc_get(board, "t_table", i) != agent.t_bit:
         # first visit of i at v in the current traversal
-        agent.regs["bounced"] = False
+        agent.bounced = False
         meta.branch = "first_visit"
         assoc_put(board, "t_table", i, agent.t_bit)
         assoc_put(board, "in_link", i, a)
@@ -130,27 +130,27 @@ def _traversal_visit(
             meta.kind = BACKTRACK
             return MoveIntent(idx, v, a), meta
         board.waiting.add(i)
-        agent.regs["parked"] = True
+        agent.parked = True
         meta.joined_waiting = True
         return MoveIntent(idx, v, None), meta
 
     if assoc_get(board, "out_link", i) != a:
         # pass-through: i reached an already-marked node off its out-edge
-        if agent.regs.get("bounced"):
+        if agent.bounced:
             # two pass-through backtracks in a row never happen in
             # legitimate operation; restart the traversal in place
-            agent.regs["bounced"] = False
+            agent.bounced = False
             agent.t_bit = not agent.t_bit
             intent, inner = _traversal_visit(cfg, v, idx, a, quiesce=quiesce)
             inner.repaired = True
             inner.flipped = True
             return intent, inner
-        agent.regs["bounced"] = True
+        agent.bounced = True
         meta.branch = "pass_through"
         meta.kind = BACKTRACK
         return MoveIntent(idx, v, a), meta
 
-    agent.regs["bounced"] = False
+    agent.bounced = False
     nxt = next_port(a, deg)
 
     if nxt == 0 and assoc_get(board, "in_link", i) == LINK_DEFAULT:
@@ -168,7 +168,7 @@ def _traversal_visit(
             meta.kind = FORWARD
             return MoveIntent(idx, v, 0), meta
         board.waiting.add(i)
-        agent.regs["parked"] = True
+        agent.parked = True
         meta.joined_waiting = True
         return MoveIntent(idx, v, None), meta
 
@@ -203,7 +203,7 @@ def timeout_check_and_execute(cfg: Configuration, v: int) -> list[tuple[MoveInte
     board.waiting.discard(i)
     located = None
     for idx, agent in enumerate(cfg.agents):
-        if agent.ident == i and agent.pos == v and agent.regs.get("parked"):
+        if agent.ident == i and agent.pos == v and agent.parked:
             located = idx
             break
     if located is None:
@@ -213,8 +213,8 @@ def timeout_check_and_execute(cfg: Configuration, v: int) -> list[tuple[MoveInte
     board.min_id = i
     board.timer = 0
     agent = cfg.agents[located]
-    agent.regs["parked"] = False
-    agent.regs["bounced"] = False
+    agent.parked = False
+    agent.bounced = False
     deg = cfg.graph.degree(v)
     meta = StepMeta(released=True)
     inl = assoc_get(board, "in_link", i)
@@ -254,10 +254,10 @@ def dft_agent_step(cfg: Configuration, idx: int) -> tuple[MoveIntent, StepMeta]:
     if agent.ident is None:
         raise ProtocolError("dft_kminus1 requires named agents")
     board = cfg.boards[agent.pos]
-    if agent.regs.get("parked"):
+    if agent.parked:
         # parked state is real only while the node's waiting set agrees;
         # either side alone is stale initialization and is dropped
         if board.cls in (CW, FW) and agent.ident in board.waiting:
             return MoveIntent(idx, agent.pos, None), StepMeta(branch="waiting")
-        agent.regs["parked"] = False
+        agent.parked = False
     return visit(cfg, agent.pos, idx, agent.arrival_port)

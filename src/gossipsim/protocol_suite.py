@@ -9,15 +9,14 @@ stores, which the scheduler merges on every visit.
 each one enumerates all walks of a given length from its current home
 node in lexicographic order of the port-label sequences, growing the
 length once a phase is exhausted.  The agent retraces its recorded
-return-port trail between walks.  Any internally inconsistent cursor
-(fuzz injection) resets to the shortest phase.
+return-port trail between walks.  Its whole state is one immutable
+:class:`PathCursor`; any internally inconsistent cursor (fuzz injection)
+resets to the shortest phase.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .model import FW, Configuration
+from .model import FW, Agent, Configuration, PathCursor
 from .protocol_dft import (
     BACKTRACK,
     FORWARD,
@@ -27,13 +26,7 @@ from .protocol_dft import (
     fw_visit,
 )
 
-__all__ = [
-    "PathCursor",
-    "lex_next_cursor",
-    "fw_dft_step",
-    "anon_path_enum_step",
-    "fresh_cursor_regs",
-]
+__all__ = ["PathCursor", "fw_dft_step", "anon_path_enum_step"]
 
 
 def fw_dft_step(cfg: Configuration, idx: int) -> tuple[MoveIntent, StepMeta]:
@@ -44,150 +37,62 @@ def fw_dft_step(cfg: Configuration, idx: int) -> tuple[MoveIntent, StepMeta]:
     return fw_visit(cfg, agent.pos, idx, agent.arrival_port)
 
 
-@dataclass(frozen=True, slots=True)
-class PathCursor:
-    """Position inside the lexicographic enumeration of fixed-length walks.
-
-    ``labels[j]`` is the port chosen at depth ``j``; ``progress`` counts
-    committed positions; ``home_trail`` holds the return ports back to the
-    walk's origin (one per committed position).
-    """
-
-    length: int
-    labels: tuple[int, ...]
-    progress: int = 0
-    home_trail: tuple[int, ...] = ()
-
-
-def lex_next_cursor(cursor: PathCursor, degrees_seen: tuple[int, ...]) -> PathCursor:
-    """Next label sequence in variable-radix lexicographic order.
-
-    ``degrees_seen[j]`` is the degree of the node reached at depth ``j``
-    along the current walk, i.e. the radix of position ``j``.  Called at a
-    path boundary: either the walk is complete (``progress == length``) or
-    the pending label exceeds the local degree (dead branch).  When the
-    last sequence of the current length is exhausted, returns the all-zero
-    sequence of the next length.
-    """
-    ell = cursor.length
-    labels = list(cursor.labels)
-    if cursor.progress >= ell:
-        j = ell - 1
-        labels[j] += 1
-    else:
-        j = cursor.progress  # dead branch: labels[j] already overflows
-    while j >= 0 and labels[j] >= degrees_seen[j]:
-        labels[j] = 0
-        j -= 1
-        if j >= 0:
-            labels[j] += 1
-    if j < 0:
-        return PathCursor(ell + 1, (0,) * (ell + 1))
-    return PathCursor(ell, tuple(labels[:ell]))
-
-
-def fresh_cursor_regs() -> dict:
-    """Registers of a cursor at the start of phase 1."""
-    return {"len": 1, "labels": [], "trail": [], "next": 0, "pending": False}
-
-
-def _cursor_ok(regs: dict, cfg: Configuration) -> bool:
-    try:
-        ell = regs["len"]
-        labels = regs["labels"]
-        trail = regs["trail"]
-        nxt = regs["next"]
-        pending = regs["pending"]
-    except (KeyError, TypeError):
-        return False
-    if not (isinstance(ell, int) and isinstance(nxt, int) and isinstance(pending, bool)):
-        return False
-    if not (isinstance(labels, list) and isinstance(trail, list)):
-        return False
-    if not 1 <= ell <= max(cfg.l_max, 1):
+def _cursor_ok(cursor: PathCursor, cfg: Configuration) -> bool:
+    if not 1 <= cursor.length <= max(cfg.l_max, 1):
         return False
     max_deg = cfg.graph.max_degree()
-    if not 0 <= nxt <= max_deg:
+    if not 0 <= cursor.next_label <= max_deg:
         return False
-    if any(not isinstance(x, int) or not 0 <= x < max_deg for x in labels + trail):
+    if any(not 0 <= x < max_deg for x in cursor.labels + cursor.trail):
         return False
-    expect = len(labels) - (1 if pending else 0)
-    if len(trail) != expect or len(labels) > ell:
-        return False
-    return True
+    expect = len(cursor.labels) - (1 if cursor.pending else 0)
+    return len(cursor.trail) == expect and len(cursor.labels) <= cursor.length
+
+
+def _reset(agent: Agent, idx: int) -> tuple[MoveIntent, StepMeta]:
+    agent.cursor = PathCursor()
+    return MoveIntent(idx, agent.pos, None), StepMeta(branch="cursor_reset", reset=True)
 
 
 def anon_path_enum_step(cfg: Configuration, idx: int) -> tuple[MoveIntent, StepMeta]:
     """One move of the walk enumeration (or a bookkeeping stay).
 
     Reads only the local degree, the arrival port of the agent's last
-    accepted move, and its own bounded registers; node identity stays
+    accepted move, and its own bounded cursor; node identity stays
     hidden.
     """
     agent = cfg.agents[idx]
-    regs = agent.regs
-    meta = StepMeta()
-    if not _cursor_ok(regs, cfg):
-        agent.regs = fresh_cursor_regs()
-        meta.reset = True
-        meta.branch = "cursor_reset"
-        return MoveIntent(idx, agent.pos, None), meta
+    cursor = agent.cursor
+    if not _cursor_ok(cursor, cfg):
+        return _reset(agent, idx)
 
-    if regs["pending"]:
+    ell, labels, trail, nxt, pending = cursor
+    if pending:
         # complete bookkeeping for the previous forward move
         if agent.last_move_accepted:
-            regs["trail"].append(agent.arrival_port)
+            trail += (agent.arrival_port,)
         else:
             # the move was rejected (half-duplex loss); retry the label
-            regs["next"] = regs["labels"].pop()
-        regs["pending"] = False
+            nxt = labels[-1]
+            labels = labels[:-1]
 
     deg = cfg.graph.degree(agent.pos)
-    ell = regs["len"]
-    progress = len(regs["labels"])
+    progress = len(labels)
 
-    if progress == ell:
-        # walk complete: retreat one level
-        port = regs["trail"].pop()
-        regs["next"] = regs["labels"].pop() + 1
+    if progress == ell or (nxt >= deg and progress > 0):
+        # walk complete, or dead branch: retreat one level and carry
+        port = trail[-1]
         if not 0 <= port < deg:
-            agent.regs = fresh_cursor_regs()
-            meta.reset = True
-            meta.branch = "cursor_reset"
-            return MoveIntent(idx, agent.pos, None), meta
-        meta.branch = "retreat"
-        meta.kind = BACKTRACK
-        return MoveIntent(idx, agent.pos, port), meta
+            return _reset(agent, idx)
+        agent.cursor = PathCursor(ell, labels[:-1], trail[:-1], labels[-1] + 1)
+        return MoveIntent(idx, agent.pos, port), StepMeta(branch="retreat", kind=BACKTRACK)
 
-    if regs["next"] < deg:
+    if nxt < deg:
         # descend along the next label
-        label = regs["next"]
-        regs["labels"].append(label)
-        regs["next"] = 0
-        regs["pending"] = True
-        meta.branch = "descend"
-        meta.kind = FORWARD
-        return MoveIntent(idx, agent.pos, label), meta
+        agent.cursor = PathCursor(ell, labels + (nxt,), trail, 0, True)
+        return MoveIntent(idx, agent.pos, nxt), StepMeta(branch="descend", kind=FORWARD)
 
-    if progress == 0:
-        # all sequences of this length exhausted: grow the phase
-        if ell + 1 > cfg.l_max:
-            regs["len"] = 1
-            meta.wrapped = True
-        else:
-            regs["len"] = ell + 1
-        regs["next"] = 0
-        meta.branch = "phase_advance"
-        return MoveIntent(idx, agent.pos, None), meta
-
-    # dead branch: retreat and carry
-    port = regs["trail"].pop()
-    regs["next"] = regs["labels"].pop() + 1
-    if not 0 <= port < deg:
-        agent.regs = fresh_cursor_regs()
-        meta.reset = True
-        meta.branch = "cursor_reset"
-        return MoveIntent(idx, agent.pos, None), meta
-    meta.branch = "retreat"
-    meta.kind = BACKTRACK
-    return MoveIntent(idx, agent.pos, port), meta
+    # all sequences of this length exhausted: grow the phase
+    wrapped = ell + 1 > cfg.l_max
+    agent.cursor = PathCursor(1 if wrapped else ell + 1)
+    return MoveIntent(idx, agent.pos, None), StepMeta(branch="phase_advance", wrapped=wrapped)

@@ -25,6 +25,7 @@ from .model import (
     PROGRAM_DFT,
     PROGRAM_FW_DFT,
     PROGRAM_PATH_ENUM,
+    REQUIREMENTS,
     merge_gossip,
 )
 from .protocol_dft import MoveIntent, StepMeta, dft_agent_step, timeout_check_and_execute
@@ -293,12 +294,14 @@ def async_step(cfg: Configuration, state: _AsyncState) -> StepRecord:
 
 
 def check_async_legality(cfg: Configuration, policy: SchedulePolicy, unsafe_async: bool) -> None:
-    if policy.kind == SYNC:
+    if policy.kind == SYNC or unsafe_async:
         return
-    if not unsafe_async and any(a.program == PROGRAM_DFT for a in cfg.agents):
-        raise SchedulerError(
-            "dft_kminus1 depends on synchronous timers; pass unsafe_async to force"
-        )
+    for agent in cfg.agents:
+        _, sync_only = REQUIREMENTS[agent.program]
+        if sync_only:
+            raise SchedulerError(
+                f"{agent.program} depends on synchronous timers; pass unsafe_async to force"
+            )
 
 
 def run(

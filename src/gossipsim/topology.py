@@ -66,23 +66,6 @@ class PortLabeledGraph:
         return max(len(ports) for ports in self.adjacency)
 
 
-def neighbor(g: PortLabeledGraph, v: int, a: int) -> tuple[int, int]:
-    return g.neighbor(v, a)
-
-
-def _from_edge_ports(n: int, half_edges: dict[tuple[int, int], tuple[int, int]]) -> PortLabeledGraph:
-    """Build a graph from a full half-edge map {(v, port): (peer, peer_port)}."""
-    adjacency = []
-    for v in range(n):
-        ports = [half_edges[key] for key in sorted(k for k in half_edges if k[0] == v)]
-        adjacency.append(tuple(ports))
-    g = PortLabeledGraph(tuple(adjacency))
-    violations = validate(g)
-    if violations:
-        raise GraphError("; ".join(violations))
-    return g
-
-
 def build_ring(n: int) -> PortLabeledGraph:
     """Ring of ``n`` nodes; port 0 is clockwise (v -> v+1), port 1 counterclockwise.
 

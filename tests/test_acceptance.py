@@ -241,10 +241,9 @@ class _CoverageMonitor:
         (idx,) = rec.acting
         agent = cfg.agents[idx]
         st = self.state[idx]
-        regs = agent.regs
-        ln = regs.get("len")
-        labels = regs.get("labels")
-        if st["home"] is None and ln == 1 and isinstance(labels, list):
+        ln = agent.cursor.length
+        labels = agent.cursor.labels
+        if st["home"] is None and ln == 1:
             if not labels:
                 st["home"] = agent.pos
             elif len(labels) == 1 and rec.moves:

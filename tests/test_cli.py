@@ -85,6 +85,22 @@ class TestMainExitCodes:
         assert report["status"] == "cycle"
         assert report["quiescent"] == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--graph", "ring:4", "--k", "-1"],
+            ["run", "--graph", "ring:4", "--k", "0"],
+            ["run", "--graph", "ring:4", "--max-steps", "-5"],
+            ["fuzz", "--graph", "ring:4", "--k", "0", "--seeds", "0:2"],
+            ["fuzz", "--graph", "ring:4", "--seeds", "5:2"],
+            ["fuzz", "--graph", "ring:4", "--seeds", "2:2"],
+            ["fuzz", "--graph", "ring:4", "--seeds", "0:2", "--jobs", "0"],
+        ],
+    )
+    def test_bad_parameters(self, argv, capsys):
+        assert main(argv) == EXIT_PARAM
+        assert capsys.readouterr().out == ""
+
     def test_witness_symmetry_ok(self, capsys):
         code = main(["witness", "symmetry", "--n", "6", "--k", "2", "--board", "CW"])
         assert code == EXIT_OK

@@ -18,7 +18,7 @@ from gossipsim.harness import (
     witness_mirror,
     witness_symmetry,
 )
-from gossipsim.model import Agent, CW, FW, NW, make_configuration, state_key
+from gossipsim.model import Agent, CW, FW, NW, PathCursor, make_configuration, state_key
 from gossipsim.topology import build_ring, random_connected_graph
 
 
@@ -83,7 +83,9 @@ class TestFuzzConfig:
         cfg = fuzz_config(g, 2, FuzzSpec(), seed=3, board_class=FW,
                           program="anon_path_enum")
         assert all(a.ident is None for a in cfg.agents)
-        assert all("len" in a.regs for a in cfg.agents)
+        # each walker starts fresh or with a trail its labels cannot explain
+        assert all(a.cursor == PathCursor() or len(a.cursor.trail) != len(a.cursor.labels)
+                   for a in cfg.agents)
 
 
 class TestGossipComplete:

@@ -10,6 +10,7 @@ from gossipsim.model import (
     FW,
     ModelError,
     NW,
+    PathCursor,
     Token,
     Whiteboard,
     assoc_get,
@@ -158,8 +159,17 @@ class TestStateKey:
 
     def test_hashable(self):
         cfg = self._cfg()
-        cfg.agents[0].regs["trail"] = [1, 0, 1]
+        cfg.agents[0].cursor = PathCursor(length=3, labels=(0, 1, 1), trail=(1, 0, 1))
         assert hash(state_key(cfg)) == hash(state_key(cfg.clone()))
+
+    def test_cleared_flags_encode_like_fresh(self):
+        cfg = self._cfg()
+        key = state_key(cfg)
+        agent = cfg.agents[0]
+        agent.parked = agent.bounced = True
+        assert state_key(cfg) != key
+        agent.parked = agent.bounced = False
+        assert state_key(cfg) == key
 
 
 class TestSnapshotHash:

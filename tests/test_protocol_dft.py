@@ -67,7 +67,7 @@ class TestFirstVisit:
         assert intent.stay
         assert meta.joined_waiting
         assert cfg.boards[0].waiting == {9}
-        assert cfg.agents[0].regs["parked"] is True
+        assert cfg.agents[0].parked is True
         # board tracking rows were still written
         assert cfg.boards[0].t_table == {9: False}
         assert cfg.boards[0].min_id == 1
@@ -145,10 +145,8 @@ class TestCompletion:
 
 
 class TestTimeout:
-    def _parked(self, g, ident, pos, **regs):
-        agent = Agent(ident=ident, pos=pos)
-        agent.regs.update(parked=True, **regs)
-        return agent
+    def _parked(self, g, ident, pos):
+        return Agent(ident=ident, pos=pos, parked=True)
 
     def test_release_fixture(self):
         # Timer = WaitT = 5, Waiting = {3, 8}, parked agent 3 at the node
@@ -171,7 +169,7 @@ class TestTimeout:
         assert board.timer == 0
         assert a3.t_bit is True
         assert board.out_link == {3: 0}
-        assert a3.regs["parked"] is False
+        assert a3.parked is False
 
     def test_resume_mid_traversal(self):
         g = build_ring(4)
@@ -222,17 +220,17 @@ class TestTimeout:
 class TestAgentStep:
     def test_waiting_agent_stays(self):
         cfg = two_node_cfg(ident=4)
-        cfg.agents[0].regs["parked"] = True
+        cfg.agents[0].parked = True
         cfg.boards[0].waiting = {4}
         intent, meta = dft_agent_step(cfg, 0)
         assert intent.stay and meta.branch == "waiting"
 
     def test_stale_parked_flag_sheds(self):
         cfg = two_node_cfg(ident=4)
-        cfg.agents[0].regs["parked"] = True  # no matching waiting entry
+        cfg.agents[0].parked = True  # no matching waiting entry
         intent, meta = dft_agent_step(cfg, 0)
         assert meta.branch == "first_visit"
-        assert cfg.agents[0].regs["parked"] is False
+        assert cfg.agents[0].parked is False
 
     def test_stale_waiting_entry_does_not_capture(self):
         cfg = two_node_cfg(ident=4)

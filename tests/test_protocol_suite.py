@@ -3,13 +3,7 @@
 import pytest
 
 from gossipsim.model import Agent, CW, FW, make_configuration
-from gossipsim.protocol_suite import (
-    PathCursor,
-    anon_path_enum_step,
-    fresh_cursor_regs,
-    fw_dft_step,
-    lex_next_cursor,
-)
+from gossipsim.protocol_suite import PathCursor, anon_path_enum_step, fw_dft_step
 from gossipsim.protocol_dft import ProtocolError
 from gossipsim.topology import build_grid, build_ring
 
@@ -31,47 +25,22 @@ def drive(cfg, idx, steps):
     agent = cfg.agents[idx]
     completed = []
     for _ in range(steps):
-        regs = agent.regs
+        cur = agent.cursor
         # a full label list means the walk just finished (the pending
         # bookkeeping, if any, succeeded: this driver never rejects moves)
-        if (isinstance(regs.get("labels"), list)
-                and len(regs["labels"]) == regs.get("len")):
-            completed.append((regs["len"], tuple(regs["labels"])))
+        if len(cur.labels) == cur.length:
+            completed.append((cur.length, cur.labels))
         intent, meta = anon_path_enum_step(cfg, idx)
         if intent.via is not None:
             to, back = g.neighbor(agent.pos, intent.via)
             agent.pos = to
             agent.arrival_port = back
             agent.last_move_accepted = True
-        regs = agent.regs
-        if not regs.get("pending") and len(regs.get("labels", [1])) == 0:
+        cur = agent.cursor
+        if not cur.pending and not cur.labels:
             # between walks the agent must be back at its origin
             assert agent.pos == 0
     return completed
-
-
-class TestLexNextCursor:
-    def test_increment_within_phase(self):
-        c = PathCursor(1, (0,), progress=1)
-        assert lex_next_cursor(c, (2,)) == PathCursor(1, (1,))
-
-    def test_phase_rollover(self):
-        c = PathCursor(1, (1,), progress=1)
-        assert lex_next_cursor(c, (2,)) == PathCursor(2, (0, 0))
-
-    def test_variable_radix_carry(self):
-        # radices (3, 2): after (0,1) comes (1,0)
-        c = PathCursor(2, (0, 1), progress=2)
-        assert lex_next_cursor(c, (3, 2)) == PathCursor(2, (1, 0))
-
-    def test_last_sequence_grows_length(self):
-        c = PathCursor(2, (2, 1), progress=2)
-        assert lex_next_cursor(c, (3, 2)) == PathCursor(3, (0, 0, 0))
-
-    def test_dead_branch_carries_from_progress(self):
-        # label at depth 1 already overflows radix 1
-        c = PathCursor(3, (0, 1, 0), progress=1)
-        assert lex_next_cursor(c, (2, 1, 2)) == PathCursor(3, (1, 0, 0))
 
 
 class TestEnumerationOrder:
@@ -80,7 +49,6 @@ class TestEnumerationOrder:
         cfg = make_configuration(
             graph, [Agent(ident=None, pos=0, program="anon_path_enum")], FW,
             l_max=l_max)
-        cfg.agents[0].regs = fresh_cursor_regs()
         expected = [(ell, w)
                     for ell in range(1, l_max + 1)
                     for w in all_walks(graph, 0, ell)]
@@ -93,7 +61,6 @@ class TestEnumerationOrder:
         g = build_ring(3)
         cfg = make_configuration(
             g, [Agent(ident=None, pos=0, program="anon_path_enum")], FW, l_max=1)
-        cfg.agents[0].regs = fresh_cursor_regs()
         wrapped = False
         for _ in range(40):
             intent, meta = anon_path_enum_step(cfg, 0)
@@ -104,17 +71,16 @@ class TestEnumerationOrder:
                 cfg.agents[0].arrival_port = back
                 cfg.agents[0].last_move_accepted = True
         assert wrapped
-        assert cfg.agents[0].regs["len"] == 1
+        assert cfg.agents[0].cursor.length == 1
 
     def test_cursor_footprint_stays_bounded(self):
         g = build_grid(2, 3)
         cfg = make_configuration(
             g, [Agent(ident=None, pos=0, program="anon_path_enum")], FW, l_max=3)
-        cfg.agents[0].regs = fresh_cursor_regs()
         for _ in range(1000):
-            regs = cfg.agents[0].regs
-            assert len(regs["labels"]) <= 3 and len(regs["trail"]) <= 3
-            assert 0 <= regs["next"] <= g.max_degree()
+            cur = cfg.agents[0].cursor
+            assert len(cur.labels) <= 3 and len(cur.trail) <= 3
+            assert 0 <= cur.next_label <= g.max_degree()
             intent, _ = anon_path_enum_step(cfg, 0)
             if intent.via is not None:
                 to, back = g.neighbor(cfg.agents[0].pos, intent.via)
@@ -124,37 +90,37 @@ class TestEnumerationOrder:
 
 
 class TestCursorReset:
+    # ``regs`` is the walker's cursor register; ring:4 has degree 2, l_max 4
     @pytest.mark.parametrize(
         "regs",
         [
-            {},
-            {"len": 0, "labels": [], "trail": [], "next": 0, "pending": False},
-            {"len": 99, "labels": [], "trail": [], "next": 0, "pending": False},
-            {"len": 2, "labels": "junk", "trail": [], "next": 0, "pending": False},
-            {"len": 2, "labels": [0, 1], "trail": [], "next": 0, "pending": False},
-            {"len": 2, "labels": [7], "trail": [0], "next": 0, "pending": False},
+            PathCursor(length=2, next_label=3),  # next label beyond every degree
+            PathCursor(length=0),
+            PathCursor(length=99),
+            PathCursor(length=2, labels=(0,), trail=(-1,)),  # return port out of range
+            PathCursor(length=2, labels=(0, 1)),  # labels without a return trail
+            PathCursor(length=2, labels=(7,), trail=(0,)),  # label out of range
         ],
     )
     def test_garbage_resets_to_phase_one(self, regs):
         g = build_ring(4)
         cfg = make_configuration(
             g, [Agent(ident=None, pos=1, program="anon_path_enum")], FW, l_max=4)
-        cfg.agents[0].regs = regs
+        cfg.agents[0].cursor = regs
         intent, meta = anon_path_enum_step(cfg, 0)
         assert intent.stay and meta.reset
-        assert cfg.agents[0].regs == fresh_cursor_regs()
+        assert cfg.agents[0].cursor == PathCursor()
 
     def test_rejected_move_retries_same_label(self):
         g = build_ring(4)
         cfg = make_configuration(
             g, [Agent(ident=None, pos=0, program="anon_path_enum")], FW, l_max=2)
-        cfg.agents[0].regs = fresh_cursor_regs()
         intent, meta = anon_path_enum_step(cfg, 0)
         assert meta.branch == "descend" and intent.via == 0
         cfg.agents[0].last_move_accepted = False  # duplex loss, agent stayed put
         intent, meta = anon_path_enum_step(cfg, 0)
         assert meta.branch == "descend" and intent.via == 0
-        assert cfg.agents[0].regs["labels"] == [0]
+        assert cfg.agents[0].cursor.labels == (0,)
 
 
 class TestFwDft:

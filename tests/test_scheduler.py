@@ -3,7 +3,6 @@ from hypothesis import given, settings, strategies as st
 
 from gossipsim.model import Agent, CW, FW, make_configuration, state_key
 from gossipsim.protocol_dft import MoveIntent, StepMeta
-from gossipsim.protocol_suite import fresh_cursor_regs
 from gossipsim.scheduler import (
     ASYNC_RANDOM_FAIR,
     ASYNC_ROUND_ROBIN,
@@ -31,10 +30,7 @@ def dft_cfg(positions_ids, n=4, cls=CW):
 def walker_cfg(positions, n=6, l_max=None):
     g = build_ring(n)
     agents = [Agent(ident=None, pos=p, program="anon_path_enum") for p in positions]
-    cfg = make_configuration(g, agents, FW, l_max=l_max)
-    for a in cfg.agents:
-        a.regs = fresh_cursor_regs()
-    return cfg
+    return make_configuration(g, agents, FW, l_max=l_max)
 
 
 class TestDuplex:
