@@ -18,6 +18,7 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 
 from .harness import (
     CLEAN_SPEC,
@@ -69,6 +70,8 @@ def load_graph(spec: str):
             return build_grid(int(rows), int(cols))
         if spec.startswith("random:"):
             parts = spec.split(":")[1:]
+            if len(parts) > 3:
+                raise GraphError("random takes at most N:EXTRA:SEED")
             n = int(parts[0])
             extra = int(parts[1]) if len(parts) > 1 else 2
             seed = int(parts[2]) if len(parts) > 2 else 0
@@ -271,22 +274,26 @@ def cmd_fuzz(args) -> int:
         (args.graph, args.protocol, args.k, args.board, args.duplex, args.schedule, s, args.max_steps)
         for s in range(lo, hi)
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_fuzz_one, params))
-    else:
-        rows = [_fuzz_one(p) for p in params]
-
     columns = ["seed", "status", "prefix", "period", "quiescent", "gossip_step", "fwd_max", "back_max"]
-    if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
+    with ExitStack() as outputs:
+        # open the outputs first, so a bad path fails before any seed runs
+        csv_fh = jsonl_fh = None
+        if args.out:
+            csv_fh = outputs.enter_context(open(args.out, "w", newline="", encoding="utf-8"))
+        if args.out_jsonl:
+            jsonl_fh = outputs.enter_context(open(args.out_jsonl, "w", encoding="utf-8"))
+        if args.jobs > 1:
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                rows = list(pool.map(_fuzz_one, params))
+        else:
+            rows = [_fuzz_one(p) for p in params]
+        if csv_fh:
+            writer = csv.DictWriter(csv_fh, fieldnames=columns, extrasaction="ignore")
             writer.writeheader()
             writer.writerows(rows)
-    if args.out_jsonl:
-        with open(args.out_jsonl, "w", encoding="utf-8") as fh:
+        if jsonl_fh:
             for row in rows:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+                jsonl_fh.write(json.dumps(row, sort_keys=True) + "\n")
     ok = sum(1 for r in rows if r["ok"])
     print(f"{ok}/{len(rows)} seeds satisfied the property set")
     return EXIT_OK if ok == len(rows) else EXIT_TRUNCATED
@@ -377,7 +384,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (HarnessError, ModelError, GraphError) as exc:
+    except (HarnessError, ModelError, GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAM
     except AssertionError as exc:  # pragma: no cover - internal bug surface

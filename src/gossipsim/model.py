@@ -5,16 +5,16 @@ data: traversal tables, link records, timer machinery) and FW (CW plus a
 gossip store).  Class rules are enforced structurally: NW boards reject
 every write, CW boards reject gossip-store writes.
 
-A :class:`Configuration` is a value; cloning is cheap and two
-configurations compare equal iff their :func:`state_key` tuples are
-equal.  ``state_key`` deliberately excludes the round counter so exact
-cycle detection can use it directly as a dictionary key.
+A :class:`Configuration` is a value and cloning is cheap.
+:func:`state_key` is the one place that lists which fields make up a
+configuration's state.  It leaves out the round counter and the run
+constants, so exact cycle detection can use it directly as a dictionary
+key; :func:`snapshot_hash` is its digest.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -112,15 +112,12 @@ class Whiteboard:
     store: set[Token] = field(default_factory=set)
 
     def clone(self) -> "Whiteboard":
-        return Whiteboard(
-            cls=self.cls,
+        return replace(
+            self,
             t_table=dict(self.t_table),
             in_link=dict(self.in_link),
             out_link=dict(self.out_link),
-            min_id=self.min_id,
-            wait_t=self.wait_t,
             waiting=set(self.waiting),
-            timer=self.timer,
             store=set(self.store),
         )
 
@@ -178,14 +175,10 @@ class Configuration:
         return len(self.agents)
 
     def clone(self) -> "Configuration":
-        return Configuration(
-            graph=self.graph,
+        return replace(
+            self,
             agents=[a.clone() for a in self.agents],
             boards=[b.clone() for b in self.boards],
-            round=self.round,
-            timer_cap=self.timer_cap,
-            max_id=self.max_id,
-            l_max=self.l_max,
             genuine=dict(self.genuine),
         )
 
@@ -252,10 +245,6 @@ def merge_gossip(cfg: Configuration, node: int) -> None:
             a.known = set(union)
 
 
-def _token_key(tok: Token) -> tuple[str, str]:
-    return (tok.origin, tok.payload)
-
-
 def _agent_key(a: Agent) -> tuple:
     return (
         a.ident,
@@ -290,11 +279,22 @@ def _board_key(b: Whiteboard) -> tuple:
 
 
 def state_key(cfg: Configuration) -> tuple:
-    """Exact hashable encoding of the configuration, round counter excluded.
+    """Exact hashable encoding of the configuration's state.
 
-    Agents are listed in hidden-index order; use :func:`snapshot_hash` for
-    the canonicalized digest that identifies configurations up to
-    permutation of indistinguishable anonymous agents.
+    Every field of :class:`Agent` and :class:`Whiteboard` is encoded, the
+    gossip store only on FW boards (the others reject store writes) and
+    nothing but the class on NW boards.  Agents are listed in hidden-index
+    order: half-duplex ties between anonymous agents are broken by that
+    index, so swapping two indistinguishable agents can change the future.
+
+    Left out, because they do not belong to the state:
+
+    - ``round`` advances every round; with it no state could repeat.
+    - ``graph`` is immutable and shared by every configuration of a run.
+    - ``timer_cap``, ``max_id`` and ``l_max`` are run constants, set when
+      the configuration is made and never written by a step.
+    - ``genuine`` names each agent's initial token for the gossip check;
+      it is never written after the configuration is made.
     """
     return (
         tuple(_agent_key(a) for a in cfg.agents),
@@ -303,60 +303,5 @@ def state_key(cfg: Configuration) -> tuple:
 
 
 def snapshot_hash(cfg: Configuration) -> str:
-    """Stable digest over graph, agents and boards.
-
-    Anonymous agents are sorted by their full serialized state first, so
-    swapping two indistinguishable agents does not change the digest.
-    """
-    named = [_agent_key(a) for a in cfg.agents if a.ident is not None]
-    anon = sorted(_agent_key(a) for a in cfg.agents if a.ident is None)
-    payload = repr((
-        cfg.graph.adjacency,
-        tuple(named),
-        tuple(anon),
-        tuple(_board_key(b) for b in cfg.boards),
-    ))
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def config_to_json(cfg: Configuration) -> str:
-    """Snapshot as JSON text with stable key ordering."""
-
-    def board_obj(b: Whiteboard) -> dict:
-        if b.cls == NW:
-            return {"class": NW}
-        obj = {
-            "class": b.cls,
-            "t_table": {str(k): v for k, v in sorted(b.t_table.items())},
-            "in_link": {str(k): v for k, v in sorted(b.in_link.items())},
-            "out_link": {str(k): v for k, v in sorted(b.out_link.items())},
-            "min_id": b.min_id,
-            "wait_t": b.wait_t,
-            "waiting": sorted(b.waiting),
-            "timer": b.timer,
-        }
-        if b.cls == FW:
-            obj["store"] = sorted([list(t) for t in b.store])
-        return obj
-
-    doc = {
-        "round": cfg.round,
-        "timer_cap": cfg.timer_cap,
-        "max_id": cfg.max_id,
-        "agents": [
-            {
-                "ident": a.ident,
-                "pos": a.pos,
-                "t_bit": a.t_bit,
-                "known": sorted([list(t) for t in a.known]),
-                "program": a.program,
-                "parked": a.parked,
-                "bounced": a.bounced,
-                "cursor": a.cursor._asdict(),
-                "arrival_port": a.arrival_port,
-            }
-            for a in cfg.agents
-        ],
-        "boards": [board_obj(b) for b in cfg.boards],
-    }
-    return json.dumps(doc, sort_keys=True)
+    """SHA-256 hex digest of :func:`state_key`."""
+    return hashlib.sha256(repr(state_key(cfg)).encode()).hexdigest()

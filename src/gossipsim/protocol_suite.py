@@ -40,7 +40,7 @@ def fw_dft_step(cfg: Configuration, idx: int) -> tuple[MoveIntent, StepMeta]:
 def _cursor_ok(cursor: PathCursor, cfg: Configuration) -> bool:
     if not 1 <= cursor.length <= max(cfg.l_max, 1):
         return False
-    max_deg = cfg.graph.max_degree()
+    max_deg = cfg.graph.max_degree
     if not 0 <= cursor.next_label <= max_deg:
         return False
     if any(not 0 <= x < max_deg for x in cursor.labels + cursor.trail):

@@ -15,7 +15,7 @@ line ``v+2`` holds node ``v``'s adjacency as space-separated
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "GraphError",
@@ -39,10 +39,15 @@ class PortLabeledGraph:
     """Immutable adjacency structure.
 
     ``adjacency[v][a] == (u, b)`` means port ``a`` of node ``v`` leads to
-    node ``u``, whose reciprocal port is ``b``.
+    node ``u``, whose reciprocal port is ``b``.  ``max_degree`` is derived
+    from it once; equality and hashing see the adjacency only.
     """
 
     adjacency: tuple[tuple[tuple[int, int], ...], ...]
+    max_degree: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "max_degree", max(map(len, self.adjacency), default=0))
 
     @property
     def node_count(self) -> int:
@@ -61,9 +66,6 @@ class PortLabeledGraph:
         if not 0 <= a < len(ports):
             raise GraphError(f"node {v} has no port {a} (degree {len(ports)})")
         return ports[a]
-
-    def max_degree(self) -> int:
-        return max(len(ports) for ports in self.adjacency)
 
 
 def build_ring(n: int) -> PortLabeledGraph:
@@ -123,6 +125,8 @@ def random_connected_graph(n: int, extra_edges: int = 2, seed: int = 0) -> PortL
     """
     if n < 2:
         raise GraphError("need at least 2 nodes")
+    if extra_edges < 0:
+        raise GraphError(f"extra edge count must be non-negative, got {extra_edges}")
     rng = random.Random(seed)
     edges: set[tuple[int, int]] = set()
     order = list(range(n))

@@ -24,7 +24,7 @@ from gossipsim.harness import (
     witness_symmetry,
     CLEAN_SPEC,
 )
-from gossipsim.model import CW, FW, NW, config_to_json, snapshot_hash
+from gossipsim.model import CW, FW, NW, snapshot_hash, state_key
 from gossipsim.scheduler import (
     ASYNC_RANDOM_FAIR,
     FULL,
@@ -334,7 +334,7 @@ def test_criterion_10_determinism(tmp_path):
     for _ in range(2):
         cfg = fuzz_config(build_ring(6), 3, FuzzSpec(), seed=42)
         rep = detect_cycle(cfg)
-        snaps.append((config_to_json(cfg), snapshot_hash(cfg), rep.prefix_len, rep.period))
+        snaps.append((state_key(cfg), snapshot_hash(cfg), rep.prefix_len, rep.period))
     replay_ok = snaps[0] == snaps[1]
     ok &= replay_ok
     notes.append(f"replay {'ok' if replay_ok else 'DIVERGED'}")

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from gossipsim import cli
 from gossipsim.cli import (
     EXIT_ILLEGAL,
     EXIT_OK,
@@ -32,7 +33,9 @@ class TestLoadGraph:
         path.write_text(serialize_graph(build_ring(4)))
         assert load_graph(str(path)) == build_ring(4)
 
-    @pytest.mark.parametrize("spec", ["ring:x", "grid:2", "missing.txt"])
+    @pytest.mark.parametrize(
+        "spec", ["ring:x", "grid:2", "missing.txt", "random:7:-1", "random:7:2:3:junk"]
+    )
     def test_bad_specs(self, spec):
         with pytest.raises(CliError):
             load_graph(spec)
@@ -100,6 +103,25 @@ class TestMainExitCodes:
     def test_bad_parameters(self, argv, capsys):
         assert main(argv) == EXIT_PARAM
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--graph", "ring:4", "--trace", "{bad}"],
+            ["run", "--graph", "ring:4", "--report", "{bad}"],
+            ["fuzz", "--graph", "ring:4", "--seeds", "0:2", "--out", "{bad}"],
+            ["fuzz", "--graph", "ring:4", "--seeds", "0:2", "--out-jsonl", "{bad}"],
+        ],
+    )
+    def test_bad_output_path(self, argv, tmp_path, capsys, monkeypatch):
+        def no_seed(params):
+            raise AssertionError("fuzz simulated a seed before opening its outputs")
+
+        monkeypatch.setattr(cli, "_fuzz_one", no_seed)
+        bad = str(tmp_path / "missing" / "out")
+        assert main([a.format(bad=bad) for a in argv]) == EXIT_PARAM
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
 
     def test_witness_symmetry_ok(self, capsys):
         code = main(["witness", "symmetry", "--n", "6", "--k", "2", "--board", "CW"])

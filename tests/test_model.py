@@ -1,4 +1,4 @@
-import json
+import dataclasses
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +8,8 @@ from gossipsim.model import (
     BoardClassError,
     CW,
     FW,
+    PROGRAM_PATH_ENUM,
+    Configuration,
     ModelError,
     NW,
     PathCursor,
@@ -16,7 +18,6 @@ from gossipsim.model import (
     assoc_get,
     assoc_put,
     clean_board,
-    config_to_json,
     default_timer_cap,
     make_configuration,
     merge_gossip,
@@ -24,7 +25,8 @@ from gossipsim.model import (
     state_key,
     store_put,
 )
-from gossipsim.topology import build_ring
+from gossipsim.scheduler import HALF, sync_round
+from gossipsim.topology import build_grid, build_ring
 
 
 class TestAssocTables:
@@ -172,28 +174,116 @@ class TestStateKey:
         assert state_key(cfg) == key
 
 
+class TestEncodingCoverage:
+    """Every field either changes ``state_key`` or is named as left out, so
+    a field added later without an encoding fails here."""
+
+    AGENT_ALTERNATIVES = {
+        "ident": 2,
+        "pos": 1,
+        "t_bit": True,
+        "known": {Token("x", "y")},
+        "program": PROGRAM_PATH_ENUM,
+        "parked": True,
+        "bounced": True,
+        "cursor": PathCursor(length=2),
+        "arrival_port": 1,
+        "last_move_accepted": False,
+    }
+    BOARD_ALTERNATIVES = {
+        "cls": NW,
+        "t_table": {1: False},
+        "in_link": {1: 0},
+        "out_link": {1: 0},
+        "min_id": 3,
+        "wait_t": 4,
+        "waiting": {1},
+        "timer": 2,
+        "store": {Token("x", "y")},
+    }
+    # CW boards reject gossip-store writes, so their store stays empty
+    BOARD_UNENCODED = {CW: {"store"}, FW: set()}
+    # the state_key docstring gives the reason for each
+    CONFIG_LEFT_OUT = {
+        "round": 7,
+        "graph": build_grid(2, 2),
+        "timer_cap": 99,
+        "max_id": 99,
+        "l_max": 99,
+        "genuine": {},
+    }
+
+    def _cfg(self, board_class):
+        return make_configuration(
+            build_ring(4), [Agent(ident=1, pos=0), Agent(ident=5, pos=2)], board_class
+        )
+
+    def test_tables_cover_every_field(self):
+        names = {cls: {f.name for f in dataclasses.fields(cls)} for cls in (Agent, Whiteboard, Configuration)}
+        assert set(self.AGENT_ALTERNATIVES) == names[Agent]
+        assert set(self.BOARD_ALTERNATIVES) == names[Whiteboard]
+        assert set(self.CONFIG_LEFT_OUT) | {"agents", "boards"} == names[Configuration]
+        for name in self.CONFIG_LEFT_OUT:
+            assert f"``{name}``" in state_key.__doc__
+
+    @pytest.mark.parametrize("name", sorted(AGENT_ALTERNATIVES))
+    def test_agent_field_encoded(self, name):
+        cfg = self._cfg(CW)
+        key = state_key(cfg)
+        setattr(cfg.agents[0], name, self.AGENT_ALTERNATIVES[name])
+        assert state_key(cfg) != key
+
+    @pytest.mark.parametrize("board_class", [CW, FW])
+    @pytest.mark.parametrize("name", sorted(BOARD_ALTERNATIVES))
+    def test_board_field_encoded(self, board_class, name):
+        cfg = self._cfg(board_class)
+        key = state_key(cfg)
+        setattr(cfg.boards[1], name, self.BOARD_ALTERNATIVES[name])
+        changed = state_key(cfg) != key
+        assert changed is (name not in self.BOARD_UNENCODED[board_class])
+
+    @pytest.mark.parametrize("name", sorted(CONFIG_LEFT_OUT))
+    def test_config_field_left_out(self, name):
+        cfg = self._cfg(FW)
+        key = state_key(cfg)
+        setattr(cfg, name, self.CONFIG_LEFT_OUT[name])
+        assert state_key(cfg) == key
+
+    def test_clone_keeps_every_field(self):
+        cfg = self._cfg(FW)
+        for name, value in self.CONFIG_LEFT_OUT.items():
+            setattr(cfg, name, value)
+        for name, value in self.BOARD_ALTERNATIVES.items():
+            setattr(cfg.boards[1], name, value)
+        for name, value in self.AGENT_ALTERNATIVES.items():
+            setattr(cfg.agents[1], name, value)
+        assert cfg.clone() == cfg
+
+
 class TestSnapshotHash:
-    def test_anonymous_agents_interchangeable(self):
-        g = build_ring(4)
-        a = make_configuration(g, [Agent(ident=None, pos=0), Agent(ident=None, pos=2)], FW)
-        b = make_configuration(g, [Agent(ident=None, pos=2), Agent(ident=None, pos=0)], FW)
-        # known sets differ per index; align them
-        for agent in a.agents + b.agents:
-            agent.known = set()
-        assert snapshot_hash(a) == snapshot_hash(b)
+    def test_swapped_anonymous_walkers_differ(self):
+        # two walkers about to cross edge {0, 1} from opposite ends: the
+        # half-duplex tie goes to hidden index 0, so the index is state
+        def cfg(order):
+            walkers = {
+                "a": Agent(ident=None, pos=0, program=PROGRAM_PATH_ENUM),
+                "b": Agent(ident=None, pos=1, program=PROGRAM_PATH_ENUM,
+                           cursor=PathCursor(next_label=1)),
+            }
+            c = make_configuration(build_ring(3), [walkers[w] for w in order], FW)
+            for agent in c.agents:
+                agent.known = set()
+            return c
+
+        ab, ba = cfg("ab"), cfg("ba")
+        assert snapshot_hash(ab) != snapshot_hash(ba)
+        sync_round(ab, HALF)
+        sync_round(ba, HALF)
+        assert {a.pos for a in ab.agents} == {1}
+        assert {a.pos for a in ba.agents} == {0}
 
     def test_named_agents_not_interchangeable(self):
         g = build_ring(4)
         a = make_configuration(g, [Agent(ident=1, pos=0), Agent(ident=2, pos=2)], CW)
         b = make_configuration(g, [Agent(ident=1, pos=2), Agent(ident=2, pos=0)], CW)
         assert snapshot_hash(a) != snapshot_hash(b)
-
-
-class TestJsonSnapshot:
-    def test_stable_and_parseable(self):
-        g = build_ring(3)
-        cfg = make_configuration(g, [Agent(ident=4, pos=1)], FW)
-        doc = json.loads(config_to_json(cfg))
-        assert doc["agents"][0]["ident"] == 4
-        assert doc["boards"][0]["class"] == FW
-        assert config_to_json(cfg) == config_to_json(cfg.clone())

@@ -80,7 +80,7 @@ class TestEnumerationOrder:
         for _ in range(1000):
             cur = cfg.agents[0].cursor
             assert len(cur.labels) <= 3 and len(cur.trail) <= 3
-            assert 0 <= cur.next_label <= g.max_degree()
+            assert 0 <= cur.next_label <= g.max_degree
             intent, _ = anon_path_enum_step(cfg, 0)
             if intent.via is not None:
                 to, back = g.neighbor(cfg.agents[0].pos, intent.via)

@@ -47,6 +47,7 @@ class TestGrid:
         # corner, edge, and their degrees
         assert g.degree(0) == 2
         assert g.degree(1) == 3
+        assert g.max_degree == 3
 
     def test_port_order_is_nesw(self):
         g = build_grid(3, 3)
@@ -78,6 +79,10 @@ class TestRandomGraph:
         assert g.node_count == n
         assert n - 1 <= g.edge_count <= n - 1 + extra
 
+    def test_negative_extra_edges(self):
+        with pytest.raises(GraphError, match="non-negative"):
+            random_connected_graph(7, -1)
+
 
 class TestMirrorJoin:
     def test_counts(self):
@@ -102,7 +107,8 @@ class TestMirrorJoin:
 class TestSerialization:
     def test_round_trip_exact(self):
         g = random_connected_graph(9, 3, seed=7)
-        assert parse_graph(serialize_graph(g)) == g
+        back = parse_graph(serialize_graph(g))
+        assert back == g and hash(back) == hash(g)
 
     @given(st.integers(min_value=2, max_value=10), st.integers(min_value=0, max_value=3),
            st.integers(min_value=0, max_value=20))
