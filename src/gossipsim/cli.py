@@ -120,9 +120,7 @@ def make_policy(args) -> SchedulePolicy:
     return SchedulePolicy(kind=args.schedule, seed=args.seed, script=script)
 
 
-def _trace_writer(path):
-    fh = open(path, "w", encoding="utf-8")
-
+def _trace_observer(fh):
     def observer(cfg, rec):
         line = {
             "step": rec.step,
@@ -142,14 +140,20 @@ def _trace_writer(path):
         }
         fh.write(json.dumps(line, sort_keys=True) + "\n")
 
-    return fh, observer
+    return observer
 
 
-def _write_report(report: dict, path: str | None) -> None:
+def _open_output(outputs: ExitStack, path: str, **kwargs):
+    """Open ``path`` for writing on ``outputs``; None for an empty path."""
+    if not path:
+        return None
+    return outputs.enter_context(open(path, "w", encoding="utf-8", **kwargs))
+
+
+def _write_report(report: dict, fh) -> None:
     text = json.dumps(report, sort_keys=True, indent=2)
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    if fh is not None:
+        fh.write(text + "\n")
     print(text)
 
 
@@ -167,10 +171,11 @@ def cmd_run(args) -> int:
         program=args.protocol,
     )
 
-    fh = observer = None
-    if args.trace:
-        fh, observer = _trace_writer(args.trace)
-    try:
+    with ExitStack() as outputs:
+        # open the outputs first, so a bad path fails before any round runs
+        trace_fh = _open_output(outputs, args.trace)
+        report_fh = _open_output(outputs, args.report)
+        observer = _trace_observer(trace_fh) if trace_fh else None
         if args.schedule == SYNC and args.protocol == PROGRAM_DFT:
             rep = detect_cycle(
                 cfg, args.duplex, budget=args.max_steps or None, observer=observer
@@ -204,16 +209,12 @@ def cmd_run(args) -> int:
                 "gossip_step": trace.stop_step,
             }
             status_ok = trace.status == "met"
-    finally:
-        if fh is not None:
-            fh.close()
-    _write_report(report, args.report)
+        _write_report(report, report_fh)
     return EXIT_OK if status_ok else EXIT_TRUNCATED
 
 
 def _fuzz_one(params: tuple) -> dict:
-    (graph_spec, protocol, k, board, duplex, schedule, seed, max_steps) = params
-    graph = load_graph(graph_spec)
+    (graph, protocol, k, board, duplex, schedule, seed, max_steps) = params
     cfg = fuzz_config(graph, k, FuzzSpec(), seed, board_class=board, program=protocol)
     row = {
         "seed": seed,
@@ -261,7 +262,7 @@ def _fuzz_one(params: tuple) -> dict:
 def cmd_fuzz(args) -> int:
     check_legality(args.protocol, args.board, args.schedule, args.unsafe_async)
     check_params(args)
-    load_graph(args.graph)  # validate early
+    graph = load_graph(args.graph)
     try:
         lo, hi = (int(x) for x in args.seeds.split(":"))
     except ValueError:
@@ -271,17 +272,14 @@ def cmd_fuzz(args) -> int:
     if args.jobs < 1:
         raise CliError(f"--jobs must be at least 1, got {args.jobs}")
     params = [
-        (args.graph, args.protocol, args.k, args.board, args.duplex, args.schedule, s, args.max_steps)
+        (graph, args.protocol, args.k, args.board, args.duplex, args.schedule, s, args.max_steps)
         for s in range(lo, hi)
     ]
     columns = ["seed", "status", "prefix", "period", "quiescent", "gossip_step", "fwd_max", "back_max"]
     with ExitStack() as outputs:
         # open the outputs first, so a bad path fails before any seed runs
-        csv_fh = jsonl_fh = None
-        if args.out:
-            csv_fh = outputs.enter_context(open(args.out, "w", newline="", encoding="utf-8"))
-        if args.out_jsonl:
-            jsonl_fh = outputs.enter_context(open(args.out_jsonl, "w", encoding="utf-8"))
+        csv_fh = _open_output(outputs, args.out, newline="")
+        jsonl_fh = _open_output(outputs, args.out_jsonl)
         if args.jobs > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 rows = list(pool.map(_fuzz_one, params))
@@ -300,37 +298,37 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    if args.kind == "symmetry":
-        rep = witness_symmetry(args.n, args.k, args.board)
-        report = {
-            "kind": "symmetry",
-            "n": args.n,
-            "k": args.k,
-            "board": args.board,
-            "status": rep.status,
-            "prefix": rep.prefix_len,
-            "period": rep.period,
-            "meetings": rep.meetings,
-            "gossip_ever_complete": rep.gossip_ever_complete,
-            "ok": rep.ok,
-        }
-        ok = rep.ok
-    else:
-        graph = load_graph(args.graph)
-        rep = witness_mirror(graph, args.k, seed=args.seed)
-        report = {
-            "kind": "mirror",
-            "k": args.k,
-            "join_node": rep.join_node,
-            "frozen_status": rep.frozen_status,
-            "frozen_period": rep.frozen_period,
-            "cross_tokens_exchanged": rep.cross_exchanged,
-            "control_gossip_step": rep.control_gossip_step,
-            "ok": rep.ok,
-        }
-        ok = rep.ok
-    _write_report(report, args.report)
-    return EXIT_OK if ok else EXIT_TRUNCATED
+    graph = load_graph(args.graph) if args.kind == "mirror" else None
+    with ExitStack() as outputs:
+        report_fh = _open_output(outputs, args.report)
+        if graph is None:
+            rep = witness_symmetry(args.n, args.k, args.board)
+            report = {
+                "kind": "symmetry",
+                "n": args.n,
+                "k": args.k,
+                "board": args.board,
+                "status": rep.status,
+                "prefix": rep.prefix_len,
+                "period": rep.period,
+                "meetings": rep.meetings,
+                "gossip_ever_complete": rep.gossip_ever_complete,
+                "ok": rep.ok,
+            }
+        else:
+            rep = witness_mirror(graph, args.k, seed=args.seed)
+            report = {
+                "kind": "mirror",
+                "k": args.k,
+                "join_node": rep.join_node,
+                "frozen_status": rep.frozen_status,
+                "frozen_period": rep.frozen_period,
+                "cross_tokens_exchanged": rep.cross_exchanged,
+                "control_gossip_step": rep.control_gossip_step,
+                "ok": rep.ok,
+            }
+        _write_report(report, report_fh)
+    return EXIT_OK if rep.ok else EXIT_TRUNCATED
 
 
 def build_parser() -> argparse.ArgumentParser:

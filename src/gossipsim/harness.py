@@ -214,6 +214,42 @@ class CycleReport:
         return tuple(i for i in self.mover_visits if i not in q)
 
 
+def fingerprint(key: tuple) -> int:
+    """Index of a state key in :func:`detect_cycle`.  Equal keys have equal
+    fingerprints; a collision costs a verification, never a wrong answer."""
+    return hash(key)
+
+
+def _first_repeat(
+    key: tuple,
+    candidates: list[int],
+    checkpoints: list[Configuration],
+    duplex: str,
+    frozen: bool,
+) -> int | None:
+    """The candidate step whose state has ``key``, or None.
+
+    ``checkpoints[j]`` holds the state at step 0 for j = 0 and at step
+    2**(j-1) after that, so step c's latest checkpoint is
+    ``checkpoints[c.bit_length()]``.  One probe walks forward through the
+    ascending candidates, jumping to a later checkpoint when that is
+    closer; it calls no observer.
+    """
+    probe = None
+    probe_step = -1
+    for c in candidates:
+        j = c.bit_length()
+        start = (1 << j) >> 1
+        if start > probe_step:
+            probe, probe_step = checkpoints[j].clone(), start
+        while probe_step < c:
+            sync_round(probe, duplex, frozen=frozen)
+            probe_step += 1
+        if state_key(probe) == key:
+            return c
+    return None
+
+
 def detect_cycle(
     cfg: Configuration,
     duplex: str = HALF,
@@ -224,25 +260,39 @@ def detect_cycle(
 ) -> CycleReport:
     """Run synchronous rounds until an exact state repeat.
 
-    States are compared by full structural equality (the round counter
-    excluded), so the returned (prefix, period) pair is exact, not a hash
-    coincidence.  ``cfg`` is mutated; clone first to keep the start state.
-    ``observer(cfg, record)`` runs after every round, for monitoring.
+    Each round's :func:`state_key` is indexed by its :func:`fingerprint`
+    only; the key itself is dropped.  A clone of the state is kept at step
+    0 and at every power-of-two step.  When a fingerprint recurs, each
+    earlier step with that fingerprint is re-simulated from its latest
+    checkpoint and the keys are compared in full, so the returned
+    (prefix, period) pair is exact, not a hash coincidence; a false hit
+    only lets the run go on.  Without a false hit the re-simulation costs
+    at most half the prefix in rounds.  Memory is O(log rounds) clones
+    plus the per-round records and positions.
+
+    ``cfg`` is mutated and ends at step prefix + period, a state on the
+    cycle; clone first to keep the start state.  ``observer(cfg, record)``
+    runs after every round, for monitoring.
     """
     work = cfg
     limit = budget if budget is not None else default_cycle_budget(cfg)
-    seen: dict[tuple, int] = {}
+    seen: dict[int, list[int]] = {}
+    checkpoints: list[Configuration] = []
     positions: list[tuple[int, ...]] = []
     records: list[StepRecord] = []
     gossip_step: int | None = None
     step = 0
     while True:
         key = state_key(work)
-        if key in seen:
-            prefix = seen[key]
-            period = step - prefix
-            break
-        seen[key] = step
+        candidates = seen.setdefault(fingerprint(key), [])
+        if candidates:
+            prefix = _first_repeat(key, candidates, checkpoints, duplex, frozen)
+            if prefix is not None:
+                period = step - prefix
+                break
+        candidates.append(step)
+        if step & (step - 1) == 0:  # 0 or a power of two
+            checkpoints.append(work.clone())
         positions.append(tuple(a.pos for a in work.agents))
         if gossip_step is None and gossip_complete(work):
             gossip_step = step

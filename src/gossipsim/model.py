@@ -8,8 +8,10 @@ every write, CW boards reject gossip-store writes.
 A :class:`Configuration` is a value and cloning is cheap.
 :func:`state_key` is the one place that lists which fields make up a
 configuration's state.  It leaves out the round counter and the run
-constants, so exact cycle detection can use it directly as a dictionary
-key; :func:`snapshot_hash` is its digest.
+constants, so two configurations of one run hold the same state exactly
+when their keys are equal; cycle detection fingerprints the key and
+compares keys to confirm a repeat.  :func:`snapshot_hash` is a digest of
+the key that does not depend on ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
@@ -250,7 +252,7 @@ def _agent_key(a: Agent) -> tuple:
         a.ident,
         a.pos,
         a.t_bit,
-        tuple(sorted(a.known)),
+        frozenset(a.known),
         a.program,
         a.parked,
         a.bounced,
@@ -265,27 +267,30 @@ def _board_key(b: Whiteboard) -> tuple:
         return (NW,)
     key = (
         b.cls,
-        tuple(sorted(b.t_table.items())),
-        tuple(sorted(b.in_link.items())),
-        tuple(sorted(b.out_link.items())),
+        frozenset(b.t_table.items()),
+        frozenset(b.in_link.items()),
+        frozenset(b.out_link.items()),
         b.min_id,
         b.wait_t,
-        tuple(sorted(b.waiting)),
+        frozenset(b.waiting),
         b.timer,
     )
     if b.cls == FW:
-        key += (tuple(sorted(b.store)),)
+        key += (frozenset(b.store),)
     return key
 
 
 def state_key(cfg: Configuration) -> tuple:
     """Exact hashable encoding of the configuration's state.
 
-    Every field of :class:`Agent` and :class:`Whiteboard` is encoded, the
-    gossip store only on FW boards (the others reject store writes) and
-    nothing but the class on NW boards.  Agents are listed in hidden-index
-    order: half-duplex ties between anonymous agents are broken by that
-    index, so swapping two indistinguishable agents can change the future.
+    Sets and tables are encoded as frozensets (of members, or of
+    ``(id, value)`` rows), which compare exactly like sorted tuples but
+    need no sort.  Every field of :class:`Agent` and :class:`Whiteboard`
+    is encoded, the gossip store only on FW boards (the others reject
+    store writes) and nothing but the class on NW boards.  Agents are
+    listed in hidden-index order: half-duplex ties between anonymous
+    agents are broken by that index, so swapping two indistinguishable
+    agents can change the future.
 
     Left out, because they do not belong to the state:
 
@@ -302,6 +307,17 @@ def state_key(cfg: Configuration) -> tuple:
     )
 
 
+def _canonical(value):
+    """Replace every frozenset in a key by its sorted tuple, so the repr
+    no longer depends on the string hash seed.  NamedTuples hold no sets
+    and are kept as they are."""
+    if isinstance(value, frozenset):
+        return tuple(sorted(value))
+    if type(value) is tuple:
+        return tuple(_canonical(v) for v in value)
+    return value
+
+
 def snapshot_hash(cfg: Configuration) -> str:
-    """SHA-256 hex digest of :func:`state_key`."""
-    return hashlib.sha256(repr(state_key(cfg)).encode()).hexdigest()
+    """SHA-256 hex digest of :func:`state_key`, its sets sorted."""
+    return hashlib.sha256(repr(_canonical(state_key(cfg))).encode()).hexdigest()

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .model import (
     CW,
@@ -95,17 +96,25 @@ class Trace:
         return len(self.records)
 
 
-def _agent_order_key(cfg: Configuration, idx: int):
-    ident = cfg.agents[idx].ident
+def _order_key(ident: int | None, idx: int) -> tuple:
+    """Activation and tie-break order: named agents by id, then anonymous
+    agents by hidden index."""
     return (0, ident) if ident is not None else (1, idx)
 
 
+@lru_cache(maxsize=64)
+def _activation_order(idents: tuple[int | None, ...]) -> tuple[int, ...]:
+    """Agent indices in :func:`_order_key` order.  Ids never change
+    during a run, so a run sorts its agents once and reuses the order."""
+    return tuple(sorted(range(len(idents)), key=lambda i: _order_key(idents[i], i)))
+
+
 def _positions_by_node(cfg: Configuration) -> dict[int, list[int]]:
+    """Node -> indices of the agents there, each group in activation order."""
+    agents = cfg.agents
     groups: dict[int, list[int]] = {}
-    for idx, agent in enumerate(cfg.agents):
-        groups.setdefault(agent.pos, []).append(idx)
-    for node in groups:
-        groups[node].sort(key=lambda i: _agent_order_key(cfg, i))
+    for idx in _activation_order(tuple([a.ident for a in agents])):
+        groups.setdefault(agents[idx].pos, []).append(idx)
     return groups
 
 
@@ -138,7 +147,10 @@ def resolve_duplex(
         dirs = {darts[n] for n in members}
         if len(dirs) < 2:
             continue
-        winner = min(members, key=lambda n: _agent_order_key(cfg, intents[n][0].agent))
+        winner = min(
+            members,
+            key=lambda n: _order_key(cfg.agents[intents[n][0].agent].ident, intents[n][0].agent),
+        )
         win_dart = darts[winner]
         for n in members:
             if darts[n] != win_dart:
@@ -206,7 +218,9 @@ def sync_round(cfg: Configuration, duplex: str = HALF, *, frozen: bool = False) 
                 (stays if intent.stay else intents).append((intent, meta))
         if any(a.program == PROGRAM_DFT for a in cfg.agents):
             releases = []
-            for node in range(cfg.graph.node_count):
+            for node, board in enumerate(cfg.boards):
+                if not board.waiting:
+                    continue  # the check is a no-op without a waiter
                 for intent, meta in timeout_check_and_execute(cfg, node):
                     releases.append((node, intent.agent))
                     intents.append((intent, meta))

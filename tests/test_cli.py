@@ -111,17 +111,26 @@ class TestMainExitCodes:
             ["run", "--graph", "ring:4", "--report", "{bad}"],
             ["fuzz", "--graph", "ring:4", "--seeds", "0:2", "--out", "{bad}"],
             ["fuzz", "--graph", "ring:4", "--seeds", "0:2", "--out-jsonl", "{bad}"],
+            ["run", "--graph", "ring:4", "--trace", "{trace}", "--report", "{bad}"],
+            ["run", "--graph", "ring:4", "--schedule", "async_round_robin", "--unsafe-async",
+             "--trace", "{trace}", "--report", "{bad}"],
+            ["witness", "symmetry", "--report", "{bad}"],
         ],
     )
     def test_bad_output_path(self, argv, tmp_path, capsys, monkeypatch):
-        def no_seed(params):
-            raise AssertionError("fuzz simulated a seed before opening its outputs")
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulated before opening every output")
 
-        monkeypatch.setattr(cli, "_fuzz_one", no_seed)
+        for name in ("_fuzz_one", "detect_cycle", "run", "witness_symmetry", "witness_mirror"):
+            monkeypatch.setattr(cli, name, no_run)
         bad = str(tmp_path / "missing" / "out")
-        assert main([a.format(bad=bad) for a in argv]) == EXIT_PARAM
+        trace = tmp_path / "t.jsonl"
+        argv = [a.format(bad=bad, trace=trace) for a in argv]
+        assert main(argv) == EXIT_PARAM
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")
+        if str(trace) in argv:
+            assert trace.read_text() == ""
 
     def test_witness_symmetry_ok(self, capsys):
         code = main(["witness", "symmetry", "--n", "6", "--k", "2", "--board", "CW"])

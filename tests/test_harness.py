@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import pytest
 
+from gossipsim import harness
 from gossipsim.harness import (
     ADVERSARIAL,
     BUDGET,
@@ -18,8 +19,18 @@ from gossipsim.harness import (
     witness_mirror,
     witness_symmetry,
 )
-from gossipsim.model import Agent, CW, FW, NW, PathCursor, make_configuration, state_key
-from gossipsim.topology import build_ring, random_connected_graph
+from gossipsim.model import (
+    Agent,
+    CW,
+    FW,
+    NW,
+    PROGRAM_PATH_ENUM,
+    PathCursor,
+    make_configuration,
+    state_key,
+)
+from gossipsim.scheduler import FULL, HALF, sync_round
+from gossipsim.topology import build_grid, build_ring, random_connected_graph
 
 
 class TestFuzzConfig:
@@ -152,6 +163,107 @@ class TestDetectCycle:
         g = build_ring(3)
         cfg = make_configuration(g, [Agent(ident=1, pos=0)], CW)
         assert default_cycle_budget(cfg) == min(3 * cfg.timer_cap * 4, 200_000)
+
+
+def reference_detect(cfg, duplex=HALF, *, budget=None, frozen=False):
+    """Cycle detection that keeps every full state key as a dict key."""
+    limit = budget if budget is not None else default_cycle_budget(cfg)
+    seen = {}
+    positions, records = [], []
+    gossip_step = None
+    step = 0
+    while True:
+        key = state_key(cfg)
+        if key in seen:
+            break
+        seen[key] = step
+        positions.append([a.pos for a in cfg.agents])
+        if gossip_step is None and gossip_complete(cfg):
+            gossip_step = step
+        if step >= limit:
+            return (BUDGET, step, 0, (), (), gossip_step, 0, 0, {})
+        records.append(sync_round(cfg, duplex, frozen=frozen))
+        step += 1
+    prefix = seen[key]
+    period = step - prefix
+    visits = [{p[i] for p in positions[prefix:]} for i in range(cfg.k)]
+    quiescent = tuple(i for i in range(cfg.k) if len(visits[i]) == 1)
+    movers = tuple(i for i in range(cfg.k) if len(visits[i]) > 1)
+    cycle = records[prefix:]
+    flips = {
+        i: tuple(r.step for r in records for mv in r.moves
+                 if mv.agent == i and mv.flipped and mv.accepted)
+        for i in range(cfg.k)
+    }
+    return (CYCLE, prefix, period, quiescent, movers, gossip_step,
+            sum(len(r.releases) for r in cycle), sum(len(r.colocated) for r in cycle), flips)
+
+
+def summary(rep):
+    return (rep.status, rep.prefix_len, rep.period, rep.quiescent, rep.movers,
+            rep.gossip_step, rep.releases_in_cycle, rep.colocations_in_cycle, rep.flip_steps)
+
+
+def symmetric_walkers():
+    # witness_symmetry(4, 2, CW)'s start
+    agents = [Agent(ident=None, pos=j * 2, program=PROGRAM_PATH_ENUM) for j in range(2)]
+    return make_configuration(build_ring(4), agents, CW, l_max=4)
+
+
+def seed_246():
+    return fuzz_config(random_connected_graph(7, 2, seed=3), 3, FuzzSpec(), 246)
+
+
+# name -> (start, duplex, budget, frozen); each call makes a fresh start
+EXACTNESS_CASES = {
+    "ring:2 k=1": (lambda: fuzz_config(build_ring(2), 1, CLEAN_SPEC, 0), HALF, None, False),
+    "ring:2 k=2": (lambda: fuzz_config(build_ring(2), 2, CLEAN_SPEC, 0), HALF, None, False),
+    "random:7:2:3 seed 246 half": (seed_246, HALF, None, False),
+    "random:7:2:3 seed 246 full": (seed_246, FULL, None, False),
+    # counterexample A: two movers and in-cycle releases
+    "clean random:3:99": (
+        lambda: fuzz_config(random_connected_graph(3, 99, seed=0), 2, CLEAN_SPEC, 0),
+        HALF, None, False),
+    "grid:3x3 budget 40": (lambda: fuzz_config(build_grid(3, 3), 3, FuzzSpec(), 0), HALF, 40, False),
+    "symmetry witness": (symmetric_walkers, HALF, None, False),
+    "frozen": (lambda: fuzz_config(build_ring(4), 2, FuzzSpec(), 5), HALF, None, True),
+}
+
+
+class TestDetectCycleExactness:
+    """The fingerprint detector answers exactly like one keeping every key,
+    also when every fingerprint collides."""
+
+    @pytest.fixture(params=["hash", "constant"])
+    def collide(self, request, monkeypatch):
+        if request.param == "constant":
+            monkeypatch.setattr(harness, "fingerprint", lambda key: 0)
+        return request.param
+
+    @pytest.mark.parametrize("case", sorted(EXACTNESS_CASES))
+    def test_matches_reference(self, case, collide):
+        make, duplex, budget, frozen = EXACTNESS_CASES[case]
+        want = reference_detect(make(), duplex, budget=budget, frozen=frozen)
+        observed = []
+        cfg = make()
+        rep = detect_cycle(cfg, duplex, budget=budget, frozen=frozen,
+                           observer=lambda c, rec: observed.append((rec.step, state_key(c))))
+        assert summary(rep) == want
+        # the observer sees each round once, in order, and the run ends
+        # on the state it first reached at step prefix_len
+        assert [step for step, _ in observed] == list(range(len(rep.records)))
+        assert len(observed) == rep.prefix_len + rep.period
+        assert observed[-1][1] == state_key(cfg)
+        if rep.status == CYCLE and rep.prefix_len:
+            assert observed[rep.prefix_len - 1][1] == state_key(cfg)
+
+    def test_case_kinds(self):
+        reps = {name: detect_cycle(make(), duplex, budget=budget, frozen=frozen)
+                for name, (make, duplex, budget, frozen) in EXACTNESS_CASES.items()}
+        assert reps["grid:3x3 budget 40"].status == BUDGET
+        assert len(reps["clean random:3:99"].movers) == 2
+        assert reps["clean random:3:99"].releases_in_cycle > 0
+        assert reps["symmetry witness"].movers == (0, 1)
 
 
 class TestAuditMoveBounds:

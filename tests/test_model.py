@@ -287,3 +287,45 @@ class TestSnapshotHash:
         a = make_configuration(g, [Agent(ident=1, pos=0), Agent(ident=2, pos=2)], CW)
         b = make_configuration(g, [Agent(ident=1, pos=2), Agent(ident=2, pos=0)], CW)
         assert snapshot_hash(a) != snapshot_hash(b)
+
+    # a fuzzed FW start with garbage tokens, two-member waiting sets, link
+    # rows and stale store entries; the digest is the one given by the
+    # sorted-tuple state encoding, so the frozenset encoding must not
+    # change any trace hash
+    PINNED = (
+        "import sys; sys.path.insert(0, sys.argv[1]);"
+        "from gossipsim.harness import FuzzSpec, fuzz_config;"
+        "from gossipsim.model import FW, snapshot_hash;"
+        "from gossipsim.topology import build_ring;"
+        "spec = FuzzSpec(table_garbage_rate=0.5, waiting_garbage_rate=1.0,"
+        " garbage_token_rate=1.0, store_garbage_rate=1.0);"
+        "print(snapshot_hash(fuzz_config(build_ring(5), 3, spec, 4, board_class=FW)))"
+    )
+    PINNED_DIGEST = "818355d4abef128a78619a9db22a6c88428aee96744c1d5762c7729b5efc60e4"
+
+    def test_pinned_digest(self):
+        from gossipsim.harness import FuzzSpec, fuzz_config
+
+        spec = FuzzSpec(table_garbage_rate=0.5, waiting_garbage_rate=1.0,
+                        garbage_token_rate=1.0, store_garbage_rate=1.0)
+        cfg = fuzz_config(build_ring(5), 3, spec, 4, board_class=FW)
+        assert max(len(b.waiting) for b in cfg.boards) == 2
+        assert all(len(a.known) == 2 for a in cfg.agents)
+        assert snapshot_hash(cfg) == self.PINNED_DIGEST
+
+    def test_independent_of_hash_seed(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import gossipsim
+
+        src = str(Path(gossipsim.__file__).resolve().parent.parent)
+        digests = set()
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            out = subprocess.run([sys.executable, "-c", self.PINNED, src], env=env,
+                                 capture_output=True, text=True, check=True)
+            digests.add(out.stdout.strip())
+        assert digests == {self.PINNED_DIGEST}
