@@ -5,7 +5,9 @@ with a short human table on stdout.  Exit codes are part of the
 contract:
 
 0  stop condition met (cycle found / gossip complete / witness holds)
-2  budget exhausted before the stop condition
+   and, for a synchronous dft_kminus1 run, the property holds
+2  budget exhausted before the stop condition, or a cycle that is not
+   (k-1)-quiescent with the minimum id as the sole mover
 3  illegal protocol/board/schedule combination
 4  internal assertion failure
 5  parameter or input error
@@ -22,13 +24,13 @@ from contextlib import ExitStack
 
 from .harness import (
     CLEAN_SPEC,
-    CYCLE,
     FuzzSpec,
     HarnessError,
     audit_move_bounds,
     detect_cycle,
     fuzz_config,
     gossip_complete,
+    quiescence_holds,
     witness_mirror,
     witness_symmetry,
 )
@@ -192,7 +194,7 @@ def cmd_run(args) -> int:
                 "fwd_max": bounds.fwd_max,
                 "back_max": bounds.back_max,
             }
-            status_ok = rep.status == CYCLE
+            status_ok = quiescence_holds(cfg, rep)
         else:
             trace = run(
                 cfg,
@@ -228,10 +230,8 @@ def _fuzz_one(params: tuple) -> dict:
         "ok": False,
     }
     if schedule == SYNC and protocol == PROGRAM_DFT:
-        live_min = min(a.ident for a in cfg.agents)
         rep = detect_cycle(cfg, duplex, budget=max_steps or None)
         bounds = audit_move_bounds(rep.records, graph)
-        movers = rep.movers
         row.update(
             status=rep.status,
             prefix=rep.prefix_len,
@@ -240,12 +240,7 @@ def _fuzz_one(params: tuple) -> dict:
             gossip_step=rep.gossip_step if rep.gossip_step is not None else "",
             fwd_max=bounds.fwd_max,
             back_max=bounds.back_max,
-            ok=(
-                rep.status == CYCLE
-                and len(rep.quiescent) == k - 1
-                and len(movers) == 1
-                and cfg.agents[movers[0]].ident == live_min
-            ),
+            ok=quiescence_holds(cfg, rep),
         )
     else:
         policy = SchedulePolicy(kind=schedule, seed=seed)

@@ -18,6 +18,7 @@ from .model import (
     NW,
     Agent,
     Configuration,
+    KeyCache,
     ModelError,
     PROGRAM_DFT,
     PROGRAM_PATH_ENUM,
@@ -260,15 +261,20 @@ def detect_cycle(
 ) -> CycleReport:
     """Run synchronous rounds until an exact state repeat.
 
-    Each round's :func:`state_key` is indexed by its :func:`fingerprint`
-    only; the key itself is dropped.  A clone of the state is kept at step
-    0 and at every power-of-two step.  When a fingerprint recurs, each
-    earlier step with that fingerprint is re-simulated from its latest
-    checkpoint and the keys are compared in full, so the returned
-    (prefix, period) pair is exact, not a hash coincidence; a false hit
-    only lets the run go on.  Without a false hit the re-simulation costs
-    at most half the prefix in rounds.  Memory is O(log rounds) clones
-    plus the per-round records and positions.
+    Each round's state key comes from a :class:`~gossipsim.model.KeyCache`,
+    which re-encodes only the boards the last round could have written
+    beyond their timers: those at the agent positions and waiter nodes
+    before the round and at the agent positions after it.  The key is
+    indexed by its :func:`fingerprint` only and then dropped.  A clone of
+    the state is kept at step 0 and at every power-of-two step.  When a
+    fingerprint recurs, each earlier step with that fingerprint is
+    re-simulated from its latest checkpoint and its :func:`state_key` is
+    compared in full with a fresh :func:`state_key` of the current state,
+    so the returned (prefix, period) pair is exact, not a hash coincidence
+    and not a cache result; a false hit only lets the run go on.  Without
+    a false hit the re-simulation costs at most half the prefix in rounds.
+    Memory is O(log rounds) clones plus the per-round records and
+    positions.
 
     ``cfg`` is mutated and ends at step prefix + period, a state on the
     cycle; clone first to keep the start state.  ``observer(cfg, record)``
@@ -276,6 +282,7 @@ def detect_cycle(
     """
     work = cfg
     limit = budget if budget is not None else default_cycle_budget(cfg)
+    keys = KeyCache(work)
     seen: dict[int, list[int]] = {}
     checkpoints: list[Configuration] = []
     positions: list[tuple[int, ...]] = []
@@ -283,13 +290,16 @@ def detect_cycle(
     gossip_step: int | None = None
     step = 0
     while True:
-        key = state_key(work)
-        candidates = seen.setdefault(fingerprint(key), [])
+        candidates = seen.setdefault(fingerprint(keys.key()), [])
         if candidates:
-            prefix = _first_repeat(key, candidates, checkpoints, duplex, frozen)
+            # verify with fresh keys only, and drop the kept board keys
+            # meanwhile, so the check holds no more keys than it needs
+            keys = None
+            prefix = _first_repeat(state_key(work), candidates, checkpoints, duplex, frozen)
             if prefix is not None:
                 period = step - prefix
                 break
+            keys = KeyCache(work)
         candidates.append(step)
         if step & (step - 1) == 0:  # 0 or a power of two
             checkpoints.append(work.clone())
@@ -339,6 +349,19 @@ def detect_cycle(
         colocations_in_cycle=sum(len(r.colocated) for r in cycle_records),
         flip_steps={i: tuple(v) for i, v in flip_steps.items()},
         records=records,
+    )
+
+
+def quiescence_holds(cfg: Configuration, report: CycleReport) -> bool:
+    """The headline property of a :func:`detect_cycle` run on ``cfg``: the
+    run reached a cycle in which k-1 agents are quiescent and the sole
+    mover has the minimum live id."""
+    movers = report.movers
+    return (
+        report.status == CYCLE
+        and len(report.quiescent) == cfg.k - 1
+        and len(movers) == 1
+        and cfg.agents[movers[0]].ident == min(a.ident for a in cfg.agents)
     )
 
 

@@ -9,9 +9,12 @@ A :class:`Configuration` is a value and cloning is cheap.
 :func:`state_key` is the one place that lists which fields make up a
 configuration's state.  It leaves out the round counter and the run
 constants, so two configurations of one run hold the same state exactly
-when their keys are equal; cycle detection fingerprints the key and
-compares keys to confirm a repeat.  :func:`snapshot_hash` is a digest of
-the key that does not depend on ``PYTHONHASHSEED``.
+when their keys are equal.  :class:`KeyCache` builds the same key round
+after round from the same per-agent and per-board encoders, re-encoding
+only the boards a synchronous round can write beyond their timers; cycle
+detection fingerprints that key and confirms a repeat by comparing fresh
+:func:`state_key` results.  :func:`snapshot_hash` is a digest of the key
+that does not depend on ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
@@ -37,11 +40,12 @@ PROGRAM_FW_DFT = "fw_async_dft"
 PROGRAM_PATH_ENUM = "anon_path_enum"
 PROGRAMS = (PROGRAM_DFT, PROGRAM_FW_DFT, PROGRAM_PATH_ENUM)
 
-# protocol -> (board classes it may run on, synchronous schedules only)
+# protocol -> (board classes it may run on, synchronous schedules only);
+# the walk enumerator never writes a board, so it runs on NW as well
 REQUIREMENTS = {
     PROGRAM_DFT: ((CW, FW), True),
     PROGRAM_FW_DFT: ((FW,), False),
-    PROGRAM_PATH_ENUM: ((FW,), False),
+    PROGRAM_PATH_ENUM: ((NW, FW), False),
 }
 
 
@@ -230,18 +234,30 @@ def make_configuration(
     return cfg
 
 
-def merge_gossip(cfg: Configuration, node: int) -> None:
-    """Union the known sets of all agents at ``node`` (plus the FW store)."""
-    here = [a for a in cfg.agents if a.pos == node]
+def merge_gossip(cfg: Configuration, node: int, idxs: list[int] | None = None) -> None:
+    """Union the known sets of all agents at ``node`` (plus the FW store).
+
+    ``idxs`` lists the indices of the agents at ``node`` when the caller
+    has grouped them already; without it the agents are scanned.  A set
+    the union does not grow is left as it is.
+    """
+    agents = cfg.agents
+    if idxs is None:
+        here = [a for a in agents if a.pos == node]
+    else:
+        here = [agents[i] for i in idxs]
     if not here:
         return
     board = cfg.boards[node]
+    if len(here) == 1 and board.cls != FW:
+        return  # a lone agent and no store: nothing to exchange
     union: set[Token] = set()
     for a in here:
         union |= a.known
     if board.cls == FW:
         union |= board.store
-        board.store = set(union)
+        if len(union) != len(board.store):
+            board.store = set(union)
     for a in here:
         if len(a.known) != len(union):
             a.known = set(union)
@@ -260,6 +276,11 @@ def _agent_key(a: Agent) -> tuple:
         a.arrival_port,
         a.last_move_accepted,
     )
+
+
+# where _board_key puts the timer of a CW or FW board: the one field a
+# synchronous round writes on every board (see KeyCache)
+_TIMER_SLOT = 7
 
 
 def _board_key(b: Whiteboard) -> tuple:
@@ -290,7 +311,8 @@ def state_key(cfg: Configuration) -> tuple:
     store writes) and nothing but the class on NW boards.  Agents are
     listed in hidden-index order: half-duplex ties between anonymous
     agents are broken by that index, so swapping two indistinguishable
-    agents can change the future.
+    agents can change the future.  :class:`KeyCache` returns the same
+    tuple for a run of synchronous rounds, re-encoding fewer boards.
 
     Left out, because they do not belong to the state:
 
@@ -305,6 +327,47 @@ def state_key(cfg: Configuration) -> tuple:
         tuple(_agent_key(a) for a in cfg.agents),
         tuple(_board_key(b) for b in cfg.boards),
     )
+
+
+class KeyCache:
+    """:func:`state_key` of one configuration, kept across synchronous rounds.
+
+    Call :meth:`key` at any state, then once after every round of
+    :func:`~gossipsim.scheduler.sync_round` on ``cfg``; each call returns
+    a tuple equal to ``state_key(cfg)``.  The first call encodes every
+    board.  After that, a round writes a board field other than the timer
+    only at the node of an acting agent (its step), at a node with
+    waiters (the timeout check) and at a node holding agents before or
+    after the moves (gossip merges); the tick writes only timers.  So a
+    call re-encodes the boards at the agent positions and waiter nodes
+    the previous call saw and at the current agent positions, and every
+    other board keeps its key with the timer slot updated.  Agent keys
+    are rebuilt on every call.
+    """
+
+    __slots__ = ("cfg", "_boards", "_stale")
+
+    def __init__(self, cfg: Configuration):
+        self.cfg = cfg
+        self._boards: list[tuple] = [()] * len(cfg.boards)
+        # boards the coming round may write; the first call encodes all
+        self._stale = set(range(len(cfg.boards)))
+
+    def key(self) -> tuple:
+        agents = self.cfg.agents
+        boards = self.cfg.boards
+        keys = self._boards
+        stale = {a.pos for a in agents}
+        for v in self._stale | stale:
+            keys[v] = _board_key(boards[v])
+        for v, b in enumerate(boards):
+            if b.waiting:
+                stale.add(v)
+            key = keys[v]
+            if b.cls != NW and key[_TIMER_SLOT] != b.timer:
+                keys[v] = key[:_TIMER_SLOT] + (b.timer,) + key[_TIMER_SLOT + 1 :]
+        self._stale = stale
+        return (tuple(_agent_key(a) for a in agents), tuple(keys))
 
 
 def _canonical(value):

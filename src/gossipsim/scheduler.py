@@ -209,9 +209,10 @@ def sync_round(cfg: Configuration, duplex: str = HALF, *, frozen: bool = False) 
         groups = _positions_by_node(cfg)
         merged = []
         for node in sorted(groups):
-            merge_gossip(cfg, node)
+            here = groups[node]
+            merge_gossip(cfg, node, here)
             merged.append(node)
-            for idx in groups[node]:
+            for idx in here:
                 step_fn = _STEP_FNS[cfg.agents[idx].program]
                 intent, meta = step_fn(cfg, idx)
                 acting.append(idx)
@@ -236,7 +237,7 @@ def sync_round(cfg: Configuration, duplex: str = HALF, *, frozen: bool = False) 
     colocated = []
     for node, members in groups_after.items():
         if len(members) >= 2:
-            merge_gossip(cfg, node)
+            merge_gossip(cfg, node, members)
             colocated.append(node)
     rec.colocated = tuple(sorted(colocated))
     _tick_timers(cfg)

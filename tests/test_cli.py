@@ -10,6 +10,7 @@ from gossipsim.cli import (
     EXIT_ILLEGAL,
     EXIT_OK,
     EXIT_PARAM,
+    EXIT_TRUNCATED,
     CliError,
     check_legality,
     load_graph,
@@ -87,6 +88,23 @@ class TestMainExitCodes:
         report = json.loads(capsys.readouterr().out)
         assert report["status"] == "cycle"
         assert report["quiescent"] == 1
+
+    def test_run_exits_2_when_property_fails(self, capsys):
+        # counterexample A: the clean start reaches a cycle with two movers
+        code = main(["run", "--graph", "random:3:99"])
+        assert code == EXIT_TRUNCATED
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "cycle"
+        assert report["quiescent"] == 0 and len(report["movers"]) == 2
+
+    def test_walker_on_nw_runs(self, capsys):
+        # the clean start puts the two walkers on opposite nodes (2 and 5),
+        # and under round robin they never meet: the run ends on its
+        # budget instead of being refused
+        code = main(["run", "--graph", "ring:6", "--protocol", "anon_path_enum",
+                     "--board", "NW", "--schedule", "async_round_robin"])
+        assert code == EXIT_TRUNCATED
+        assert json.loads(capsys.readouterr().out)["status"] == "truncated"
 
     @pytest.mark.parametrize(
         "argv",

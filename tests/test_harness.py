@@ -16,6 +16,7 @@ from gossipsim.harness import (
     detect_cycle,
     fuzz_config,
     gossip_complete,
+    quiescence_holds,
     witness_mirror,
     witness_symmetry,
 )
@@ -24,6 +25,7 @@ from gossipsim.model import (
     CW,
     FW,
     NW,
+    KeyCache,
     PROGRAM_PATH_ENUM,
     PathCursor,
     make_configuration,
@@ -204,10 +206,10 @@ def summary(rep):
             rep.gossip_step, rep.releases_in_cycle, rep.colocations_in_cycle, rep.flip_steps)
 
 
-def symmetric_walkers():
-    # witness_symmetry(4, 2, CW)'s start
+def symmetric_walkers(board_class=CW):
+    # witness_symmetry(4, 2, board_class)'s start
     agents = [Agent(ident=None, pos=j * 2, program=PROGRAM_PATH_ENUM) for j in range(2)]
-    return make_configuration(build_ring(4), agents, CW, l_max=4)
+    return make_configuration(build_ring(4), agents, board_class, l_max=4)
 
 
 def seed_246():
@@ -225,19 +227,35 @@ EXACTNESS_CASES = {
         lambda: fuzz_config(random_connected_graph(3, 99, seed=0), 2, CLEAN_SPEC, 0),
         HALF, None, False),
     "grid:3x3 budget 40": (lambda: fuzz_config(build_grid(3, 3), 3, FuzzSpec(), 0), HALF, 40, False),
+    "grid:3x3 FW": (
+        lambda: fuzz_config(build_grid(3, 3), 3, FuzzSpec(), 0, board_class=FW), HALF, None, False),
     "symmetry witness": (symmetric_walkers, HALF, None, False),
+    "symmetry witness NW": (lambda: symmetric_walkers(NW), HALF, None, False),
     "frozen": (lambda: fuzz_config(build_ring(4), 2, FuzzSpec(), 5), HALF, None, True),
 }
 
 
+class ConstantKeys:
+    """A stand-in for KeyCache whose key never changes."""
+
+    def __init__(self, cfg):
+        pass
+
+    def key(self):
+        return ()
+
+
 class TestDetectCycleExactness:
     """The fingerprint detector answers exactly like one keeping every key,
-    also when every fingerprint collides."""
+    also when every fingerprint collides and when the key cache is useless:
+    a repeat is confirmed by fresh state keys only."""
 
-    @pytest.fixture(params=["hash", "constant"])
+    @pytest.fixture(params=["hash", "constant", "constant cache"])
     def collide(self, request, monkeypatch):
         if request.param == "constant":
             monkeypatch.setattr(harness, "fingerprint", lambda key: 0)
+        elif request.param == "constant cache":
+            monkeypatch.setattr(harness, "KeyCache", ConstantKeys)
         return request.param
 
     @pytest.mark.parametrize("case", sorted(EXACTNESS_CASES))
@@ -264,6 +282,32 @@ class TestDetectCycleExactness:
         assert len(reps["clean random:3:99"].movers) == 2
         assert reps["clean random:3:99"].releases_in_cycle > 0
         assert reps["symmetry witness"].movers == (0, 1)
+        assert reps["symmetry witness NW"].movers == (0, 1)
+
+
+class TestKeyCache:
+    @pytest.mark.parametrize("case", sorted(EXACTNESS_CASES))
+    def test_cached_key_is_state_key_every_round(self, case):
+        make, duplex, budget, frozen = EXACTNESS_CASES[case]
+        rounds = len(detect_cycle(make(), duplex, budget=budget, frozen=frozen).records)
+        cfg = make()
+        keys = KeyCache(cfg)
+        for _ in range(rounds):
+            assert keys.key() == state_key(cfg)
+            sync_round(cfg, duplex, frozen=frozen)
+        assert keys.key() == state_key(cfg)
+
+
+class TestQuiescenceHolds:
+    def test_verdicts(self):
+        verdicts = {}
+        for name in ("ring:2 k=2", "clean random:3:99", "grid:3x3 budget 40"):
+            make, duplex, budget, frozen = EXACTNESS_CASES[name]
+            cfg = make()
+            verdicts[name] = quiescence_holds(cfg, detect_cycle(cfg, duplex, budget=budget))
+        # counterexample A ends with two movers; a budget run decides nothing
+        assert verdicts == {"ring:2 k=2": True, "clean random:3:99": False,
+                            "grid:3x3 budget 40": False}
 
 
 class TestAuditMoveBounds:

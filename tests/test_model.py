@@ -1,8 +1,10 @@
 import dataclasses
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from gossipsim.cli import load_graph
+from gossipsim.harness import CLEAN_SPEC, FuzzSpec, fuzz_config
 from gossipsim.model import (
     Agent,
     BoardClassError,
@@ -10,6 +12,7 @@ from gossipsim.model import (
     FW,
     PROGRAM_PATH_ENUM,
     Configuration,
+    KeyCache,
     ModelError,
     NW,
     PathCursor,
@@ -25,8 +28,8 @@ from gossipsim.model import (
     state_key,
     store_put,
 )
-from gossipsim.scheduler import HALF, sync_round
-from gossipsim.topology import build_grid, build_ring
+from gossipsim.scheduler import FULL, HALF, sync_round
+from gossipsim.topology import build_grid, build_ring, random_connected_graph
 
 
 class TestAssocTables:
@@ -137,6 +140,29 @@ class TestGossipMerge:
         merge_gossip(cfg, 2)
         assert cfg.boards[2].store == set()
 
+    def test_store_kept_when_union_adds_nothing(self):
+        g = build_ring(3)
+        cfg = make_configuration(g, [Agent(ident=1, pos=0), Agent(ident=2, pos=0)], FW)
+        merge_gossip(cfg, 0)
+        store = cfg.boards[0].store
+        known = [a.known for a in cfg.agents]
+        merge_gossip(cfg, 0)
+        assert cfg.boards[0].store is store
+        assert all(a.known is k for a, k in zip(cfg.agents, known))
+
+    @pytest.mark.parametrize("board_class", [CW, FW])
+    def test_grouped_indices_merge_like_a_scan(self, board_class):
+        agents = [Agent(ident=1, pos=0), Agent(ident=2, pos=1), Agent(ident=3, pos=0)]
+        scanned = make_configuration(build_ring(3), agents, board_class)
+        scanned.agents[2].known.add(Token("ghost", "junk"))
+        if board_class == FW:
+            scanned.boards[0].store.add(Token("old", "news"))
+        grouped = scanned.clone()
+        merge_gossip(scanned, 0)
+        merge_gossip(grouped, 0, [0, 2])
+        assert state_key(grouped) == state_key(scanned)
+        assert grouped.agents[0].known == grouped.agents[2].known != grouped.agents[1].known
+
 
 class TestStateKey:
     def _cfg(self):
@@ -172,6 +198,79 @@ class TestStateKey:
         assert state_key(cfg) != key
         agent.parked = agent.bounced = False
         assert state_key(cfg) == key
+
+
+def _untimed(board: Whiteboard) -> Whiteboard:
+    return dataclasses.replace(board.clone(), timer=0)
+
+
+WAITERS_AND_STORES = FuzzSpec(waiting_garbage_rate=1.0, store_garbage_rate=1.0)
+
+# name -> (start, duplex, frozen); every start writes boards in its rounds
+ROUND_STARTS = {
+    "grid:3x3 FW, waiters everywhere": (
+        lambda: fuzz_config(build_grid(3, 3), 3, WAITERS_AND_STORES, 0, board_class=FW),
+        HALF, False),
+    "random:7:2:3 seed 246 half": (
+        lambda: fuzz_config(random_connected_graph(7, 2, seed=3), 3, FuzzSpec(), 246),
+        HALF, False),
+    "random:7:2:3 seed 246 full": (
+        lambda: fuzz_config(random_connected_graph(7, 2, seed=3), 3, FuzzSpec(), 246),
+        FULL, False),
+    "ring:4 FW frozen": (
+        lambda: fuzz_config(build_ring(4), 3, FuzzSpec(), 5, board_class=FW), HALF, True),
+}
+
+
+class TestKeyCache:
+    """KeyCache re-encodes only the boards a round can write beyond their
+    timers, and still returns exactly ``state_key``."""
+
+    @pytest.mark.parametrize("board_class", [CW, FW])
+    def test_timer_only_change_at_quiet_board(self, board_class):
+        cfg = make_configuration(
+            build_ring(4), [Agent(ident=1, pos=0), Agent(ident=2, pos=2)], board_class
+        )
+        keys = KeyCache(cfg)
+        assert keys.key() == state_key(cfg)
+        cfg.boards[1].timer = 9
+        cfg.boards[3].timer = 4
+        assert keys.key() == state_key(cfg)
+
+    @pytest.mark.parametrize("case", sorted(ROUND_STARTS))
+    def test_round_writes_beyond_timer_only_where_agents_are_or_wait(self, case):
+        make, duplex, frozen = ROUND_STARTS[case]
+        cfg = make()
+        keys = KeyCache(cfg)
+        writes = 0
+        for _ in range(120):
+            assert keys.key() == state_key(cfg)
+            before = [_untimed(b) for b in cfg.boards]
+            touched = {a.pos for a in cfg.agents}
+            touched |= {v for v, b in enumerate(cfg.boards) if b.waiting}
+            sync_round(cfg, duplex, frozen=frozen)
+            touched |= {a.pos for a in cfg.agents}
+            changed = {v for v, b in enumerate(cfg.boards) if _untimed(b) != before[v]}
+            assert changed <= touched
+            writes += len(changed)
+        assert writes > 0  # the starts do write boards
+
+    @given(
+        st.sampled_from(["ring:5", "grid:2x3", "random:6:3:1", "random:7:2:3"]),
+        st.sampled_from([CW, FW]),
+        st.sampled_from([HALF, FULL]),
+        st.booleans(),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_equals_state_key_every_round(self, graph, board_class, duplex, clean, seed):
+        spec = CLEAN_SPEC if clean else FuzzSpec()
+        cfg = fuzz_config(load_graph(graph), 3, spec, seed, board_class=board_class)
+        keys = KeyCache(cfg)
+        for _ in range(60):
+            assert keys.key() == state_key(cfg)
+            sync_round(cfg, duplex)
+        assert keys.key() == state_key(cfg)
 
 
 class TestEncodingCoverage:
