@@ -1,8 +1,20 @@
 """Batch front-end: single runs, fuzz campaigns, and witness scenarios.
 
 Machine-first output (JSON report, JSONL trace, CSV campaign summary)
-with a short human table on stdout.  Exit codes are part of the
-contract:
+with a short human table on stdout.
+
+``run`` and ``fuzz`` share the simulation options (--graph, --protocol,
+--k, --board, --schedule, --duplex, --max-steps, --script,
+--unsafe-async) and one simulation path, :func:`simulate`.  ``run``
+adds --seed, --fuzz, --report and --trace; ``fuzz`` adds --seeds,
+--jobs, --out and --out-jsonl and always fuzzes the start, seeding it
+and the async policy with each seed.  Without --max-steps an
+asynchronous or non-DFT run stops after 10,000 steps under ``run`` and
+50·m·k steps under ``fuzz`` (m edges, k agents); a synchronous
+dft_kminus1 run uses the cycle detector's default budget.  ``witness``
+takes its kind, --graph, --n, --k, --board, --seed and --report.
+
+Exit codes are part of the contract:
 
 0  stop condition met (cycle found / gossip complete / witness holds)
    and, for a synchronous dft_kminus1 run, the property holds
@@ -10,7 +22,7 @@ contract:
    (k-1)-quiescent with the minimum id as the sole mover
 3  illegal protocol/board/schedule combination
 4  internal assertion failure
-5  parameter or input error
+5  parameter or input error, usage errors included (``--help`` exits 0)
 """
 
 from __future__ import annotations
@@ -21,6 +33,7 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
+from functools import partial
 
 from .harness import (
     CLEAN_SPEC,
@@ -103,14 +116,12 @@ def check_legality(protocol: str, board: str, schedule: str, unsafe_async: bool)
 
 
 def check_params(args) -> None:
-    """Reject numeric options outside their documented ranges."""
+    """Reject numeric options outside their documented ranges, and parse
+    ``--script`` into agent indices, before any output is opened."""
     if args.k < 1:
         raise CliError(f"--k must be at least 1, got {args.k}")
     if args.max_steps < 0:
         raise CliError(f"--max-steps must be non-negative, got {args.max_steps}")
-
-
-def make_policy(args) -> SchedulePolicy:
     script = ()
     if args.schedule == ASYNC_SCRIPTED:
         if not args.script:
@@ -119,7 +130,7 @@ def make_policy(args) -> SchedulePolicy:
             script = tuple(int(x) for x in args.script.split(","))
         except ValueError:
             raise CliError(f"bad --script {args.script!r}") from None
-    return SchedulePolicy(kind=args.schedule, seed=args.seed, script=script)
+    args.script = script
 
 
 def _trace_observer(fh):
@@ -159,99 +170,61 @@ def _write_report(report: dict, fh) -> None:
     print(text)
 
 
+def simulate(args, graph, spec: FuzzSpec, async_budget: int, seed: int, observer=None):
+    """One simulation from the start ``fuzz_config`` draws for ``seed``:
+    (report fields, property verdict).
+
+    A synchronous dft_kminus1 run goes to an exact cycle and holds the
+    property when :func:`quiescence_holds`; any other run goes to gossip
+    completion within ``--max-steps`` or else ``async_budget`` steps.
+    """
+    cfg = fuzz_config(graph, args.k, spec, seed, board_class=args.board, program=args.protocol)
+    if args.schedule == SYNC and args.protocol == PROGRAM_DFT:
+        rep = detect_cycle(cfg, args.duplex, budget=args.max_steps or None, observer=observer)
+        bounds = audit_move_bounds(rep.records, graph)
+        report = {
+            "status": rep.status,
+            "prefix": rep.prefix_len,
+            "period": rep.period,
+            "quiescent": len(rep.quiescent),
+            "movers": [cfg.agents[i].ident for i in rep.movers],
+            "gossip_step": rep.gossip_step,
+            "releases_in_cycle": rep.releases_in_cycle,
+            "fwd_max": bounds.fwd_max,
+            "back_max": bounds.back_max,
+        }
+        return report, quiescence_holds(cfg, rep)
+    trace = run(
+        cfg,
+        SchedulePolicy(kind=args.schedule, seed=seed, script=args.script),
+        args.duplex,
+        stop=gossip_complete,
+        max_steps=args.max_steps or async_budget,
+        unsafe_async=args.unsafe_async,
+        observer=observer,
+    )
+    report = {"status": trace.status, "steps": len(trace), "gossip_step": trace.stop_step}
+    return report, trace.status == "met"
+
+
 def cmd_run(args) -> int:
     check_legality(args.protocol, args.board, args.schedule, args.unsafe_async)
     check_params(args)
     graph = load_graph(args.graph)
-    policy = make_policy(args)
-    cfg = fuzz_config(
-        graph,
-        args.k,
-        FuzzSpec() if args.fuzz else CLEAN_SPEC,
-        args.seed,
-        board_class=args.board,
-        program=args.protocol,
-    )
-
     with ExitStack() as outputs:
         # open the outputs first, so a bad path fails before any round runs
         trace_fh = _open_output(outputs, args.trace)
         report_fh = _open_output(outputs, args.report)
         observer = _trace_observer(trace_fh) if trace_fh else None
-        if args.schedule == SYNC and args.protocol == PROGRAM_DFT:
-            rep = detect_cycle(
-                cfg, args.duplex, budget=args.max_steps or None, observer=observer
-            )
-            bounds = audit_move_bounds(rep.records, graph)
-            report = {
-                "status": rep.status,
-                "prefix": rep.prefix_len,
-                "period": rep.period,
-                "quiescent": len(rep.quiescent),
-                "movers": [cfg.agents[i].ident for i in rep.movers],
-                "gossip_step": rep.gossip_step,
-                "releases_in_cycle": rep.releases_in_cycle,
-                "fwd_max": bounds.fwd_max,
-                "back_max": bounds.back_max,
-            }
-            status_ok = quiescence_holds(cfg, rep)
-        else:
-            trace = run(
-                cfg,
-                policy,
-                args.duplex,
-                stop=gossip_complete,
-                max_steps=args.max_steps or 10_000,
-                unsafe_async=args.unsafe_async,
-                observer=observer,
-            )
-            report = {
-                "status": trace.status,
-                "steps": len(trace),
-                "gossip_step": trace.stop_step,
-            }
-            status_ok = trace.status == "met"
+        spec = FuzzSpec() if args.fuzz else CLEAN_SPEC
+        report, ok = simulate(args, graph, spec, 10_000, args.seed, observer)
         _write_report(report, report_fh)
-    return EXIT_OK if status_ok else EXIT_TRUNCATED
+    return EXIT_OK if ok else EXIT_TRUNCATED
 
 
-def _fuzz_one(params: tuple) -> dict:
-    (graph, protocol, k, board, duplex, schedule, seed, max_steps) = params
-    cfg = fuzz_config(graph, k, FuzzSpec(), seed, board_class=board, program=protocol)
-    row = {
-        "seed": seed,
-        "status": "",
-        "prefix": "",
-        "period": "",
-        "quiescent": "",
-        "gossip_step": "",
-        "fwd_max": "",
-        "back_max": "",
-        "ok": False,
-    }
-    if schedule == SYNC and protocol == PROGRAM_DFT:
-        rep = detect_cycle(cfg, duplex, budget=max_steps or None)
-        bounds = audit_move_bounds(rep.records, graph)
-        row.update(
-            status=rep.status,
-            prefix=rep.prefix_len,
-            period=rep.period,
-            quiescent=len(rep.quiescent),
-            gossip_step=rep.gossip_step if rep.gossip_step is not None else "",
-            fwd_max=bounds.fwd_max,
-            back_max=bounds.back_max,
-            ok=quiescence_holds(cfg, rep),
-        )
-    else:
-        policy = SchedulePolicy(kind=schedule, seed=seed)
-        budget = max_steps or 50 * graph.edge_count * k
-        trace = run(cfg, policy, duplex, stop=gossip_complete, max_steps=budget)
-        row.update(
-            status=trace.status,
-            gossip_step=trace.stop_step if trace.stop_step is not None else "",
-            ok=trace.status == "met",
-        )
-    return row
+# the fuzz CSV columns: the seed, then the report fields a row keeps
+FUZZ_COLUMNS = ("seed", "status", "prefix", "period", "quiescent", "gossip_step",
+                "fwd_max", "back_max")
 
 
 def cmd_fuzz(args) -> int:
@@ -266,22 +239,24 @@ def cmd_fuzz(args) -> int:
         raise CliError(f"empty --seeds range {args.seeds!r} (want LO < HI)")
     if args.jobs < 1:
         raise CliError(f"--jobs must be at least 1, got {args.jobs}")
-    params = [
-        (graph, args.protocol, args.k, args.board, args.duplex, args.schedule, s, args.max_steps)
-        for s in range(lo, hi)
-    ]
-    columns = ["seed", "status", "prefix", "period", "quiescent", "gossip_step", "fwd_max", "back_max"]
+    one_seed = partial(simulate, args, graph, FuzzSpec(), 50 * graph.edge_count * args.k)
     with ExitStack() as outputs:
         # open the outputs first, so a bad path fails before any seed runs
         csv_fh = _open_output(outputs, args.out, newline="")
         jsonl_fh = _open_output(outputs, args.out_jsonl)
         if args.jobs > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                rows = list(pool.map(_fuzz_one, params))
+                results = list(pool.map(one_seed, range(lo, hi)))
         else:
-            rows = [_fuzz_one(p) for p in params]
+            results = [one_seed(s) for s in range(lo, hi)]
+        rows = []
+        for seed, (report, ok) in zip(range(lo, hi), results):
+            row = {col: report.get(col) for col in FUZZ_COLUMNS}
+            row.update(seed=seed, ok=ok)
+            # a field the run did not report, or reported as null, is blank
+            rows.append({col: "" if val is None else val for col, val in row.items()})
         if csv_fh:
-            writer = csv.DictWriter(csv_fh, fieldnames=columns, extrasaction="ignore")
+            writer = csv.DictWriter(csv_fh, fieldnames=FUZZ_COLUMNS, extrasaction="ignore")
             writer.writeheader()
             writer.writerows(rows)
         if jsonl_fh:
@@ -326,8 +301,17 @@ def cmd_witness(args) -> int:
     return EXIT_OK if rep.ok else EXIT_TRUNCATED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise :class:`CliError` (exit 5) instead of exiting 2,
+    which the contract reserves for an exhausted budget or a violated
+    property.  Subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gossipsim")
+    parser = _Parser(prog="gossipsim")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -337,16 +321,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--board", default="CW", help="NW|CW|FW")
         p.add_argument("--schedule", default=SYNC, help="|".join(SCHEDULES))
         p.add_argument("--duplex", default=HALF, choices=[HALF, FULL])
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--max-steps", type=int, default=0, help="0 = protocol default budget")
         p.add_argument("--script", default="", help="comma-separated agent indices for async_scripted")
         p.add_argument("--unsafe-async", action="store_true")
-        p.add_argument("--report", default="", help="write JSON report here")
 
     p_run = sub.add_parser("run", help="one simulation")
     common(p_run)
-    p_run.add_argument("--trace", default="", help="write JSONL trace here")
+    p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--fuzz", action="store_true", help="fuzz the initial configuration")
+    p_run.add_argument("--report", default="", help="write JSON report here")
+    p_run.add_argument("--trace", default="", help="write JSONL trace here")
     p_run.set_defaults(fn=cmd_run)
 
     p_fuzz = sub.add_parser("fuzz", help="seed campaign")
@@ -371,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

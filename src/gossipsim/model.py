@@ -41,11 +41,11 @@ PROGRAM_PATH_ENUM = "anon_path_enum"
 PROGRAMS = (PROGRAM_DFT, PROGRAM_FW_DFT, PROGRAM_PATH_ENUM)
 
 # protocol -> (board classes it may run on, synchronous schedules only);
-# the walk enumerator never writes a board, so it runs on NW as well
+# the walk enumerator never writes a board, so it runs on every class
 REQUIREMENTS = {
     PROGRAM_DFT: ((CW, FW), True),
     PROGRAM_FW_DFT: ((FW,), False),
-    PROGRAM_PATH_ENUM: ((NW, FW), False),
+    PROGRAM_PATH_ENUM: ((NW, CW, FW), False),
 }
 
 

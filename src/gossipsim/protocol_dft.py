@@ -75,24 +75,61 @@ def next_port(a: int, deg: int) -> int:
     return (a + 1) % deg
 
 
-def visit(cfg: Configuration, v: int, idx: int, in_port: int) -> tuple[MoveIntent, StepMeta]:
+def _passes_gate(board, agent, meta: StepMeta, quiesce: bool) -> bool:
+    """The min-id gate of the quiescing variant.  An id no larger than
+    MinID claims the node and restarts its timer (True); a larger id
+    parks in the waiting set (False).  The non-quiescing variant always
+    passes and leaves the node untouched."""
+    if not quiesce:
+        return True
+    i = agent.ident
+    if i <= board.min_id:
+        board.min_id = i
+        # never lower the recorded traversal time: a timeout release
+        # resets the timer mid-interval, and trusting that short
+        # reading re-arms the timeout and sustains a release livelock
+        board.wait_t = max(board.wait_t, board.timer)
+        board.timer = 0
+        return True
+    board.waiting.add(i)
+    agent.parked = True
+    meta.joined_waiting = True
+    return False
+
+
+def _start_traversal(board, agent, v: int, idx: int, meta: StepMeta) -> MoveIntent:
+    """Begin a rooted traversal at ``v``: flip the traversal bit, mark
+    ``v`` with it, and leave by port 0."""
+    agent.t_bit = not agent.t_bit
+    meta.flipped = True
+    assoc_put(board, "t_table", agent.ident, agent.t_bit)
+    assoc_put(board, "out_link", agent.ident, 0)
+    meta.kind = FORWARD
+    return MoveIntent(idx, v, 0)
+
+
+def _leave_after(board, i: int, v: int, idx: int, a: int, deg: int, meta: StepMeta) -> MoveIntent:
+    """Leave ``v`` by the port after ``a``; at a leaf, back out by ``a``."""
+    if deg >= 2:
+        out = next_port(a, deg)
+        assoc_put(board, "out_link", i, out)
+        meta.kind = FORWARD
+        return MoveIntent(idx, v, out)
+    assoc_put(board, "in_link", i, LINK_DEFAULT)
+    meta.kind = BACKTRACK
+    return MoveIntent(idx, v, a)
+
+
+def visit(
+    cfg: Configuration, v: int, idx: int, in_port: int, *, quiesce: bool = True
+) -> tuple[MoveIntent, StepMeta]:
     """Arrival behavior of agent ``idx`` at node ``v`` from ``v[in_port]``.
 
-    Quiescing variant: consults MinID, may park the agent in the waiting
-    set, and drives the node timer.
+    The quiescing variant consults MinID, may park the agent in the
+    waiting set, and drives the node timer.  With ``quiesce=False`` every
+    agent behaves like the minimum-id agent and never waits;
+    MinID/WaitT/Waiting/Timer are left untouched.
     """
-    return _traversal_visit(cfg, v, idx, in_port, quiesce=True)
-
-
-def fw_visit(cfg: Configuration, v: int, idx: int, in_port: int) -> tuple[MoveIntent, StepMeta]:
-    """Non-quiescing variant: every agent behaves like the minimum-id agent
-    and never waits; MinID/WaitT/Waiting/Timer are left untouched."""
-    return _traversal_visit(cfg, v, idx, in_port, quiesce=False)
-
-
-def _traversal_visit(
-    cfg: Configuration, v: int, idx: int, in_port: int, *, quiesce: bool
-) -> tuple[MoveIntent, StepMeta]:
     agent = cfg.agents[idx]
     if agent.ident is None:
         raise ProtocolError("the DFT protocols require named agents")
@@ -113,26 +150,9 @@ def _traversal_visit(
         meta.branch = "first_visit"
         assoc_put(board, "t_table", i, agent.t_bit)
         assoc_put(board, "in_link", i, a)
-        if not quiesce or i <= board.min_id:
-            if quiesce:
-                board.min_id = i
-                # never lower the recorded traversal time: a timeout release
-                # resets the timer mid-interval, and trusting that short
-                # reading re-arms the timeout and sustains a release livelock
-                board.wait_t = max(board.wait_t, board.timer)
-                board.timer = 0
-            if deg >= 2:
-                out = next_port(a, deg)
-                assoc_put(board, "out_link", i, out)
-                meta.kind = FORWARD
-                return MoveIntent(idx, v, out), meta
-            assoc_put(board, "in_link", i, LINK_DEFAULT)
-            meta.kind = BACKTRACK
-            return MoveIntent(idx, v, a), meta
-        board.waiting.add(i)
-        agent.parked = True
-        meta.joined_waiting = True
-        return MoveIntent(idx, v, None), meta
+        if not _passes_gate(board, agent, meta, quiesce):
+            return MoveIntent(idx, v, None), meta
+        return _leave_after(board, i, v, idx, a, deg, meta), meta
 
     if assoc_get(board, "out_link", i) != a:
         # pass-through: i reached an already-marked node off its out-edge
@@ -141,7 +161,7 @@ def _traversal_visit(
             # legitimate operation; restart the traversal in place
             agent.bounced = False
             agent.t_bit = not agent.t_bit
-            intent, inner = _traversal_visit(cfg, v, idx, a, quiesce=quiesce)
+            intent, inner = visit(cfg, v, idx, a, quiesce=quiesce)
             inner.repaired = True
             inner.flipped = True
             return intent, inner
@@ -156,21 +176,9 @@ def _traversal_visit(
     if nxt == 0 and assoc_get(board, "in_link", i) == LINK_DEFAULT:
         # v is the root of i's traversal and the traversal is complete
         meta.branch = "root_complete"
-        if not quiesce or i <= board.min_id:
-            if quiesce:
-                board.min_id = i
-                board.wait_t = max(board.wait_t, board.timer)
-                board.timer = 0
-            agent.t_bit = not agent.t_bit
-            meta.flipped = True
-            assoc_put(board, "t_table", i, agent.t_bit)
-            assoc_put(board, "out_link", i, 0)
-            meta.kind = FORWARD
-            return MoveIntent(idx, v, 0), meta
-        board.waiting.add(i)
-        agent.parked = True
-        meta.joined_waiting = True
-        return MoveIntent(idx, v, None), meta
+        if not _passes_gate(board, agent, meta, quiesce):
+            return MoveIntent(idx, v, None), meta
+        return _start_traversal(board, agent, v, idx, meta), meta
 
     if assoc_get(board, "in_link", i) == nxt:
         # non-root subtree complete: unwind toward the parent
@@ -218,30 +226,13 @@ def timeout_check_and_execute(cfg: Configuration, v: int) -> list[tuple[MoveInte
     deg = cfg.graph.degree(v)
     meta = StepMeta(released=True)
     inl = assoc_get(board, "in_link", i)
-    if inl != LINK_DEFAULT:
+    if inl != LINK_DEFAULT and 0 <= inl < deg:
         # v is not the root of i's traversal: resume mid-traversal
-        if not 0 <= inl < deg:
-            # corrupt link row; treat as root resume
-            inl = LINK_DEFAULT
-        else:
-            if deg >= 2:
-                out = next_port(inl, deg)
-                assoc_put(board, "out_link", i, out)
-                meta.branch = "timeout_resume"
-                meta.kind = FORWARD
-                return [(MoveIntent(located, v, out), meta)]
-            assoc_put(board, "in_link", i, LINK_DEFAULT)
-            meta.branch = "timeout_resume"
-            meta.kind = BACKTRACK
-            return [(MoveIntent(located, v, inl), meta)]
-    # v is the root: initiate a new traversal
-    agent.t_bit = not agent.t_bit
-    meta.flipped = True
-    assoc_put(board, "t_table", i, agent.t_bit)
-    assoc_put(board, "out_link", i, 0)
+        meta.branch = "timeout_resume"
+        return [(_leave_after(board, i, v, located, inl, deg, meta), meta)]
+    # v is the root (or its link row is corrupt): initiate a new traversal
     meta.branch = "timeout_root"
-    meta.kind = FORWARD
-    return [(MoveIntent(located, v, 0), meta)]
+    return [(_start_traversal(board, agent, v, located, meta), meta)]
 
 
 def dft_agent_step(cfg: Configuration, idx: int) -> tuple[MoveIntent, StepMeta]:

@@ -23,7 +23,7 @@ from .protocol_dft import (
     MoveIntent,
     ProtocolError,
     StepMeta,
-    fw_visit,
+    visit,
 )
 
 __all__ = ["PathCursor", "fw_dft_step", "anon_path_enum_step"]
@@ -34,7 +34,7 @@ def fw_dft_step(cfg: Configuration, idx: int) -> tuple[MoveIntent, StepMeta]:
     agent = cfg.agents[idx]
     if cfg.boards[agent.pos].cls != FW:
         raise ProtocolError("fw_async_dft requires FW whiteboards")
-    return fw_visit(cfg, agent.pos, idx, agent.arrival_port)
+    return visit(cfg, agent.pos, idx, agent.arrival_port, quiesce=False)
 
 
 def _cursor_ok(cursor: PathCursor, cfg: Configuration) -> bool:

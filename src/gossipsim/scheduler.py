@@ -88,12 +88,14 @@ class StepRecord:
 
 @dataclass(slots=True)
 class Trace:
-    records: list[StepRecord]
+    """How a :func:`run` ended; the step records go to its observer only."""
+
+    steps: int
     status: str  # "met" | "truncated"
     stop_step: int | None = None
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.steps
 
 
 def _order_key(ident: int | None, idx: int) -> tuple:
@@ -333,20 +335,19 @@ def run(
     """Iterate rounds/steps until the stop predicate holds or the budget ends.
 
     Mutates ``cfg`` in place; clone first if the start state matters.
-    ``observer(cfg, record)`` runs after every step, for monitoring.
+    ``observer(cfg, record)`` runs after every step; the trace keeps only
+    the step count, so a caller that wants the records collects them there.
     """
     check_async_legality(cfg, policy, unsafe_async)
     state = None if policy.kind == SYNC else _AsyncState(policy, cfg.k)
-    records: list[StepRecord] = []
     if stop is not None and stop(cfg):
-        return Trace(records, "met", stop_step=0)
-    for step in range(max_steps):
-        if policy.kind == SYNC:
-            records.append(sync_round(cfg, duplex, frozen=frozen))
-        else:
-            records.append(async_step(cfg, state))
+        return Trace(0, "met", stop_step=0)
+    steps = 0
+    while steps < max_steps:
+        rec = sync_round(cfg, duplex, frozen=frozen) if state is None else async_step(cfg, state)
+        steps += 1
         if observer is not None:
-            observer(cfg, records[-1])
+            observer(cfg, rec)
         if stop is not None and stop(cfg):
-            return Trace(records, "met", stop_step=step + 1)
-    return Trace(records, "truncated")
+            return Trace(steps, "met", stop_step=steps)
+    return Trace(steps, "truncated")

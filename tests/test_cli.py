@@ -55,11 +55,12 @@ class TestLegality:
         check_legality("dft_kminus1", "CW", "async_round_robin", True)
 
     def test_fw_protocols_need_fw(self):
-        for protocol in ("fw_async_dft", "anon_path_enum"):
-            with pytest.raises(CliError) as err:
-                check_legality(protocol, "CW", "async_round_robin", False)
-            assert err.value.code == EXIT_ILLEGAL
-        check_legality("anon_path_enum", "FW", "async_round_robin", False)
+        with pytest.raises(CliError) as err:
+            check_legality("fw_async_dft", "CW", "async_round_robin", False)
+        assert err.value.code == EXIT_ILLEGAL
+        # the walker never writes a board, so every board class admits it
+        for board in ("NW", "CW", "FW"):
+            check_legality("anon_path_enum", board, "async_round_robin", False)
 
     def test_unknown_names_are_param_errors(self):
         for argset in (("nope", "CW", "sync"), ("dft_kminus1", "XX", "sync"),
@@ -116,11 +117,26 @@ class TestMainExitCodes:
             ["fuzz", "--graph", "ring:4", "--seeds", "5:2"],
             ["fuzz", "--graph", "ring:4", "--seeds", "2:2"],
             ["fuzz", "--graph", "ring:4", "--seeds", "0:2", "--jobs", "0"],
+            # usage errors: exit 5, not argparse's 2
+            ["run", "--graph", "ring:4", "--duplex", "weird"],
+            ["run", "--graph", "ring:4", "--k", "x"],
+            ["run"],
+            [],
+            ["fuzz", "--graph", "ring:4", "--seeds", "0:2", "--report", "x.json"],
+            ["fuzz", "--graph", "ring:4", "--protocol", "anon_path_enum", "--board", "FW",
+             "--schedule", "async_scripted", "--script", "0,x", "--seeds", "0:2"],
         ],
     )
     def test_bad_parameters(self, argv, capsys):
         assert main(argv) == EXIT_PARAM
-        assert capsys.readouterr().out == ""
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["run", "--help"])
+        assert stop.value.code == 0
+        assert "--trace" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "argv",
@@ -139,7 +155,7 @@ class TestMainExitCodes:
         def no_run(*args, **kwargs):
             raise AssertionError("simulated before opening every output")
 
-        for name in ("_fuzz_one", "detect_cycle", "run", "witness_symmetry", "witness_mirror"):
+        for name in ("simulate", "detect_cycle", "run", "witness_symmetry", "witness_mirror"):
             monkeypatch.setattr(cli, name, no_run)
         bad = str(tmp_path / "missing" / "out")
         trace = tmp_path / "t.jsonl"
@@ -194,6 +210,50 @@ class TestArtifacts:
         assert rows[0]["status"] == "cycle"
         assert set(rows[0]) == {"seed", "status", "prefix", "period", "quiescent",
                                 "gossip_step", "fwd_max", "back_max"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the timer protocol forced under an async policy
+            ["--schedule", "async_random_fair", "--unsafe-async", "--max-steps", "50"],
+            # every seed replays the same script
+            ["--protocol", "anon_path_enum", "--board", "FW", "--schedule", "async_scripted",
+             "--script", "0,1,1", "--max-steps", "3"],
+        ],
+    )
+    def test_fuzz_passes_run_options(self, argv, tmp_path, capsys):
+        out = tmp_path / "rows.jsonl"
+        code = main(["fuzz", "--graph", "ring:4", "--seeds", "0:3", "--out-jsonl", str(out),
+                     *argv])
+        assert code == EXIT_OK
+        rows = [json.loads(l) for l in out.read_text().splitlines()]
+        assert [r["seed"] for r in rows] == [0, 1, 2]
+        assert all(r["ok"] and r["status"] == "met" for r in rows)
+        assert capsys.readouterr().out == "3/3 seeds satisfied the property set\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--graph", "ring:5", "--k", "3"],
+            ["--graph", "ring:5", "--k", "2", "--protocol", "fw_async_dft", "--board", "FW",
+             "--schedule", "async_random_fair", "--max-steps", "400"],
+            ["--graph", "ring:4", "--schedule", "async_round_robin", "--unsafe-async",
+             "--max-steps", "60"],
+        ],
+    )
+    def test_run_and_fuzz_agree(self, argv, tmp_path, capsys):
+        out = tmp_path / "rows.jsonl"
+        main(["fuzz", *argv, "--seeds", "0:4", "--out-jsonl", str(out)])
+        rows = [json.loads(l) for l in out.read_text().splitlines()]
+        assert len(rows) == 4
+        capsys.readouterr()
+        for row in rows:
+            code = main(["run", *argv, "--fuzz", "--seed", str(row["seed"])])
+            report = json.loads(capsys.readouterr().out)
+            assert row["ok"] == (code == EXIT_OK)
+            for col, val in report.items():
+                if col in row:
+                    assert row[col] == ("" if val is None else val), col
 
     def test_fuzz_jsonl(self, tmp_path, capsys):
         out = tmp_path / "rows.jsonl"
