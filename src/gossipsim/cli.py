@@ -11,8 +11,10 @@ adds --seed, --fuzz, --report and --trace; ``fuzz`` adds --seeds,
 and the async policy with each seed.  Without --max-steps an
 asynchronous or non-DFT run stops after 10,000 steps under ``run`` and
 50·m·k steps under ``fuzz`` (m edges, k agents); a synchronous
-dft_kminus1 run uses the cycle detector's default budget.  ``witness``
-takes its kind, --graph, --n, --k, --board, --seed and --report.
+dft_kminus1 run uses the cycle detector's default budget.  ``witness
+mirror`` takes --graph, --k, --seed and --report; ``witness symmetry``
+takes --n, --k, --board and --report.  Option names must be spelled out
+in full: an abbreviation is a usage error.
 
 Exit codes are part of the contract:
 
@@ -47,7 +49,7 @@ from .harness import (
     witness_mirror,
     witness_symmetry,
 )
-from .model import BOARD_CLASSES, PROGRAM_DFT, PROGRAMS, REQUIREMENTS, ModelError, snapshot_hash
+from .model import BOARD_CLASSES, PROGRAM_DFT, PROGRAMS, ModelError, refusal, snapshot_hash
 from .scheduler import (
     ASYNC_RANDOM_FAIR,
     ASYNC_ROUND_ROBIN,
@@ -98,21 +100,10 @@ def load_graph(spec: str):
 
 
 def check_legality(protocol: str, board: str, schedule: str, unsafe_async: bool) -> None:
-    """Reject combinations the model rules out (or gate them behind a flag)."""
-    if protocol not in PROGRAMS:
-        raise CliError(f"unknown protocol {protocol!r}")
-    if board not in BOARD_CLASSES:
-        raise CliError(f"unknown board class {board!r}")
-    if schedule not in SCHEDULES:
-        raise CliError(f"unknown schedule {schedule!r}")
-    boards, sync_only = REQUIREMENTS[protocol]
-    if board not in boards:
-        raise CliError(f"{protocol} cannot run on {board} whiteboards", EXIT_ILLEGAL)
-    if sync_only and schedule != SYNC and not unsafe_async:
-        raise CliError(
-            f"{protocol} is synchronous-only (timer protocol); use --unsafe-async to force",
-            EXIT_ILLEGAL,
-        )
+    """Refuse (exit 3) a combination :func:`~gossipsim.model.refusal` rules out."""
+    reason = refusal(protocol, board, schedule == SYNC, unsafe_async)
+    if reason:
+        raise CliError(reason, EXIT_ILLEGAL)
 
 
 def check_params(args) -> None:
@@ -304,7 +295,12 @@ def cmd_witness(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise :class:`CliError` (exit 5) instead of exiting 2,
     which the contract reserves for an exhausted budget or a violated
-    property.  Subcommand parsers inherit the class."""
+    property, and option names must be spelled out (an abbreviation such
+    as ``--seed`` for ``--seeds`` is an unknown option).  Subcommand
+    parsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise CliError(f"{self.prog}: {message}")
@@ -316,10 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--graph", required=True, help="ring:N | grid:RxC | random:N[:E[:S]] | file")
-        p.add_argument("--protocol", default=PROGRAM_DFT, help="|".join(PROGRAMS))
+        p.add_argument("--protocol", default=PROGRAM_DFT, choices=PROGRAMS)
         p.add_argument("--k", type=int, default=2)
-        p.add_argument("--board", default="CW", help="NW|CW|FW")
-        p.add_argument("--schedule", default=SYNC, help="|".join(SCHEDULES))
+        p.add_argument("--board", default="CW", choices=BOARD_CLASSES)
+        p.add_argument("--schedule", default=SYNC, choices=SCHEDULES)
         p.add_argument("--duplex", default=HALF, choices=[HALF, FULL])
         p.add_argument("--max-steps", type=int, default=0, help="0 = protocol default budget")
         p.add_argument("--script", default="", help="comma-separated agent indices for async_scripted")
@@ -342,13 +338,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.set_defaults(fn=cmd_fuzz)
 
     p_wit = sub.add_parser("witness", help="impossibility witnesses")
-    p_wit.add_argument("kind", choices=["mirror", "symmetry"])
-    p_wit.add_argument("--graph", default="ring:4")
-    p_wit.add_argument("--n", type=int, default=6)
-    p_wit.add_argument("--k", type=int, default=2)
-    p_wit.add_argument("--board", default="CW")
-    p_wit.add_argument("--seed", type=int, default=0)
-    p_wit.add_argument("--report", default="")
+    kinds = p_wit.add_subparsers(dest="kind", required=True)
+    p_mirror = kinds.add_parser("mirror", help="mirrored network")
+    p_mirror.add_argument("--graph", default="ring:4")
+    p_mirror.add_argument("--k", type=int, default=2)
+    p_mirror.add_argument("--seed", type=int, default=0)
+    p_mirror.add_argument("--report", default="")
+    p_sym = kinds.add_parser("symmetry", help="symmetric ring")
+    p_sym.add_argument("--n", type=int, default=6)
+    p_sym.add_argument("--k", type=int, default=2)
+    p_sym.add_argument("--board", default="CW", choices=BOARD_CLASSES)
+    p_sym.add_argument("--report", default="")
     p_wit.set_defaults(fn=cmd_witness)
 
     return parser

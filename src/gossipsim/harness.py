@@ -10,7 +10,7 @@ impossibility witnesses (mirrored network, symmetric ring).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .model import (
     CW,
@@ -26,12 +26,11 @@ from .model import (
     Token,
     Whiteboard,
     assoc_put,
-    clean_board,
     make_configuration,
     state_key,
 )
 from .scheduler import HALF, SchedulePolicy, StepRecord, SYNC, run, sync_round
-from .topology import PortLabeledGraph, build_ring, mirror_join
+from .topology import PortLabeledGraph, build_ring, mirror_join, mirror_node
 
 UNIFORM = "uniform"
 CLUSTERED = "clustered"
@@ -86,8 +85,6 @@ def fuzz_config(
     *,
     board_class: str = CW,
     program: str = PROGRAM_DFT,
-    timer_cap: int | None = None,
-    l_max: int | None = None,
 ) -> Configuration:
     """Deterministic function of (graph, k, spec, seed).
 
@@ -139,12 +136,7 @@ def fuzz_config(
         agents.append(agent)
 
     cfg = make_configuration(
-        graph,
-        agents,
-        board_class,
-        timer_cap=timer_cap,
-        max_id=spec.id_high + 1 if not anonymous else None,
-        l_max=l_max,
+        graph, agents, board_class, max_id=spec.id_high + 1 if not anonymous else None
     )
 
     for j, agent in enumerate(cfg.agents):
@@ -445,19 +437,19 @@ class MirrorReport:
 def _translate_board(board: Whiteboard, offset: int, max_live: int) -> Whiteboard:
     """Mirror a whiteboard into the second copy: live-id rows move to the
     offset id range so each mirrored agent sees its own marks."""
+
+    def twin(i: int) -> int:
+        return i + offset if i <= max_live else i
+
     out = board.clone()
-    out.t_table = {i + offset if i <= max_live else i: v for i, v in board.t_table.items()}
-    out.in_link = {i + offset if i <= max_live else i: v for i, v in board.in_link.items()}
-    out.out_link = {i + offset if i <= max_live else i: v for i, v in board.out_link.items()}
-    out.waiting = {i + offset if i <= max_live else i for i in board.waiting}
-    if board.min_id <= max_live:
-        out.min_id = board.min_id + offset
+    for table in ("t_table", "in_link", "out_link"):
+        setattr(out, table, {twin(i): v for i, v in getattr(board, table).items()})
+    out.waiting = {twin(i) for i in board.waiting}
+    out.min_id = twin(board.min_id)
     return out
 
 
-def witness_mirror(
-    graph: PortLabeledGraph, k: int, seed: int = 0, *, budget: int | None = None
-) -> MirrorReport:
+def witness_mirror(graph: PortLabeledGraph, k: int, seed: int = 0) -> MirrorReport:
     """Indistinguishability demonstration on a mirrored network.
 
     Converge k agents on the base graph, join the graph with its mirror
@@ -486,47 +478,30 @@ def witness_mirror(
     mg = mirror_join(graph, w)
 
     offset = k
-    b_index = {}
-    counter = n
-    for v in range(n):
-        if v != w:
-            b_index[v] = counter
-            counter += 1
-
-    boards = [base.boards[v].clone() for v in range(n)]
-    boards.extend(
+    # fresh gossip: make_configuration gives each agent its own token only
+    agents = [replace(a, known=set()) for a in base.agents]
+    agents += [
+        replace(a, ident=a.ident + offset, pos=mirror_node(graph, w, a.pos), known=set())
+        for a in base.agents
+    ]
+    joined = make_configuration(
+        mg, agents, CW, timer_cap=base.timer_cap, max_id=base.max_id + offset, l_max=mg.node_count
+    )
+    joined.boards = [b.clone() for b in base.boards] + [
         _translate_board(base.boards[v], offset, k) for v in range(n) if v != w
-    )
-    joined_agents = [a.clone() for a in base.agents]
-    for a in base.agents:
-        twin = a.clone()
-        twin.ident = a.ident + offset
-        twin.pos = b_index[a.pos]
-        joined_agents.append(twin)
-    joined = Configuration(
-        graph=mg,
-        agents=joined_agents,
-        boards=boards,
-        timer_cap=base.timer_cap,
-        max_id=base.max_id + offset,
-        l_max=mg.node_count,
-    )
-    for idx, agent in enumerate(joined.agents):
-        token = Token(origin=f"agent{idx}", payload=f"gossip-{idx}")
-        joined.genuine[idx] = token
-        agent.known = {token}
+    ]
 
     control = joined.clone()
 
-    frozen_report = detect_cycle(joined, HALF, budget=budget, frozen=True)
+    frozen_report = detect_cycle(joined, HALF, frozen=True)
     a_tokens = {joined.genuine[i] for i in range(k)}
     b_tokens = {joined.genuine[i] for i in range(k, 2 * k)}
     cross = any(agent.known & b_tokens for agent in joined.agents[:k]) or any(
         agent.known & a_tokens for agent in joined.agents[k:]
     )
 
-    limit = budget if budget is not None else default_cycle_budget(control)
-    trace = run(control, SchedulePolicy(kind=SYNC), HALF, stop=gossip_complete, max_steps=limit)
+    trace = run(control, SchedulePolicy(kind=SYNC), HALF, stop=gossip_complete,
+                max_steps=default_cycle_budget(control))
     gossip_step = trace.stop_step if trace.status == "met" else None
 
     return MirrorReport(
@@ -552,9 +527,7 @@ class SymmetryReport:
         return self.status == CYCLE and self.meetings == 0 and not self.gossip_ever_complete
 
 
-def witness_symmetry(
-    n: int, k: int, board_class: str, *, budget: int | None = None
-) -> SymmetryReport:
+def witness_symmetry(n: int, k: int, board_class: str) -> SymmetryReport:
     """Symmetric-ring demonstration: k identical anonymous agents placed
     at regular spacing run the walk enumerator in lock step, so they never
     meet and gossip never completes.
@@ -566,7 +539,7 @@ def witness_symmetry(
     g = build_ring(n)
     agents = [Agent(ident=None, pos=j * (n // k), program=PROGRAM_PATH_ENUM) for j in range(k)]
     cfg = make_configuration(g, agents, board_class, l_max=n)
-    report = detect_cycle(cfg, HALF, budget=budget)
+    report = detect_cycle(cfg, HALF)
     meetings = sum(len(rec.colocated) for rec in report.records)
     return SymmetryReport(
         prefix_len=report.prefix_len,

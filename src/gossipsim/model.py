@@ -49,6 +49,22 @@ REQUIREMENTS = {
 }
 
 
+def refusal(protocol: str, board: str, synchronous: bool, unsafe_async: bool) -> str | None:
+    """Why ``protocol`` may not run on ``board`` whiteboards under a
+    synchronous (or asynchronous) schedule, or None when it may.
+
+    The one reading of :data:`REQUIREMENTS`: a protocol runs only on the
+    board classes listed for it, and a synchronous-only (timer) protocol
+    runs under an asynchronous schedule only when ``unsafe_async`` forces it.
+    """
+    boards, sync_only = REQUIREMENTS[protocol]
+    if board not in boards:
+        return f"{protocol} cannot run on {board} whiteboards"
+    if sync_only and not synchronous and not unsafe_async:
+        return f"{protocol} is synchronous-only (timer protocol); use --unsafe-async to force"
+    return None
+
+
 class ModelError(ValueError):
     pass
 

@@ -1,15 +1,19 @@
 """Drive configurations forward: synchronous rounds and asynchronous stepping.
 
 A synchronous round runs, in order: gossip merges and agent activations
-per node (nodes ascending, co-located agents ascending by id), the
-per-node timeout check, duplex conflict resolution, simultaneous
-application of the accepted moves, post-move gossip merges, and finally
-the timer tick.  The whole round is deterministic.
+per node (nodes ascending, co-located agents ascending by id), one walk
+over the boards that runs each node's timeout check and then ticks its
+timer, duplex conflict resolution, simultaneous application of the
+accepted moves, and post-move gossip merges.  No phase after the tick
+reads a timer, so the tick may share the timeout check's walk.  The
+whole round is deterministic.
 
 Asynchronous policies activate one agent at a time (no duplex conflicts
 can arise) and never tick timers: the timer protocol is proven for the
-synchronous model only, so timer-dependent protocols are rejected under
-async scheduling unless explicitly forced.
+synchronous model only.  :func:`run` refuses, before its first step, a
+configuration whose protocol and board class :func:`~gossipsim.model.refusal`
+rules out, timer-dependent protocols under async scheduling included
+unless explicitly forced.
 """
 
 from __future__ import annotations
@@ -19,15 +23,14 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .model import (
-    CW,
-    FW,
+    NW,
     Configuration,
     ModelError,
     PROGRAM_DFT,
     PROGRAM_FW_DFT,
     PROGRAM_PATH_ENUM,
-    REQUIREMENTS,
     merge_gossip,
+    refusal,
 )
 from .protocol_dft import MoveIntent, StepMeta, dft_agent_step, timeout_check_and_execute
 from .protocol_suite import anon_path_enum_step, fw_dft_step
@@ -190,13 +193,6 @@ def _apply_moves(
     return records
 
 
-def _tick_timers(cfg: Configuration) -> None:
-    cap = cfg.timer_cap
-    for board in cfg.boards:
-        if board.cls in (CW, FW) and board.timer < cap:
-            board.timer += 1
-
-
 def sync_round(cfg: Configuration, duplex: str = HALF, *, frozen: bool = False) -> StepRecord:
     """Advance one synchronous lock-step round in place.
 
@@ -207,9 +203,9 @@ def sync_round(cfg: Configuration, duplex: str = HALF, *, frozen: bool = False) 
     intents: list[tuple[MoveIntent, StepMeta]] = []
     stays: list[tuple[MoveIntent, StepMeta]] = []
     acting: list[int] = []
+    merged: list[int] = []
     if not frozen:
         groups = _positions_by_node(cfg)
-        merged = []
         for node in sorted(groups):
             here = groups[node]
             merge_gossip(cfg, node, here)
@@ -219,21 +215,28 @@ def sync_round(cfg: Configuration, duplex: str = HALF, *, frozen: bool = False) 
                 intent, meta = step_fn(cfg, idx)
                 acting.append(idx)
                 (stays if intent.stay else intents).append((intent, meta))
-        if any(a.program == PROGRAM_DFT for a in cfg.agents):
-            releases = []
-            for node, board in enumerate(cfg.boards):
-                if not board.waiting:
-                    continue  # the check is a no-op without a waiter
-                for intent, meta in timeout_check_and_execute(cfg, node):
-                    releases.append((node, intent.agent))
-                    intents.append((intent, meta))
-            rec.releases = tuple(releases)
-        rec.merges = tuple(merged)
-        accepted = resolve_duplex(cfg, intents, duplex)
-        rec.moves = _apply_moves(cfg, intents, accepted)
-        rec.joined_waiting = tuple(i.agent for i, m in stays if m.joined_waiting)
-        rec.resets = tuple(i.agent for i, m in stays if m.reset)
-        rec.wraps = tuple(i.agent for i, m in stays if m.wrapped)
+    timeouts = not frozen and any(a.program == PROGRAM_DFT for a in cfg.agents)
+    releases = []
+    cap = cfg.timer_cap
+    # each node's timeout check reads that node's timer only, and is a
+    # no-op without a waiter; the node's tick follows it
+    for node, board in enumerate(cfg.boards):
+        if board.cls == NW:
+            continue  # no timer, and the check is a no-op
+        if timeouts and board.waiting:
+            for intent, meta in timeout_check_and_execute(cfg, node):
+                releases.append((node, intent.agent))
+                intents.append((intent, meta))
+        if board.timer < cap:
+            board.timer += 1
+    rec.releases = tuple(releases)
+    rec.merges = tuple(merged)
+    # a frozen round has no intents: no move, park, reset or wrap to book
+    accepted = resolve_duplex(cfg, intents, duplex)
+    rec.moves = _apply_moves(cfg, intents, accepted)
+    rec.joined_waiting = tuple(i.agent for i, m in stays if m.joined_waiting)
+    rec.resets = tuple(i.agent for i, m in stays if m.reset)
+    rec.wraps = tuple(i.agent for i, m in stays if m.wrapped)
     rec.acting = tuple(acting)
     groups_after = _positions_by_node(cfg)
     colocated = []
@@ -242,7 +245,6 @@ def sync_round(cfg: Configuration, duplex: str = HALF, *, frozen: bool = False) 
             merge_gossip(cfg, node, members)
             colocated.append(node)
     rec.colocated = tuple(sorted(colocated))
-    _tick_timers(cfg)
     cfg.round += 1
     return rec
 
@@ -310,17 +312,6 @@ def async_step(cfg: Configuration, state: _AsyncState) -> StepRecord:
     return rec
 
 
-def check_async_legality(cfg: Configuration, policy: SchedulePolicy, unsafe_async: bool) -> None:
-    if policy.kind == SYNC or unsafe_async:
-        return
-    for agent in cfg.agents:
-        _, sync_only = REQUIREMENTS[agent.program]
-        if sync_only:
-            raise SchedulerError(
-                f"{agent.program} depends on synchronous timers; pass unsafe_async to force"
-            )
-
-
 def run(
     cfg: Configuration,
     policy: SchedulePolicy,
@@ -328,23 +319,30 @@ def run(
     stop=None,
     max_steps: int = 10_000,
     *,
-    frozen: bool = False,
     unsafe_async: bool = False,
     observer=None,
 ) -> Trace:
     """Iterate rounds/steps until the stop predicate holds or the budget ends.
 
+    Before anything else, raises :class:`SchedulerError` with the reason
+    :func:`~gossipsim.model.refusal` gives for the first (agent program,
+    board class) pair of ``cfg`` it refuses under ``policy``.
     Mutates ``cfg`` in place; clone first if the start state matters.
     ``observer(cfg, record)`` runs after every step; the trace keeps only
     the step count, so a caller that wants the records collects them there.
     """
-    check_async_legality(cfg, policy, unsafe_async)
+    classes = sorted({b.cls for b in cfg.boards})
+    for program in sorted({a.program for a in cfg.agents}):
+        for cls in classes:
+            reason = refusal(program, cls, policy.kind == SYNC, unsafe_async)
+            if reason:
+                raise SchedulerError(reason)
     state = None if policy.kind == SYNC else _AsyncState(policy, cfg.k)
     if stop is not None and stop(cfg):
         return Trace(0, "met", stop_step=0)
     steps = 0
     while steps < max_steps:
-        rec = sync_round(cfg, duplex, frozen=frozen) if state is None else async_step(cfg, state)
+        rec = sync_round(cfg, duplex) if state is None else async_step(cfg, state)
         steps += 1
         if observer is not None:
             observer(cfg, rec)

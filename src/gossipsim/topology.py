@@ -24,6 +24,7 @@ __all__ = [
     "build_grid",
     "random_connected_graph",
     "mirror_join",
+    "mirror_node",
     "parse_graph",
     "serialize_graph",
     "validate",
@@ -159,18 +160,10 @@ def mirror_join(g: PortLabeledGraph, join_node: int) -> PortLabeledGraph:
     n = g.node_count
     if not 0 <= join_node < n:
         raise GraphError(f"join node {join_node} out of range")
-    b_index: dict[int, int] = {}
-    counter = n
-    for v in range(n):
-        if v != join_node:
-            b_index[v] = counter
-            counter += 1
     deg_j = g.degree(join_node)
 
     def b_image(u: int, b: int) -> tuple[int, int]:
-        if u == join_node:
-            return (join_node, deg_j + b)
-        return (b_index[u], b)
+        return (mirror_node(g, join_node, u), deg_j + b if u == join_node else b)
 
     adjacency: list[tuple[tuple[int, int], ...]] = []
     for v in range(n):
@@ -189,6 +182,15 @@ def mirror_join(g: PortLabeledGraph, join_node: int) -> PortLabeledGraph:
     if violations:  # pragma: no cover - construction is total
         raise GraphError("; ".join(violations))
     return out
+
+
+def mirror_node(g: PortLabeledGraph, join_node: int, v: int) -> int:
+    """Index of node ``v``'s image in :func:`mirror_join`'s second copy:
+    the images of the nodes other than ``join_node`` follow ``g``'s n
+    nodes in ascending order, and ``join_node`` is its own image."""
+    if v == join_node:
+        return join_node
+    return g.node_count + v - (v > join_node)
 
 
 def validate(g: PortLabeledGraph) -> list[str]:

@@ -16,6 +16,9 @@ from gossipsim.cli import (
     load_graph,
     main,
 )
+from gossipsim.harness import CLEAN_SPEC, fuzz_config
+from gossipsim.model import BOARD_CLASSES, PROGRAMS
+from gossipsim.scheduler import SchedulePolicy, SchedulerError, run
 from gossipsim.topology import build_grid, build_ring, serialize_graph
 
 
@@ -62,12 +65,29 @@ class TestLegality:
         for board in ("NW", "CW", "FW"):
             check_legality("anon_path_enum", board, "async_round_robin", False)
 
-    def test_unknown_names_are_param_errors(self):
-        for argset in (("nope", "CW", "sync"), ("dft_kminus1", "XX", "sync"),
-                       ("dft_kminus1", "CW", "sometimes")):
-            with pytest.raises(CliError) as err:
-                check_legality(*argset, False)
-            assert err.value.code == EXIT_PARAM
+    @pytest.mark.parametrize("unsafe", [False, True])
+    @pytest.mark.parametrize("schedule", cli.SCHEDULES)
+    @pytest.mark.parametrize("board", BOARD_CLASSES)
+    @pytest.mark.parametrize("protocol", PROGRAMS)
+    def test_cli_and_library_agree(self, protocol, board, schedule, unsafe, capsys):
+        # `run` exits 3 exactly when scheduler.run refuses the same start
+        # before its first step, and both give the same reason
+        code = main(["run", "--graph", "ring:4", "--protocol", protocol, "--board", board,
+                     "--schedule", schedule, "--script", "0", "--max-steps", "1"]
+                    + ["--unsafe-async"] * unsafe)
+        err = capsys.readouterr().err
+        cfg = fuzz_config(build_ring(4), 2, CLEAN_SPEC, 0, board_class=board, program=protocol)
+        steps = []
+        refused = None
+        try:
+            run(cfg, SchedulePolicy(kind=schedule, script=(0,)), max_steps=1,
+                unsafe_async=unsafe, observer=lambda c, rec: steps.append(rec))
+        except SchedulerError as exc:
+            if not steps:
+                refused = str(exc)
+        assert (code == EXIT_ILLEGAL) == (refused is not None)
+        if refused is not None:
+            assert err == f"error: {refused}\n"
 
 
 class TestMainExitCodes:
@@ -125,9 +145,24 @@ class TestMainExitCodes:
             ["fuzz", "--graph", "ring:4", "--seeds", "0:2", "--report", "x.json"],
             ["fuzz", "--graph", "ring:4", "--protocol", "anon_path_enum", "--board", "FW",
              "--schedule", "async_scripted", "--script", "0,x", "--seeds", "0:2"],
+            # unknown names, refused by the parser
+            ["run", "--graph", "ring:4", "--protocol", "nope"],
+            ["run", "--graph", "ring:4", "--board", "XX"],
+            ["run", "--graph", "ring:4", "--schedule", "sometimes"],
+            # abbreviated options are unknown options
+            ["fuzz", "--graph", "ring:4", "--seeds", "0:4", "--seed", "0:2"],
+            ["fuzz", "--graph", "ring:4", "--seed", "3"],
+            ["run", "--graph", "ring:4", "--rep", "r.json"],
+            ["run", "--graph", "ring:4", "--sched", "async_round_robin", "--unsafe"],
+            # each witness kind takes only its own options
+            ["witness", "mirror", "--n", "5"],
+            ["witness", "mirror", "--board", "FW"],
+            ["witness", "symmetry", "--graph", "ring:5"],
+            ["witness", "symmetry", "--seed", "3"],
         ],
     )
-    def test_bad_parameters(self, argv, capsys):
+    def test_bad_parameters(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # a wrongly accepted output path lands here
         assert main(argv) == EXIT_PARAM
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")

@@ -13,7 +13,6 @@ from gossipsim.scheduler import (
     SchedulePolicy,
     SchedulerError,
     _AsyncState,
-    check_async_legality,
     resolve_duplex,
     run,
     sync_round,
@@ -151,15 +150,28 @@ class TestAsyncPolicies:
         assert all(b.timer == 0 for b in cfg.boards)
 
     def test_dft_needs_unsafe_flag(self):
-        cfg = dft_cfg([(1, 0)])
         policy = SchedulePolicy(kind=ASYNC_ROUND_ROBIN)
-        with pytest.raises(SchedulerError):
-            check_async_legality(cfg, policy, unsafe_async=False)
-        check_async_legality(cfg, policy, unsafe_async=True)
-        check_async_legality(cfg, SchedulePolicy(kind=SYNC), unsafe_async=False)
+        with pytest.raises(SchedulerError, match="synchronous-only"):
+            run(dft_cfg([(1, 0)]), policy, max_steps=1)
+        assert len(run(dft_cfg([(1, 0)]), policy, max_steps=1, unsafe_async=True)) == 1
+        assert len(run(dft_cfg([(1, 0)]), SchedulePolicy(kind=SYNC), max_steps=1)) == 1
 
 
 class TestRun:
+    @pytest.mark.parametrize("kind", [SYNC, ASYNC_ROUND_ROBIN])
+    @pytest.mark.parametrize("max_steps", [0, 5])
+    def test_illegal_boards_refused_before_the_first_step(self, kind, max_steps):
+        # fw_async_dft writes the gossip store, so CW boards cannot hold it
+        agents = [Agent(ident=1, pos=0, program="fw_async_dft")]
+        cfg = make_configuration(build_ring(4), agents, CW)
+        before = state_key(cfg)
+        seen = []
+        with pytest.raises(SchedulerError) as err:
+            run(cfg, SchedulePolicy(kind=kind), max_steps=max_steps,
+                observer=lambda c, rec: seen.append(rec))
+        assert str(err.value) == "fw_async_dft cannot run on CW whiteboards"
+        assert seen == [] and state_key(cfg) == before
+
     def test_stop_checked_before_first_step(self):
         cfg = dft_cfg([(1, 0)])
         trace = run(cfg, SchedulePolicy(kind=SYNC), stop=lambda c: True)

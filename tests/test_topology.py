@@ -8,6 +8,7 @@ from gossipsim.topology import (
     build_ring,
     diameter,
     mirror_join,
+    mirror_node,
     parse_graph,
     random_connected_graph,
     serialize_graph,
@@ -102,6 +103,19 @@ class TestMirrorJoin:
     def test_out_of_range(self):
         with pytest.raises(GraphError):
             mirror_join(build_ring(3), 3)
+
+    @pytest.mark.parametrize("join", [0, 2, 5])
+    def test_mirror_node_is_the_image(self, join):
+        g = build_grid(2, 3)
+        mg = mirror_join(g, join)
+        images = [mirror_node(g, join, v) for v in range(g.node_count)]
+        assert images[join] == join
+        assert sorted(images) == [join] + list(range(g.node_count, mg.node_count))
+        for v in range(g.node_count):
+            if v != join:
+                # each port of v's image leads to the image of v's neighbor
+                assert [u for u, _ in mg.adjacency[images[v]]] == [
+                    images[u] for u, _ in g.adjacency[v]]
 
 
 class TestSerialization:
