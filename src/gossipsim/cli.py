@@ -5,13 +5,14 @@ with a short human table on stdout.
 
 ``run`` and ``fuzz`` share the simulation options (--graph, --protocol,
 --k, --board, --schedule, --duplex, --max-steps, --script,
---unsafe-async) and one simulation path, :func:`simulate`.  ``run``
-adds --seed, --fuzz, --report and --trace; ``fuzz`` adds --seeds,
---jobs, --out and --out-jsonl and always fuzzes the start, seeding it
-and the async policy with each seed.  Without --max-steps an
-asynchronous or non-DFT run stops after 10,000 steps under ``run`` and
-50·m·k steps under ``fuzz`` (m edges, k agents); a synchronous
-dft_kminus1 run uses the cycle detector's default budget.  ``witness
+--unsafe-async; one the run would not read is a usage error) and one
+simulation path, :func:`simulate`.  ``run`` adds --seed, --fuzz,
+--report and --trace; ``fuzz`` adds --seeds, --jobs, --out and
+--out-jsonl and always fuzzes the start, seeding it and the async
+policy with each seed.  Without --max-steps an asynchronous or non-DFT
+run stops after 10,000 steps under ``run`` and 50·m·k steps under
+``fuzz`` (m edges, k agents); a synchronous dft_kminus1 run uses the
+cycle detector's default budget.  ``witness
 mirror`` takes --graph, --k, --seed and --report; ``witness symmetry``
 takes --n, --k, --board and --report.  Option names must be spelled out
 in full: an abbreviation is a usage error.
@@ -32,6 +33,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
@@ -107,12 +109,24 @@ def check_legality(protocol: str, board: str, schedule: str, unsafe_async: bool)
 
 
 def check_params(args) -> None:
-    """Reject numeric options outside their documented ranges, and parse
-    ``--script`` into agent indices, before any output is opened."""
+    """Refuse an illegal combination (:func:`check_legality`), then reject
+    numeric options outside their documented ranges and options the run
+    would never read, and parse ``--script`` into agent indices, before
+    any output is opened."""
+    check_legality(args.protocol, args.board, args.schedule, args.unsafe_async)
     if args.k < 1:
         raise CliError(f"--k must be at least 1, got {args.k}")
     if args.max_steps < 0:
         raise CliError(f"--max-steps must be non-negative, got {args.max_steps}")
+    if args.script and args.schedule != ASYNC_SCRIPTED:
+        raise CliError("--script is read only by the async_scripted schedule")
+    if args.duplex is None:
+        args.duplex = HALF
+    elif args.schedule != SYNC:
+        raise CliError("--duplex is read only by the sync schedule")
+    if args.unsafe_async and not refusal(args.protocol, args.board, args.schedule == SYNC, False):
+        raise CliError(f"--unsafe-async forces nothing: {args.protocol} may run "
+                       f"on {args.board} whiteboards under {args.schedule}")
     script = ()
     if args.schedule == ASYNC_SCRIPTED:
         if not args.script:
@@ -199,7 +213,6 @@ def simulate(args, graph, spec: FuzzSpec, async_budget: int, seed: int, observer
 
 
 def cmd_run(args) -> int:
-    check_legality(args.protocol, args.board, args.schedule, args.unsafe_async)
     check_params(args)
     graph = load_graph(args.graph)
     with ExitStack() as outputs:
@@ -219,7 +232,6 @@ FUZZ_COLUMNS = ("seed", "status", "prefix", "period", "quiescent", "gossip_step"
 
 
 def cmd_fuzz(args) -> int:
-    check_legality(args.protocol, args.board, args.schedule, args.unsafe_async)
     check_params(args)
     graph = load_graph(args.graph)
     try:
@@ -235,8 +247,10 @@ def cmd_fuzz(args) -> int:
         # open the outputs first, so a bad path fails before any seed runs
         csv_fh = _open_output(outputs, args.out, newline="")
         jsonl_fh = _open_output(outputs, args.out_jsonl)
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the pool forks all its workers at its first submit
+        jobs = min(args.jobs, hi - lo, os.cpu_count() or 1)
+        if jobs > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
                 results = list(pool.map(one_seed, range(lo, hi)))
         else:
             results = [one_seed(s) for s in range(lo, hi)]
@@ -316,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, default=2)
         p.add_argument("--board", default="CW", choices=BOARD_CLASSES)
         p.add_argument("--schedule", default=SYNC, choices=SCHEDULES)
-        p.add_argument("--duplex", default=HALF, choices=[HALF, FULL])
+        p.add_argument("--duplex", choices=[HALF, FULL], help="sync only; default half")
         p.add_argument("--max-steps", type=int, default=0, help="0 = protocol default budget")
         p.add_argument("--script", default="", help="comma-separated agent indices for async_scripted")
         p.add_argument("--unsafe-async", action="store_true")

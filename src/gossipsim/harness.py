@@ -253,50 +253,42 @@ def detect_cycle(
 ) -> CycleReport:
     """Run synchronous rounds until an exact state repeat.
 
-    Each round's state key comes from a :class:`~gossipsim.model.KeyCache`,
-    which re-encodes only the boards the last round could have written
-    beyond their timers: those at the agent positions and waiter nodes
-    before the round and at the agent positions after it.  The key is
-    indexed by its :func:`fingerprint` only and then dropped.  A clone of
-    the state is kept at step 0 and at every power-of-two step.  When a
-    fingerprint recurs, each earlier step with that fingerprint is
-    re-simulated from its latest checkpoint and its :func:`state_key` is
-    compared in full with a fresh :func:`state_key` of the current state,
-    so the returned (prefix, period) pair is exact, not a hash coincidence
-    and not a cache result; a false hit only lets the run go on.  Without
-    a false hit the re-simulation costs at most half the prefix in rounds.
-    Memory is O(log rounds) clones plus the per-round records and
-    positions.
+    Each round's state key comes from a :class:`~gossipsim.model.KeyCache`
+    fed the round's record, which re-encodes only the boards that record
+    names as possibly written beyond their timers.  The key is indexed by
+    its :func:`fingerprint` only and then dropped.  A clone of the state is
+    kept at step 0 and at every power-of-two step.  When a fingerprint
+    recurs, each earlier step with that fingerprint is re-simulated from
+    its latest checkpoint and its :func:`state_key` is compared in full
+    with a fresh :func:`state_key` of the current state, so the returned
+    (prefix, period) pair is exact, not a hash coincidence and not a cache
+    result; a false hit only lets the run go on.  Without a false hit the
+    re-simulation costs at most half the prefix in rounds.  Memory is
+    O(log rounds) clones plus the per-round records.
 
     ``cfg`` is mutated and ends at step prefix + period, a state on the
     cycle; clone first to keep the start state.  ``observer(cfg, record)``
     runs after every round, for monitoring.
     """
-    work = cfg
     limit = budget if budget is not None else default_cycle_budget(cfg)
-    keys = KeyCache(work)
+    keys = KeyCache(cfg)
     seen: dict[int, list[int]] = {}
     checkpoints: list[Configuration] = []
-    positions: list[tuple[int, ...]] = []
     records: list[StepRecord] = []
     gossip_step: int | None = None
     step = 0
+    rec = None
     while True:
-        candidates = seen.setdefault(fingerprint(keys.key()), [])
+        candidates = seen.setdefault(fingerprint(keys.key(rec)), [])
         if candidates:
-            # verify with fresh keys only, and drop the kept board keys
-            # meanwhile, so the check holds no more keys than it needs
-            keys = None
-            prefix = _first_repeat(state_key(work), candidates, checkpoints, duplex, frozen)
+            prefix = _first_repeat(state_key(cfg), candidates, checkpoints, duplex, frozen)
             if prefix is not None:
                 period = step - prefix
                 break
-            keys = KeyCache(work)
         candidates.append(step)
         if step & (step - 1) == 0:  # 0 or a power of two
-            checkpoints.append(work.clone())
-        positions.append(tuple(a.pos for a in work.agents))
-        if gossip_step is None and gossip_complete(work):
+            checkpoints.append(cfg.clone())
+        if gossip_step is None and gossip_complete(cfg):
             gossip_step = step
         if step >= limit:
             return CycleReport(
@@ -311,31 +303,29 @@ def detect_cycle(
                 flip_steps={},
                 records=records,
             )
-        records.append(sync_round(work, duplex, frozen=frozen))
+        rec = sync_round(cfg, duplex, frozen=frozen)
+        records.append(rec)
         if observer is not None:
-            observer(work, records[-1])
+            observer(cfg, rec)
         step += 1
 
-    cycle_positions = positions[prefix : prefix + period]
-    k = work.k
-    quiescent = tuple(
-        i for i in range(k) if len({p[i] for p in cycle_positions}) == 1
-    )
-    mover_visits = {
-        i: frozenset(p[i] for p in cycle_positions) for i in range(k)
-    }
-    cycle_records = records[prefix : prefix + period]
-    flip_steps: dict[int, list[int]] = {i: [] for i in range(k)}
-    for rec in records:
+    # the state at step prefix + period is the one at step prefix, so an
+    # agent's cycle positions are its final one and its cycle moves' targets
+    visits: dict[int, set[int]] = {i: {a.pos} for i, a in enumerate(cfg.agents)}
+    flip_steps: dict[int, list[int]] = {i: [] for i in visits}
+    for j, rec in enumerate(records):
         for mv in rec.moves:
-            if mv.flipped and mv.accepted:
+            if mv.accepted and j >= prefix:
+                visits[mv.agent].add(mv.to)
+            if mv.accepted and mv.flipped:
                 flip_steps[mv.agent].append(rec.step)
+    cycle_records = records[prefix:]
     return CycleReport(
         status=CYCLE,
         prefix_len=prefix,
         period=period,
-        quiescent=quiescent,
-        mover_visits=mover_visits,
+        quiescent=tuple(i for i, v in visits.items() if len(v) == 1),
+        mover_visits={i: frozenset(v) for i, v in visits.items()},
         gossip_step=gossip_step,
         releases_in_cycle=sum(len(r.releases) for r in cycle_records),
         colocations_in_cycle=sum(len(r.colocated) for r in cycle_records),

@@ -9,12 +9,13 @@ A :class:`Configuration` is a value and cloning is cheap.
 :func:`state_key` is the one place that lists which fields make up a
 configuration's state.  It leaves out the round counter and the run
 constants, so two configurations of one run hold the same state exactly
-when their keys are equal.  :class:`KeyCache` builds the same key round
-after round from the same per-agent and per-board encoders, re-encoding
-only the boards a synchronous round can write beyond their timers; cycle
-detection fingerprints that key and confirms a repeat by comparing fresh
-:func:`state_key` results.  :func:`snapshot_hash` is a digest of the key
-that does not depend on ``PYTHONHASHSEED``.
+when their keys are equal; the board timers form a tuple of their own.
+:class:`KeyCache` builds the same key round after round from the same
+encoders, re-encoding only the boards a round's record names as possibly
+written beyond their timers; cycle detection fingerprints that key and
+confirms a repeat by comparing fresh :func:`state_key` results.
+:func:`snapshot_hash` is a digest of the key that does not depend on
+``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
@@ -54,9 +55,12 @@ def refusal(protocol: str, board: str, synchronous: bool, unsafe_async: bool) ->
     synchronous (or asynchronous) schedule, or None when it may.
 
     The one reading of :data:`REQUIREMENTS`: a protocol runs only on the
-    board classes listed for it, and a synchronous-only (timer) protocol
-    runs under an asynchronous schedule only when ``unsafe_async`` forces it.
+    board classes listed for it (an unlisted one nowhere), and a
+    synchronous-only (timer) protocol runs under an asynchronous schedule
+    only when ``unsafe_async`` forces it.
     """
+    if protocol not in REQUIREMENTS:
+        return f"unknown protocol {protocol!r}"
     boards, sync_only = REQUIREMENTS[protocol]
     if board not in boards:
         return f"{protocol} cannot run on {board} whiteboards"
@@ -294,11 +298,6 @@ def _agent_key(a: Agent) -> tuple:
     )
 
 
-# where _board_key puts the timer of a CW or FW board: the one field a
-# synchronous round writes on every board (see KeyCache)
-_TIMER_SLOT = 7
-
-
 def _board_key(b: Whiteboard) -> tuple:
     if b.cls == NW:
         return (NW,)
@@ -310,7 +309,6 @@ def _board_key(b: Whiteboard) -> tuple:
         b.min_id,
         b.wait_t,
         frozenset(b.waiting),
-        b.timer,
     )
     if b.cls == FW:
         key += (frozenset(b.store),)
@@ -318,17 +316,20 @@ def _board_key(b: Whiteboard) -> tuple:
 
 
 def state_key(cfg: Configuration) -> tuple:
-    """Exact hashable encoding of the configuration's state.
+    """Exact hashable encoding of the configuration's state: (agent keys,
+    board keys without their timers, every board's timer).
 
     Sets and tables are encoded as frozensets (of members, or of
     ``(id, value)`` rows), which compare exactly like sorted tuples but
     need no sort.  Every field of :class:`Agent` and :class:`Whiteboard`
     is encoded, the gossip store only on FW boards (the others reject
-    store writes) and nothing but the class on NW boards.  Agents are
-    listed in hidden-index order: half-duplex ties between anonymous
-    agents are broken by that index, so swapping two indistinguishable
-    agents can change the future.  :class:`KeyCache` returns the same
-    tuple for a run of synchronous rounds, re-encoding fewer boards.
+    store writes) and only the class and the never-ticking timer on NW
+    boards.  A round ticks every other timer but writes few boards'
+    other fields, hence the separate timers tuple.  Agents are listed in
+    hidden-index order: half-duplex ties between anonymous agents are
+    broken by that index, so swapping two indistinguishable agents can
+    change the future.  :class:`KeyCache` returns the same tuple for a
+    run of synchronous rounds, re-encoding fewer boards.
 
     Left out, because they do not belong to the state:
 
@@ -342,48 +343,38 @@ def state_key(cfg: Configuration) -> tuple:
     return (
         tuple(_agent_key(a) for a in cfg.agents),
         tuple(_board_key(b) for b in cfg.boards),
+        tuple(b.timer for b in cfg.boards),
     )
 
 
 class KeyCache:
     """:func:`state_key` of one configuration, kept across synchronous rounds.
 
-    Call :meth:`key` at any state, then once after every round of
-    :func:`~gossipsim.scheduler.sync_round` on ``cfg``; each call returns
-    a tuple equal to ``state_key(cfg)``.  The first call encodes every
-    board.  After that, a round writes a board field other than the timer
-    only at the node of an acting agent (its step), at a node with
-    waiters (the timeout check) and at a node holding agents before or
-    after the moves (gossip merges); the tick writes only timers.  So a
-    call re-encodes the boards at the agent positions and waiter nodes
-    the previous call saw and at the current agent positions, and every
-    other board keeps its key with the timer slot updated.  Agent keys
-    are rebuilt on every call.
+    Call :meth:`key` at any state, then after every round of
+    :func:`~gossipsim.scheduler.sync_round` on ``cfg`` with that round's
+    record (None when no round ran); each call returns ``state_key(cfg)``.
+    The first call encodes every board.  Beyond the timers, a round writes
+    only the boards at its record's ``merges`` (each acting agent's merge
+    and step) and ``colocated`` (the post-move merges) and at the nodes
+    that had waiters before it (the timeout check), so a call re-encodes
+    those and rebuilds the agent keys and the timers tuple.
     """
 
-    __slots__ = ("cfg", "_boards", "_stale")
+    __slots__ = ("cfg", "_boards", "_waiters")
 
     def __init__(self, cfg: Configuration):
         self.cfg = cfg
         self._boards: list[tuple] = [()] * len(cfg.boards)
-        # boards the coming round may write; the first call encodes all
-        self._stale = set(range(len(cfg.boards)))
+        self._waiters = set(range(len(cfg.boards)))  # so the first call encodes all
 
-    def key(self) -> tuple:
-        agents = self.cfg.agents
+    def key(self, rec=None) -> tuple:
         boards = self.cfg.boards
-        keys = self._boards
-        stale = {a.pos for a in agents}
-        for v in self._stale | stale:
-            keys[v] = _board_key(boards[v])
-        for v, b in enumerate(boards):
-            if b.waiting:
-                stale.add(v)
-            key = keys[v]
-            if b.cls != NW and key[_TIMER_SLOT] != b.timer:
-                keys[v] = key[:_TIMER_SLOT] + (b.timer,) + key[_TIMER_SLOT + 1 :]
-        self._stale = stale
-        return (tuple(_agent_key(a) for a in agents), tuple(keys))
+        stale = self._waiters if rec is None else self._waiters.union(rec.merges, rec.colocated)
+        for v in stale:
+            self._boards[v] = _board_key(boards[v])
+        self._waiters = {v for v, b in enumerate(boards) if b.waiting}
+        return (tuple(_agent_key(a) for a in self.cfg.agents), tuple(self._boards),
+                tuple(b.timer for b in boards))
 
 
 def _canonical(value):
@@ -398,5 +389,9 @@ def _canonical(value):
 
 
 def snapshot_hash(cfg: Configuration) -> str:
-    """SHA-256 hex digest of :func:`state_key`, its sets sorted."""
-    return hashlib.sha256(repr(_canonical(state_key(cfg))).encode()).hexdigest()
+    """SHA-256 hex digest of :func:`state_key`, its sets sorted, in the
+    historical layout that keeps saved trace hashes valid: (agent keys,
+    board keys), each CW and FW board key holding its timer at index 7."""
+    agents, boards, timers = state_key(cfg)
+    boards = tuple(b if b[0] == NW else b[:7] + (t,) + b[7:] for b, t in zip(boards, timers))
+    return hashlib.sha256(repr(_canonical((agents, boards))).encode()).hexdigest()

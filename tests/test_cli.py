@@ -154,6 +154,16 @@ class TestMainExitCodes:
             ["fuzz", "--graph", "ring:4", "--seed", "3"],
             ["run", "--graph", "ring:4", "--rep", "r.json"],
             ["run", "--graph", "ring:4", "--sched", "async_round_robin", "--unsafe"],
+            # options the chosen run never reads
+            ["run", "--graph", "ring:4", "--script", "0,x", "--max-steps", "3"],
+            ["fuzz", "--graph", "ring:4", "--seeds", "0:2", "--script", "0"],
+            ["run", "--graph", "ring:4", "--protocol", "anon_path_enum", "--board", "FW",
+             "--schedule", "async_round_robin", "--duplex", "half"],
+            ["run", "--graph", "ring:4", "--protocol", "fw_async_dft", "--board", "FW",
+             "--duplex", "full", "--schedule", "async_round_robin", "--unsafe-async"],
+            ["run", "--graph", "ring:4", "--protocol", "fw_async_dft", "--board", "FW",
+             "--schedule", "async_round_robin", "--unsafe-async"],
+            ["run", "--graph", "ring:4", "--unsafe-async"],
             # each witness kind takes only its own options
             ["witness", "mirror", "--n", "5"],
             ["witness", "mirror", "--board", "FW"],
@@ -245,6 +255,37 @@ class TestArtifacts:
         assert rows[0]["status"] == "cycle"
         assert set(rows[0]) == {"seed", "status", "prefix", "period", "quiescent",
                                 "gossip_step", "fwd_max", "back_max"}
+
+    @pytest.mark.parametrize(
+        "jobs, seeds, cores, workers",
+        [("64", "0:2", 8, 2), ("64", "0:9", 4, 4), ("3", "0:9", 8, 3),
+         ("2", "0:9", 1, None), ("5", "0:1", 8, None)],
+    )
+    def test_fuzz_jobs_capped(self, jobs, seeds, cores, workers, monkeypatch, capsys):
+        # the pool would fork every worker at its first submit; a fake pool
+        # records how many it was asked for and maps in this process
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+        code = main(["fuzz", "--graph", "ring:4", "--seeds", seeds, "--jobs", jobs])
+        assert code == EXIT_OK
+        assert started == ([] if workers is None else [workers])
+        lo, hi = (int(x) for x in seeds.split(":"))
+        assert capsys.readouterr().out == f"{hi - lo}/{hi - lo} seeds satisfied the property set\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -183,7 +183,7 @@ def reference_detect(cfg, duplex=HALF, *, budget=None, frozen=False):
         if gossip_step is None and gossip_complete(cfg):
             gossip_step = step
         if step >= limit:
-            return (BUDGET, step, 0, (), (), gossip_step, 0, 0, {})
+            return (BUDGET, step, 0, (), (), {}, gossip_step, 0, 0, {})
         records.append(sync_round(cfg, duplex, frozen=frozen))
         step += 1
     prefix = seen[key]
@@ -197,13 +197,15 @@ def reference_detect(cfg, duplex=HALF, *, budget=None, frozen=False):
                  if mv.agent == i and mv.flipped and mv.accepted)
         for i in range(cfg.k)
     }
-    return (CYCLE, prefix, period, quiescent, movers, gossip_step,
+    return (CYCLE, prefix, period, quiescent, movers,
+            {i: frozenset(v) for i, v in enumerate(visits)}, gossip_step,
             sum(len(r.releases) for r in cycle), sum(len(r.colocated) for r in cycle), flips)
 
 
 def summary(rep):
     return (rep.status, rep.prefix_len, rep.period, rep.quiescent, rep.movers,
-            rep.gossip_step, rep.releases_in_cycle, rep.colocations_in_cycle, rep.flip_steps)
+            rep.mover_visits, rep.gossip_step, rep.releases_in_cycle, rep.colocations_in_cycle,
+            rep.flip_steps)
 
 
 def symmetric_walkers(board_class=CW):
@@ -241,7 +243,7 @@ class ConstantKeys:
     def __init__(self, cfg):
         pass
 
-    def key(self):
+    def key(self, rec=None):
         return ()
 
 
@@ -292,10 +294,11 @@ class TestKeyCache:
         rounds = len(detect_cycle(make(), duplex, budget=budget, frozen=frozen).records)
         cfg = make()
         keys = KeyCache(cfg)
+        rec = None
         for _ in range(rounds):
-            assert keys.key() == state_key(cfg)
-            sync_round(cfg, duplex, frozen=frozen)
-        assert keys.key() == state_key(cfg)
+            assert keys.key(rec) == state_key(cfg)
+            rec = sync_round(cfg, duplex, frozen=frozen)
+        assert keys.key(rec) == state_key(cfg)
 
 
 class TestQuiescenceHolds:

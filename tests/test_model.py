@@ -223,8 +223,9 @@ ROUND_STARTS = {
 
 
 class TestKeyCache:
-    """KeyCache re-encodes only the boards a round can write beyond their
-    timers, and still returns exactly ``state_key``."""
+    """KeyCache re-encodes only the boards a round's record names as
+    possibly written beyond their timers, and still returns exactly
+    ``state_key``."""
 
     @pytest.mark.parametrize("board_class", [CW, FW])
     def test_timer_only_change_at_quiet_board(self, board_class):
@@ -242,16 +243,15 @@ class TestKeyCache:
         make, duplex, frozen = ROUND_STARTS[case]
         cfg = make()
         keys = KeyCache(cfg)
+        rec = None
         writes = 0
         for _ in range(120):
-            assert keys.key() == state_key(cfg)
+            assert keys.key(rec) == state_key(cfg)
             before = [_untimed(b) for b in cfg.boards]
-            touched = {a.pos for a in cfg.agents}
-            touched |= {v for v, b in enumerate(cfg.boards) if b.waiting}
-            sync_round(cfg, duplex, frozen=frozen)
-            touched |= {a.pos for a in cfg.agents}
+            waiters = {v for v, b in enumerate(cfg.boards) if b.waiting}
+            rec = sync_round(cfg, duplex, frozen=frozen)
             changed = {v for v, b in enumerate(cfg.boards) if _untimed(b) != before[v]}
-            assert changed <= touched
+            assert changed <= set(rec.merges) | set(rec.colocated) | waiters
             writes += len(changed)
         assert writes > 0  # the starts do write boards
 
@@ -267,10 +267,11 @@ class TestKeyCache:
         spec = CLEAN_SPEC if clean else FuzzSpec()
         cfg = fuzz_config(load_graph(graph), 3, spec, seed, board_class=board_class)
         keys = KeyCache(cfg)
+        rec = None
         for _ in range(60):
-            assert keys.key() == state_key(cfg)
-            sync_round(cfg, duplex)
-        assert keys.key() == state_key(cfg)
+            assert keys.key(rec) == state_key(cfg)
+            rec = sync_round(cfg, duplex)
+        assert keys.key(rec) == state_key(cfg)
 
 
 class TestEncodingCoverage:
@@ -411,6 +412,21 @@ class TestSnapshotHash:
         assert max(len(b.waiting) for b in cfg.boards) == 2
         assert all(len(a.known) == 2 for a in cfg.agents)
         assert snapshot_hash(cfg) == self.PINNED_DIGEST
+
+    # the same start on CW boards (timers, no store) and with walkers on NW
+    # boards (class only); digests of the layout that held each timer in
+    # its board's key, which snapshot_hash still writes
+    @pytest.mark.parametrize("board_class, program, digest", [
+        (CW, "dft_kminus1", "108c95b1af8540f7ac35e7591c1487e6ed82ae8694c8f58eaa05231195d7033a"),
+        (NW, PROGRAM_PATH_ENUM, "71bf5d9c61befe917da866e66ad9a200763a21943061d36fae1d32f4c05de871"),
+    ])
+    def test_pinned_digest_per_board_class(self, board_class, program, digest):
+        from gossipsim.harness import FuzzSpec, fuzz_config
+
+        spec = FuzzSpec(table_garbage_rate=0.5, waiting_garbage_rate=1.0,
+                        garbage_token_rate=1.0, store_garbage_rate=1.0)
+        cfg = fuzz_config(build_ring(5), 3, spec, 4, board_class=board_class, program=program)
+        assert snapshot_hash(cfg) == digest
 
     def test_independent_of_hash_seed(self):
         import os

@@ -172,6 +172,14 @@ class TestRun:
         assert str(err.value) == "fw_async_dft cannot run on CW whiteboards"
         assert seen == [] and state_key(cfg) == before
 
+    def test_unknown_program_refused_before_the_first_step(self):
+        cfg = make_configuration(build_ring(4), [Agent(ident=1, pos=0, program="dft")], FW)
+        before = state_key(cfg)
+        with pytest.raises(SchedulerError) as err:
+            run(cfg, SchedulePolicy())
+        assert str(err.value) == "unknown protocol 'dft'"
+        assert state_key(cfg) == before
+
     def test_stop_checked_before_first_step(self):
         cfg = dft_cfg([(1, 0)])
         trace = run(cfg, SchedulePolicy(kind=SYNC), stop=lambda c: True)
