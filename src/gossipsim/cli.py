@@ -111,8 +111,8 @@ def check_legality(protocol: str, board: str, schedule: str, unsafe_async: bool)
 def check_params(args) -> None:
     """Refuse an illegal combination (:func:`check_legality`), then reject
     numeric options outside their documented ranges and options the run
-    would never read, and parse ``--script`` into agent indices, before
-    any output is opened."""
+    would never read, and parse ``--script`` into agent indices below
+    ``--k``, before any output is opened."""
     check_legality(args.protocol, args.board, args.schedule, args.unsafe_async)
     if args.k < 1:
         raise CliError(f"--k must be at least 1, got {args.k}")
@@ -135,6 +135,8 @@ def check_params(args) -> None:
             script = tuple(int(x) for x in args.script.split(","))
         except ValueError:
             raise CliError(f"bad --script {args.script!r}") from None
+        if any(not 0 <= idx < args.k for idx in script):
+            raise CliError(f"bad --script {args.script!r}: agent indices run from 0 to {args.k - 1}")
     args.script = script
 
 

@@ -34,7 +34,6 @@ from .topology import PortLabeledGraph, build_ring, mirror_join, mirror_node
 
 UNIFORM = "uniform"
 CLUSTERED = "clustered"
-ADVERSARIAL = "adversarial"
 
 CYCLE = "cycle"
 BUDGET = "budget"
@@ -50,7 +49,9 @@ class FuzzSpec:
 
     All rates are probabilities in [0, 1]; zero everywhere (and
     ``randomize_timers=False``, ``random_t_bit=False``) yields a clean
-    configuration.
+    configuration.  ``placement`` puts each agent on a node of its own
+    draw (:data:`UNIFORM`) or all of them on one drawn node
+    (:data:`CLUSTERED`).
     """
 
     id_low: int = 1
@@ -63,7 +64,6 @@ class FuzzSpec:
     garbage_token_rate: float = 0.2
     store_garbage_rate: float = 0.2
     placement: str = UNIFORM
-    adversarial_nodes: tuple[int, ...] = ()
 
 
 CLEAN_SPEC = FuzzSpec(
@@ -108,10 +108,6 @@ def fuzz_config(
     elif spec.placement == CLUSTERED:
         home = rng.randrange(n)
         positions = [home] * k
-    elif spec.placement == ADVERSARIAL:
-        if len(spec.adversarial_nodes) != k:
-            raise HarnessError("adversarial placement needs exactly k nodes")
-        positions = list(spec.adversarial_nodes)
     else:
         raise HarnessError(f"unknown placement {spec.placement!r}")
 
@@ -187,19 +183,20 @@ class CycleReport:
 
     ``prefix_len`` rounds lead into a cycle of ``period`` rounds that the
     system then repeats forever; all "forever" judgments below are decided
-    on that cycle.
+    on that cycle.  A :data:`BUDGET` report ran ``prefix_len`` rounds and
+    found no cycle, so its cycle fields keep their empty defaults.
+    ``records`` holds every round's :class:`StepRecord`.
     """
 
     status: str
     prefix_len: int
     period: int
-    quiescent: tuple[int, ...]
-    mover_visits: dict[int, frozenset[int]]
     gossip_step: int | None
-    releases_in_cycle: int
-    colocations_in_cycle: int
-    flip_steps: dict[int, tuple[int, ...]]
-    records: list[StepRecord] = field(default_factory=list)
+    records: list[StepRecord]
+    quiescent: tuple[int, ...] = ()
+    mover_visits: dict[int, frozenset[int]] = field(default_factory=dict)
+    releases_in_cycle: int = 0
+    flip_steps: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
     @property
     def movers(self) -> tuple[int, ...]:
@@ -291,18 +288,7 @@ def detect_cycle(
         if gossip_step is None and gossip_complete(cfg):
             gossip_step = step
         if step >= limit:
-            return CycleReport(
-                status=BUDGET,
-                prefix_len=step,
-                period=0,
-                quiescent=(),
-                mover_visits={},
-                gossip_step=gossip_step,
-                releases_in_cycle=0,
-                colocations_in_cycle=0,
-                flip_steps={},
-                records=records,
-            )
+            return CycleReport(BUDGET, step, 0, gossip_step, records)
         rec = sync_round(cfg, duplex, frozen=frozen)
         records.append(rec)
         if observer is not None:
@@ -319,18 +305,16 @@ def detect_cycle(
                 visits[mv.agent].add(mv.to)
             if mv.accepted and mv.flipped:
                 flip_steps[mv.agent].append(rec.step)
-    cycle_records = records[prefix:]
     return CycleReport(
         status=CYCLE,
         prefix_len=prefix,
         period=period,
+        gossip_step=gossip_step,
+        records=records,
         quiescent=tuple(i for i, v in visits.items() if len(v) == 1),
         mover_visits={i: frozenset(v) for i, v in visits.items()},
-        gossip_step=gossip_step,
-        releases_in_cycle=sum(len(r.releases) for r in cycle_records),
-        colocations_in_cycle=sum(len(r.colocated) for r in cycle_records),
+        releases_in_cycle=sum(len(r.releases) for r in records[prefix:]),
         flip_steps={i: tuple(v) for i, v in flip_steps.items()},
-        records=records,
     )
 
 
@@ -359,14 +343,9 @@ class MoveBoundsReport:
         return not self.violations
 
 
-def audit_move_bounds(
-    records: list[StepRecord],
-    graph: PortLabeledGraph,
-    *,
-    fwd_bound: int | None = None,
-    back_bound: int | None = None,
-) -> MoveBoundsReport:
-    """Check per-traversal move counts against the stated bounds.
+def audit_move_bounds(records: list[StepRecord], graph: PortLabeledGraph) -> MoveBoundsReport:
+    """Check per-traversal move counts against the stated bounds: at most
+    m forward and n backtracking moves (m edges, n nodes of ``graph``).
 
     A segment is the span between two consecutive traversal-bit flips of
     one agent; the first and last segment of each agent are truncated by
@@ -375,8 +354,6 @@ def audit_move_bounds(
     """
     m = graph.edge_count
     n = graph.node_count
-    f_limit = fwd_bound if fwd_bound is not None else m
-    b_limit = back_bound if back_bound is not None else n
     # per agent: list of closed segments plus the open one
     segments: dict[int, list[list[int]]] = {}
     for rec in records:
@@ -401,7 +378,7 @@ def audit_move_bounds(
             checked += 1
             fwd_max = max(fwd_max, fwd)
             back_max = max(back_max, back)
-            if fwd > f_limit or back > b_limit:
+            if fwd > m or back > n:
                 violations.append((agent, s_idx, fwd, back))
     return MoveBoundsReport(checked, fwd_max, back_max, violations)
 
@@ -409,7 +386,6 @@ def audit_move_bounds(
 @dataclass(slots=True)
 class MirrorReport:
     join_node: int
-    converged_prefix: int
     frozen_status: str
     frozen_period: int
     cross_exchanged: bool
@@ -496,7 +472,6 @@ def witness_mirror(graph: PortLabeledGraph, k: int, seed: int = 0) -> MirrorRepo
 
     return MirrorReport(
         join_node=w,
-        converged_prefix=report.prefix_len,
         frozen_status=frozen_report.status,
         frozen_period=frozen_report.period,
         cross_exchanged=cross,

@@ -2,8 +2,9 @@
 
 Whiteboards come in three classes: NW (no storage at all), CW (control
 data: traversal tables, link records, timer machinery) and FW (CW plus a
-gossip store).  Class rules are enforced structurally: NW boards reject
-every write, CW boards reject gossip-store writes.
+gossip store).  NW boards reject every table write.  Only
+:func:`merge_gossip` writes a store, and only on FW boards; the fuzzer
+seeds garbage into FW stores only.
 
 A :class:`Configuration` is a value and cloning is cheap.
 :func:`state_key` is the one place that lists which fields make up a
@@ -177,12 +178,6 @@ def assoc_get(board: Whiteboard, table: str, ident: int):
     return getattr(board, table).get(ident, default)
 
 
-def store_put(board: Whiteboard, tokens: set[Token]) -> None:
-    if board.cls != FW:
-        raise BoardClassError("gossip store requires an FW whiteboard")
-    board.store |= tokens
-
-
 @dataclass(slots=True)
 class Configuration:
     """Graph + all agents + all whiteboards + run parameters."""
@@ -322,8 +317,8 @@ def state_key(cfg: Configuration) -> tuple:
     Sets and tables are encoded as frozensets (of members, or of
     ``(id, value)`` rows), which compare exactly like sorted tuples but
     need no sort.  Every field of :class:`Agent` and :class:`Whiteboard`
-    is encoded, the gossip store only on FW boards (the others reject
-    store writes) and only the class and the never-ticking timer on NW
+    is encoded, the gossip store only on FW boards (no other store is
+    ever written) and only the class and the never-ticking timer on NW
     boards.  A round ticks every other timer but writes few boards'
     other fields, hence the separate timers tuple.  Agents are listed in
     hidden-index order: half-duplex ties between anonymous agents are

@@ -56,7 +56,8 @@ class MoveIntent:
 
 @dataclass(slots=True)
 class StepMeta:
-    """Classification of one protocol activation, for trace auditing."""
+    """Classification of one protocol activation.  ``branch``, ``kind`` and
+    ``flipped`` go into the move's record; the flags reach only the caller."""
 
     branch: str | None = None
     kind: str | None = None
@@ -65,7 +66,6 @@ class StepMeta:
     released: bool = False
     repaired: bool = False
     reset: bool = False
-    wrapped: bool = False
 
 
 def next_port(a: int, deg: int) -> int:

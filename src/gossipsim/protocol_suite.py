@@ -95,4 +95,4 @@ def anon_path_enum_step(cfg: Configuration, idx: int) -> tuple[MoveIntent, StepM
     # all sequences of this length exhausted: grow the phase
     wrapped = ell + 1 > cfg.l_max
     agent.cursor = PathCursor(1 if wrapped else ell + 1)
-    return MoveIntent(idx, agent.pos, None), StepMeta(branch="phase_advance", wrapped=wrapped)
+    return MoveIntent(idx, agent.pos, None), StepMeta(branch="phase_advance")

@@ -78,15 +78,15 @@ class MoveRecord:
 
 @dataclass(slots=True)
 class StepRecord:
+    """What one round or step did; the trace, the cycle report, the bound
+    audit and :class:`~gossipsim.model.KeyCache` read its fields."""
+
     step: int
     acting: tuple[int, ...]
     moves: list[MoveRecord] = field(default_factory=list)
     merges: tuple[int, ...] = ()
     releases: tuple[tuple[int, int], ...] = ()  # (node, released agent idx)
     colocated: tuple[int, ...] = ()  # nodes holding >= 2 agents after moves
-    joined_waiting: tuple[int, ...] = ()
-    resets: tuple[int, ...] = ()
-    wraps: tuple[int, ...] = ()
 
 
 @dataclass(slots=True)
@@ -201,7 +201,6 @@ def sync_round(cfg: Configuration, duplex: str = HALF, *, frozen: bool = False) 
     """
     rec = StepRecord(step=cfg.round, acting=())
     intents: list[tuple[MoveIntent, StepMeta]] = []
-    stays: list[tuple[MoveIntent, StepMeta]] = []
     acting: list[int] = []
     merged: list[int] = []
     if not frozen:
@@ -214,7 +213,8 @@ def sync_round(cfg: Configuration, duplex: str = HALF, *, frozen: bool = False) 
                 step_fn = _STEP_FNS[cfg.agents[idx].program]
                 intent, meta = step_fn(cfg, idx)
                 acting.append(idx)
-                (stays if intent.stay else intents).append((intent, meta))
+                if not intent.stay:
+                    intents.append((intent, meta))
     timeouts = not frozen and any(a.program == PROGRAM_DFT for a in cfg.agents)
     releases = []
     cap = cfg.timer_cap
@@ -231,12 +231,8 @@ def sync_round(cfg: Configuration, duplex: str = HALF, *, frozen: bool = False) 
             board.timer += 1
     rec.releases = tuple(releases)
     rec.merges = tuple(merged)
-    # a frozen round has no intents: no move, park, reset or wrap to book
     accepted = resolve_duplex(cfg, intents, duplex)
     rec.moves = _apply_moves(cfg, intents, accepted)
-    rec.joined_waiting = tuple(i.agent for i, m in stays if m.joined_waiting)
-    rec.resets = tuple(i.agent for i, m in stays if m.reset)
-    rec.wraps = tuple(i.agent for i, m in stays if m.wrapped)
     rec.acting = tuple(acting)
     groups_after = _positions_by_node(cfg)
     colocated = []
@@ -301,10 +297,6 @@ def async_step(cfg: Configuration, state: _AsyncState) -> StepRecord:
         rec.moves = _apply_moves(cfg, [(intent, meta)], [True])
         merge_gossip(cfg, agent.pos)
         merged.append(agent.pos)
-    else:
-        rec.joined_waiting = (idx,) if meta.joined_waiting else ()
-        rec.resets = (idx,) if meta.reset else ()
-        rec.wraps = (idx,) if meta.wrapped else ()
     rec.merges = tuple(merged)
     groups = _positions_by_node(cfg)
     rec.colocated = tuple(sorted(n for n, mem in groups.items() if len(mem) >= 2))

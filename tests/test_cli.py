@@ -1,6 +1,7 @@
 """End-to-end command-line checks: exit codes and artifact formats."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -169,6 +170,12 @@ class TestMainExitCodes:
             ["witness", "mirror", "--board", "FW"],
             ["witness", "symmetry", "--graph", "ring:5"],
             ["witness", "symmetry", "--seed", "3"],
+            # script indices must name one of the --k agents, even when
+            # gossip would complete before the bad index is read
+            ["run", "--graph", "ring:4", "--k", "2", "--board", "FW", "--protocol", "fw_async_dft",
+             "--schedule", "async_scripted", "--script", "0,7"],
+            ["run", "--graph", "ring:4", "--k", "2", "--board", "FW", "--protocol", "fw_async_dft",
+             "--schedule", "async_scripted", "--script", "-1", "--trace", "t.jsonl"],
         ],
     )
     def test_bad_parameters(self, argv, tmp_path, capsys, monkeypatch):
@@ -176,6 +183,7 @@ class TestMainExitCodes:
         assert main(argv) == EXIT_PARAM
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")
+        assert not any(tmp_path.iterdir())
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as stop:
@@ -346,3 +354,45 @@ class TestArtifacts:
         assert code == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["status"] == "met" and report["gossip_step"] is not None
+
+
+# SHA-256 of stdout and of every output file, pinned so that any change to
+# an artifact shows; a change that alters one on purpose updates its digest
+# and says why.
+GOLDEN = [
+    (["run", "--graph", "ring:6", "--k", "3", "--fuzz", "--seed", "7",
+      "--report", "{tmp}/r.json", "--trace", "{tmp}/t.jsonl"], EXIT_OK, {
+        "stdout": "9dbc7914bfc6fba8918dec6882958e1be5ff91d2750350bd4918ad1a9f781110",
+        "r.json": "9dbc7914bfc6fba8918dec6882958e1be5ff91d2750350bd4918ad1a9f781110",
+        "t.jsonl": "b93182815cf13fde83e5834efd5e55534698703a12a96992d045f171af573d07"}),
+    (["run", "--graph", "random:3:99", "--report", "{tmp}/r.json", "--trace", "{tmp}/t.jsonl"],
+     EXIT_TRUNCATED, {
+        "stdout": "985dc8147bfc53748b822e5cb64b77c9d524a84d4ef196db6742a47e47d42512",
+        "r.json": "985dc8147bfc53748b822e5cb64b77c9d524a84d4ef196db6742a47e47d42512",
+        "t.jsonl": "bef3bf766d1944ed8dc44a6f85392190bd4ee05cbe8cca76c7932b13a0fda779"}),
+    (["run", "--graph", "ring:5", "--k", "2", "--protocol", "fw_async_dft", "--board", "FW",
+      "--schedule", "async_random_fair", "--trace", "{tmp}/t.jsonl"], EXIT_OK, {
+        "stdout": "51331d3cc27bbe47c775a8efb6dec2907761252892b25ec820edd632a702162e",
+        "t.jsonl": "b9b1fda9623a818cb098c5165289ac9edac36fa2912de7ccd20cfea8e56a65c1"}),
+    (["fuzz", "--graph", "random:7:2:3", "--k", "3", "--seeds", "200:260",
+      "--out", "{tmp}/o.csv", "--out-jsonl", "{tmp}/o.jsonl"], EXIT_TRUNCATED, {
+        "stdout": "58ec79957d6079ae8f7783af350370b08c8743ca687c63c504fe0cae803d6bb4",
+        "o.csv": "6442a7513cddb1e5e5b1ed5f24b97cb873472f50921d1f68ffc2016fd7d971f1",
+        "o.jsonl": "2749f9129bafbba79fdefff615c57b5683e49ecaeca73c69a950da50f4bd0153"}),
+    (["witness", "symmetry", "--n", "6", "--k", "3", "--board", "CW", "--report", "{tmp}/r.json"],
+     EXIT_OK, {
+        "stdout": "611b9260806303d959c0962c887155742c14db1f309865b5f1fcdaf5b50baee2",
+        "r.json": "611b9260806303d959c0962c887155742c14db1f309865b5f1fcdaf5b50baee2"}),
+    (["witness", "mirror", "--graph", "ring:4", "--k", "2", "--report", "{tmp}/r.json"], EXIT_OK, {
+        "stdout": "e1fcffee1e66f3521f4a8cd52aee053dd82e2c0f1c6f7eab3c9faaaaadea1e04",
+        "r.json": "e1fcffee1e66f3521f4a8cd52aee053dd82e2c0f1c6f7eab3c9faaaaadea1e04"}),
+]
+
+
+@pytest.mark.parametrize("argv, code, digests", GOLDEN,
+                         ids=[" ".join(argv[:3]) for argv, _, _ in GOLDEN])
+def test_golden_artifacts(argv, code, digests, tmp_path, capsys):
+    assert main([a.format(tmp=tmp_path) for a in argv]) == code
+    got = {"stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+    got.update({p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()})
+    assert got == digests

@@ -4,7 +4,6 @@ import pytest
 
 from gossipsim import harness
 from gossipsim.harness import (
-    ADVERSARIAL,
     BUDGET,
     CLEAN_SPEC,
     CLUSTERED,
@@ -31,7 +30,8 @@ from gossipsim.model import (
     make_configuration,
     state_key,
 )
-from gossipsim.scheduler import FULL, HALF, sync_round
+from gossipsim.protocol_dft import BACKTRACK, FORWARD
+from gossipsim.scheduler import FULL, HALF, MoveRecord, StepRecord, sync_round
 from gossipsim.topology import build_grid, build_ring, random_connected_graph
 
 
@@ -76,15 +76,6 @@ class TestFuzzConfig:
         g = build_ring(6)
         cfg = fuzz_config(g, 3, replace(FuzzSpec(), placement=CLUSTERED), seed=4)
         assert len({a.pos for a in cfg.agents}) == 1
-
-    def test_adversarial_needs_k_nodes(self):
-        g = build_ring(6)
-        with pytest.raises(HarnessError):
-            fuzz_config(g, 3, replace(FuzzSpec(), placement=ADVERSARIAL,
-                                      adversarial_nodes=(0,)), seed=0)
-        cfg = fuzz_config(g, 2, replace(FuzzSpec(), placement=ADVERSARIAL,
-                                        adversarial_nodes=(1, 4)), seed=0)
-        assert [a.pos for a in cfg.agents] == [1, 4]
 
     def test_nw_boards_stay_empty(self):
         g = build_ring(4)
@@ -183,7 +174,7 @@ def reference_detect(cfg, duplex=HALF, *, budget=None, frozen=False):
         if gossip_step is None and gossip_complete(cfg):
             gossip_step = step
         if step >= limit:
-            return (BUDGET, step, 0, (), (), {}, gossip_step, 0, 0, {})
+            return (BUDGET, step, 0, (), (), {}, gossip_step, 0, {})
         records.append(sync_round(cfg, duplex, frozen=frozen))
         step += 1
     prefix = seen[key]
@@ -199,13 +190,12 @@ def reference_detect(cfg, duplex=HALF, *, budget=None, frozen=False):
     }
     return (CYCLE, prefix, period, quiescent, movers,
             {i: frozenset(v) for i, v in enumerate(visits)}, gossip_step,
-            sum(len(r.releases) for r in cycle), sum(len(r.colocated) for r in cycle), flips)
+            sum(len(r.releases) for r in cycle), flips)
 
 
 def summary(rep):
     return (rep.status, rep.prefix_len, rep.period, rep.quiescent, rep.movers,
-            rep.mover_visits, rep.gossip_step, rep.releases_in_cycle, rep.colocations_in_cycle,
-            rep.flip_steps)
+            rep.mover_visits, rep.gossip_step, rep.releases_in_cycle, rep.flip_steps)
 
 
 def symmetric_walkers(board_class=CW):
@@ -313,26 +303,40 @@ class TestQuiescenceHolds:
                             "grid:3x3 budget 40": False}
 
 
+def bound_records(segments_by_agent, lead=0):
+    """One StepRecord per accepted move: per agent, ``lead`` forward moves
+    before its first flip, each (forward, backtrack) segment opened by a
+    traversal-bit flip, then one flipped move that closes the last one."""
+    moves = []
+    for agent, segments in segments_by_agent.items():
+        kinds = [(FORWARD, False)] * lead
+        for fwd, back in segments:
+            kinds += [(kind, j == 0) for j, kind in enumerate([FORWARD] * fwd + [BACKTRACK] * back)]
+        kinds.append((FORWARD, True))
+        moves += [MoveRecord(agent, 0, 0, 1, True, kind, None, flip) for kind, flip in kinds]
+    return [StepRecord(step=j, acting=(mv.agent,), moves=[mv]) for j, mv in enumerate(moves)]
+
+
 class TestAuditMoveBounds:
     def test_empty_trace(self):
         report = audit_move_bounds([], build_ring(4))
         assert report.segments_checked == 0 and report.ok
 
-    def test_single_agent_generous_bounds(self):
-        g = build_ring(4)
-        cfg = fuzz_config(g, 1, CLEAN_SPEC, seed=0)
-        cycle = detect_cycle(cfg)
-        report = audit_move_bounds(cycle.records, g, fwd_bound=50, back_bound=50)
-        assert report.segments_checked > 0 and report.ok
-        assert report.fwd_max > 0 and report.back_max > 0
+    def test_within_m_forward_n_back(self):
+        g = build_grid(2, 3)  # m = 7 edges, n = 6 nodes
+        records = bound_records({0: [(7, 6), (3, 2)], 1: [(0, 6)]}, lead=20)
+        # a rejected move neither counts nor flips, even inside a segment
+        records.insert(len(records) - 2, StepRecord(
+            step=99, acting=(1,), moves=[MoveRecord(1, 0, 0, 1, False, FORWARD, None, True)]))
+        report = audit_move_bounds(records, g)
+        assert report.ok and report.segments_checked == 3
+        assert (report.fwd_max, report.back_max) == (7, 6)
 
-    def test_zero_bounds_flag_everything(self):
-        g = build_ring(4)
-        cfg = fuzz_config(g, 1, CLEAN_SPEC, seed=0)
-        cycle = detect_cycle(cfg)
-        report = audit_move_bounds(cycle.records, g, fwd_bound=0, back_bound=0)
-        assert not report.ok
-        assert len(report.violations) == report.segments_checked
+    def test_over_m_forward_or_n_back(self):
+        g = build_grid(2, 3)
+        report = audit_move_bounds(bound_records({0: [(8, 0), (7, 6)], 1: [(7, 7)]}), g)
+        assert not report.ok and report.segments_checked == 3
+        assert report.violations == [(0, 1, 8, 0), (1, 1, 7, 7)]
 
 
 class TestWitnesses:

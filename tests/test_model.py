@@ -26,7 +26,6 @@ from gossipsim.model import (
     merge_gossip,
     snapshot_hash,
     state_key,
-    store_put,
 )
 from gossipsim.scheduler import FULL, HALF, sync_round
 from gossipsim.topology import build_grid, build_ring, random_connected_graph
@@ -62,14 +61,6 @@ class TestAssocTables:
         b = Whiteboard(cls=NW)
         with pytest.raises(BoardClassError):
             assoc_put(b, "t_table", 1, False)
-
-    def test_store_requires_fw(self):
-        with pytest.raises(BoardClassError):
-            store_put(Whiteboard(cls=CW), {Token("a", "b")})
-        b = Whiteboard(cls=FW)
-        store_put(b, {Token("a", "b")})
-        store_put(b, {Token("a", "b")})
-        assert b.store == {Token("a", "b")}
 
     @given(st.lists(st.tuples(st.integers(0, 9), st.booleans()), max_size=30))
     def test_last_write_wins(self, writes):

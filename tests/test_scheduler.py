@@ -85,8 +85,8 @@ class TestSyncRound:
         cfg = dft_cfg([(1, 0), (2, 2), (3, 3)], n=5)
         rec = sync_round(cfg)
         assert sorted(rec.acting) == [0, 1, 2]
-        moved_or_stayed = {m.agent for m in rec.moves} | set(rec.joined_waiting)
-        assert moved_or_stayed <= {0, 1, 2}
+        parked = {i for i in rec.acting if cfg.agents[i].parked}
+        assert {m.agent for m in rec.moves} | parked == {0, 1, 2}
 
     def test_timer_saturates_at_cap(self):
         g = build_ring(3)
