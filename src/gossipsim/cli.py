@@ -21,7 +21,7 @@ Exit codes are part of the contract:
 
 0  stop condition met (cycle found / gossip complete / witness holds)
    and, for a synchronous dft_kminus1 run, the property holds
-2  budget exhausted before the stop condition, or a cycle that is not
+2  budget or script exhausted before the stop condition, or a cycle that is not
    (k-1)-quiescent with the minimum id as the sole mover
 3  illegal protocol/board/schedule combination
 4  internal assertion failure

@@ -204,12 +204,6 @@ class CycleReport:
         return tuple(i for i in self.mover_visits if i not in q)
 
 
-def fingerprint(key: tuple) -> int:
-    """Index of a state key in :func:`detect_cycle`.  Equal keys have equal
-    fingerprints; a collision costs a verification, never a wrong answer."""
-    return hash(key)
-
-
 def _first_repeat(
     key: tuple,
     candidates: list[int],
@@ -253,13 +247,13 @@ def detect_cycle(
     Each round's state key comes from a :class:`~gossipsim.model.KeyCache`
     fed the round's record, which re-encodes only the boards that record
     names as possibly written beyond their timers.  The key is indexed by
-    its :func:`fingerprint` only and then dropped.  A clone of the state is
-    kept at step 0 and at every power-of-two step.  When a fingerprint
-    recurs, each earlier step with that fingerprint is re-simulated from
-    its latest checkpoint and its :func:`state_key` is compared in full
-    with a fresh :func:`state_key` of the current state, so the returned
-    (prefix, period) pair is exact, not a hash coincidence and not a cache
-    result; a false hit only lets the run go on.  Without a false hit the
+    its hash only and then dropped.  A clone of the state is kept at step
+    0 and at every power-of-two step.  When a hash recurs, each earlier
+    step with that hash is re-simulated from its latest checkpoint and its
+    :func:`state_key` is compared in full with a fresh :func:`state_key`
+    of the current state, so the returned (prefix, period) pair is exact,
+    not a hash coincidence and not a cache result; a false hit (a hash
+    collision) only lets the run go on.  Without a false hit the
     re-simulation costs at most half the prefix in rounds.  Memory is
     O(log rounds) clones plus the per-round records.
 
@@ -276,7 +270,7 @@ def detect_cycle(
     step = 0
     rec = None
     while True:
-        candidates = seen.setdefault(fingerprint(keys.key(rec)), [])
+        candidates = seen.setdefault(hash(keys.key(rec)), [])
         if candidates:
             prefix = _first_repeat(state_key(cfg), candidates, checkpoints, duplex, frozen)
             if prefix is not None:

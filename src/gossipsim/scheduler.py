@@ -8,19 +8,22 @@ accepted moves, and post-move gossip merges.  No phase after the tick
 reads a timer, so the tick may share the timeout check's walk.  The
 whole round is deterministic.
 
-Asynchronous policies activate one agent at a time (no duplex conflicts
-can arise) and never tick timers: the timer protocol is proven for the
-synchronous model only.  :func:`run` refuses, before its first step, a
-configuration whose protocol and board class :func:`~gossipsim.model.refusal`
-rules out, timer-dependent protocols under async scheduling included
-unless explicitly forced.
+An asynchronous step activates the one agent a policy picks (no duplex
+conflicts can arise) and never ticks timers: the timer protocol is
+proven for the synchronous model only.  :func:`run` refuses, before its
+first step, a policy it cannot play and a configuration whose protocol
+and board class :func:`~gossipsim.model.refusal` rules out,
+timer-dependent protocols under async scheduling included unless
+explicitly forced.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import count, cycle, islice, repeat
 
 from .model import (
     NW,
@@ -79,7 +82,8 @@ class MoveRecord:
 @dataclass(slots=True)
 class StepRecord:
     """What one round or step did; the trace, the cycle report, the bound
-    audit and :class:`~gossipsim.model.KeyCache` read its fields."""
+    audit and :class:`~gossipsim.model.KeyCache` read its fields.
+    ``releases`` and ``colocated`` are filled by synchronous rounds only."""
 
     step: int
     acting: tuple[int, ...]
@@ -245,48 +249,44 @@ def sync_round(cfg: Configuration, duplex: str = HALF, *, frozen: bool = False) 
     return rec
 
 
-class _AsyncState:
-    """Selection bookkeeping for asynchronous policies."""
+def _random_fair(k: int, seed: int, window: int) -> Iterator[int]:
+    """Uniform draws, except that an agent idle for k·``window`` steps goes
+    next.  Agents start as if 0..k-1 had just run in that order, so last-run
+    steps stay distinct and at most one agent is overdue at a time."""
+    rng = random.Random(seed)
+    bound = k * window
+    last = list(range(1 - k, 1))  # each agent's last-run step
+    for step in count(1):
+        oldest = min(last)
+        idx = last.index(oldest) if step - oldest >= bound else rng.randrange(k)
+        last[idx] = step
+        yield idx
 
-    def __init__(self, policy: SchedulePolicy, k: int):
-        self.policy = policy
-        self.k = k
-        self.rng = random.Random(policy.seed)
-        self.ages = [0] * k
-        self.rr = 0
-        self.cursor = 0
 
-    def select(self) -> int:
-        kind = self.policy.kind
-        if kind == ASYNC_ROUND_ROBIN:
-            idx = self.rr
-            self.rr = (self.rr + 1) % self.k
-        elif kind == ASYNC_SCRIPTED:
-            if self.cursor >= len(self.policy.script):
-                raise SchedulerError("script exhausted")
-            idx = self.policy.script[self.cursor]
-            self.cursor += 1
-            if not 0 <= idx < self.k:
+def _picks(policy: SchedulePolicy, k: int) -> Iterator[int | None]:
+    """What each step under ``policy`` activates: None (a synchronous
+    round) or one agent's index.  Raises :class:`SchedulerError` for an
+    unknown kind, a script index outside 0..k-1 or a window below 1."""
+    kind = policy.kind
+    if kind == SYNC:
+        return repeat(None)
+    if kind == ASYNC_ROUND_ROBIN:
+        return cycle(range(k))
+    if kind == ASYNC_SCRIPTED:
+        for idx in policy.script:
+            if not 0 <= idx < k:
                 raise SchedulerError(f"script selects nonexistent agent {idx}")
-        elif kind == ASYNC_RANDOM_FAIR:
-            bound = self.k * self.policy.fairness_window
-            overdue = [i for i in range(self.k) if self.ages[i] + 1 >= bound]
-            if overdue:
-                idx = max(overdue, key=lambda i: self.ages[i])
-            else:
-                idx = self.rng.randrange(self.k)
-        else:
-            raise SchedulerError(f"unknown async policy {kind!r}")
-        for i in range(self.k):
-            self.ages[i] += 1
-        self.ages[idx] = 0
-        assert self.ages[idx] < self.k * self.policy.fairness_window
-        return idx
+        return iter(policy.script)
+    if kind == ASYNC_RANDOM_FAIR:
+        if policy.fairness_window < 1:
+            raise SchedulerError(f"fairness window must be at least 1, got {policy.fairness_window}")
+        return _random_fair(k, policy.seed, policy.fairness_window)
+    raise SchedulerError(f"unknown async policy {kind!r}")
 
 
-def async_step(cfg: Configuration, state: _AsyncState) -> StepRecord:
-    """Activate one agent chosen by the policy; timers do not advance."""
-    idx = state.select()
+def async_step(cfg: Configuration, idx: int) -> StepRecord:
+    """Activate agent ``idx`` alone: a merge at its node before its step
+    and, if it moved, at its new node after.  Timers do not advance."""
     rec = StepRecord(step=cfg.round, acting=(idx,))
     agent = cfg.agents[idx]
     merge_gossip(cfg, agent.pos)
@@ -298,8 +298,6 @@ def async_step(cfg: Configuration, state: _AsyncState) -> StepRecord:
         merge_gossip(cfg, agent.pos)
         merged.append(agent.pos)
     rec.merges = tuple(merged)
-    groups = _positions_by_node(cfg)
-    rec.colocated = tuple(sorted(n for n, mem in groups.items() if len(mem) >= 2))
     cfg.round += 1
     return rec
 
@@ -314,12 +312,13 @@ def run(
     unsafe_async: bool = False,
     observer=None,
 ) -> Trace:
-    """Iterate rounds/steps until the stop predicate holds or the budget ends.
+    """Step until the stop predicate holds, the budget ends or the picks run out.
 
     Before anything else, raises :class:`SchedulerError` with the reason
     :func:`~gossipsim.model.refusal` gives for the first (agent program,
-    board class) pair of ``cfg`` it refuses under ``policy``.
-    Mutates ``cfg`` in place; clone first if the start state matters.
+    board class) pair of ``cfg`` it refuses under ``policy``, or that
+    :func:`_picks` gives for ``policy``; a run whose script ends first is
+    truncated.  Mutates ``cfg`` in place; clone first to keep the start.
     ``observer(cfg, record)`` runs after every step; the trace keeps only
     the step count, so a caller that wants the records collects them there.
     """
@@ -329,12 +328,12 @@ def run(
             reason = refusal(program, cls, policy.kind == SYNC, unsafe_async)
             if reason:
                 raise SchedulerError(reason)
-    state = None if policy.kind == SYNC else _AsyncState(policy, cfg.k)
+    picks = _picks(policy, cfg.k)
     if stop is not None and stop(cfg):
         return Trace(0, "met", stop_step=0)
     steps = 0
-    while steps < max_steps:
-        rec = sync_round(cfg, duplex) if state is None else async_step(cfg, state)
+    for idx in islice(picks, max_steps):
+        rec = sync_round(cfg, duplex) if idx is None else async_step(cfg, idx)
         steps += 1
         if observer is not None:
             observer(cfg, rec)

@@ -339,6 +339,21 @@ class TestArtifacts:
                 if col in row:
                     assert row[col] == ("" if val is None else val), col
 
+    def test_exhausted_script_truncates(self, tmp_path, capsys):
+        # one scripted step completes gossip only from seed 2's start; the
+        # other runs end with the script, truncated, and the CSV keeps them
+        argv = ["--graph", "ring:6", "--k", "2", "--board", "FW", "--protocol", "fw_async_dft",
+                "--schedule", "async_scripted", "--script", "0"]
+        out = tmp_path / "f.csv"
+        assert main(["fuzz", *argv, "--seeds", "0:3", "--out", str(out)]) == EXIT_TRUNCATED
+        assert capsys.readouterr().out == "1/3 seeds satisfied the property set\n"
+        rows = list(csv.DictReader(out.open()))
+        assert [(r["seed"], r["status"]) for r in rows] == [
+            ("0", "truncated"), ("1", "truncated"), ("2", "met")]
+        assert main(["run", *argv, "--fuzz", "--seed", "1"]) == EXIT_TRUNCATED
+        report = json.loads(capsys.readouterr().out)
+        assert report == {"status": "truncated", "steps": 1, "gossip_step": None}
+
     def test_fuzz_jsonl(self, tmp_path, capsys):
         out = tmp_path / "rows.jsonl"
         code = main(["fuzz", "--graph", "ring:4", "--k", "2", "--seeds", "0:3",

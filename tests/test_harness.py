@@ -228,7 +228,8 @@ EXACTNESS_CASES = {
 
 
 class ConstantKeys:
-    """A stand-in for KeyCache whose key never changes."""
+    """A stand-in for KeyCache whose key never changes, so every step's
+    hash collides with every earlier step's."""
 
     def __init__(self, cfg):
         pass
@@ -238,14 +239,15 @@ class ConstantKeys:
 
 
 class TestDetectCycleExactness:
-    """The fingerprint detector answers exactly like one keeping every key,
-    also when every fingerprint collides and when the key cache is useless:
+    """The hash-indexed detector answers exactly like one keeping every
+    key, also when every hash collides and when the key cache is useless:
     a repeat is confirmed by fresh state keys only."""
 
     @pytest.fixture(params=["hash", "constant", "constant cache"])
     def collide(self, request, monkeypatch):
         if request.param == "constant":
-            monkeypatch.setattr(harness, "fingerprint", lambda key: 0)
+            # shadow the builtin in the harness module: distinct keys, one hash
+            monkeypatch.setattr(harness, "hash", lambda key: 0, raising=False)
         elif request.param == "constant cache":
             monkeypatch.setattr(harness, "KeyCache", ConstantKeys)
         return request.param

@@ -1,4 +1,6 @@
 import pytest
+from itertools import islice
+
 from hypothesis import given, settings, strategies as st
 
 from gossipsim.model import Agent, CW, FW, make_configuration, state_key
@@ -12,7 +14,7 @@ from gossipsim.scheduler import (
     SYNC,
     SchedulePolicy,
     SchedulerError,
-    _AsyncState,
+    _picks,
     resolve_duplex,
     run,
     sync_round,
@@ -117,32 +119,40 @@ class TestSyncRound:
 
 class TestAsyncPolicies:
     def test_round_robin_alternates(self):
-        state = _AsyncState(SchedulePolicy(kind=ASYNC_ROUND_ROBIN), 3)
-        assert [state.select() for _ in range(6)] == [0, 1, 2, 0, 1, 2]
+        picks = _picks(SchedulePolicy(kind=ASYNC_ROUND_ROBIN), 3)
+        assert list(islice(picks, 6)) == [0, 1, 2, 0, 1, 2]
 
     def test_scripted_follows_script(self):
         policy = SchedulePolicy(kind=ASYNC_SCRIPTED, script=(1, 1, 0))
-        state = _AsyncState(policy, 2)
-        assert [state.select() for _ in range(3)] == [1, 1, 0]
-        with pytest.raises(SchedulerError, match="exhausted"):
-            state.select()
+        assert list(islice(_picks(policy, 2), 6)) == [1, 1, 0]
 
     def test_scripted_bad_index(self):
-        state = _AsyncState(SchedulePolicy(kind=ASYNC_SCRIPTED, script=(5,)), 2)
-        with pytest.raises(SchedulerError, match="nonexistent"):
-            state.select()
+        with pytest.raises(SchedulerError, match="nonexistent agent 5"):
+            _picks(SchedulePolicy(kind=ASYNC_SCRIPTED, script=(0, 5)), 2)
 
     @given(st.integers(0, 2**31), st.integers(2, 5))
     @settings(max_examples=25, deadline=None)
     def test_random_fair_bounds_starvation(self, seed, k):
         policy = SchedulePolicy(kind=ASYNC_RANDOM_FAIR, seed=seed, fairness_window=4)
-        state = _AsyncState(policy, k)
         last_seen = [0] * k
-        for step in range(1, 400):
-            idx = state.select()
+        for step, idx in enumerate(islice(_picks(policy, k), 399), start=1):
             assert step - last_seen[idx] <= k * 4
             last_seen[idx] = step
         assert set(range(k)) == {i for i in range(k) if last_seen[i] > 0}
+
+    def test_random_fair_bound_holds_for_every_agent(self):
+        # every agent runs within k * window steps of its last run (of the
+        # start, before its first), also while agents that never ran tie
+        for k in range(1, 6):
+            for window in range(1, 5):
+                bound = k * window
+                for seed in range(300):
+                    policy = SchedulePolicy(kind=ASYNC_RANDOM_FAIR, seed=seed,
+                                            fairness_window=window)
+                    last_seen = [0] * k
+                    for step, idx in enumerate(islice(_picks(policy, k), 80), start=1):
+                        last_seen[idx] = step
+                        assert step - min(last_seen) < bound, (k, window, seed, step)
 
     def test_async_timers_do_not_tick(self):
         cfg = walker_cfg([0, 3])
@@ -172,6 +182,21 @@ class TestRun:
         assert str(err.value) == "fw_async_dft cannot run on CW whiteboards"
         assert seen == [] and state_key(cfg) == before
 
+    @pytest.mark.parametrize("max_steps", [0, 1])
+    @pytest.mark.parametrize("policy, message", [
+        (SchedulePolicy(kind="bogus"), "unknown async policy 'bogus'"),
+        (SchedulePolicy(kind=ASYNC_SCRIPTED, script=(0, 9)), "script selects nonexistent agent 9"),
+        (SchedulePolicy(kind=ASYNC_RANDOM_FAIR, fairness_window=0),
+         "fairness window must be at least 1, got 0"),
+    ])
+    def test_bad_policies_refused_before_the_first_step(self, policy, message, max_steps):
+        cfg = walker_cfg([0, 3])
+        before = state_key(cfg)
+        with pytest.raises(SchedulerError) as err:
+            run(cfg, policy, stop=lambda c: True, max_steps=max_steps)
+        assert str(err.value) == message
+        assert state_key(cfg) == before
+
     def test_unknown_program_refused_before_the_first_step(self):
         cfg = make_configuration(build_ring(4), [Agent(ident=1, pos=0, program="dft")], FW)
         before = state_key(cfg)
@@ -189,6 +214,14 @@ class TestRun:
         cfg = dft_cfg([(1, 0)])
         trace = run(cfg, SchedulePolicy(kind=SYNC), stop=lambda c: False, max_steps=7)
         assert trace.status == "truncated" and len(trace) == 7
+
+    def test_script_end_truncates(self):
+        cfg = walker_cfg([0, 3])
+        seen = []
+        trace = run(cfg, SchedulePolicy(kind=ASYNC_SCRIPTED, script=(1, 0, 1)),
+                    stop=lambda c: False, observer=lambda c, rec: seen.append(rec.acting))
+        assert trace.status == "truncated" and len(trace) == 3
+        assert seen == [(1,), (0,), (1,)]
 
     def test_observer_sees_every_record(self):
         cfg = walker_cfg([0, 3])
