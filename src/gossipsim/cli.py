@@ -37,6 +37,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
+from dataclasses import asdict
 from functools import partial
 
 from .harness import (
@@ -280,31 +281,9 @@ def cmd_witness(args) -> int:
         report_fh = _open_output(outputs, args.report)
         if graph is None:
             rep = witness_symmetry(args.n, args.k, args.board)
-            report = {
-                "kind": "symmetry",
-                "n": args.n,
-                "k": args.k,
-                "board": args.board,
-                "status": rep.status,
-                "prefix": rep.prefix_len,
-                "period": rep.period,
-                "meetings": rep.meetings,
-                "gossip_ever_complete": rep.gossip_ever_complete,
-                "ok": rep.ok,
-            }
         else:
             rep = witness_mirror(graph, args.k, seed=args.seed)
-            report = {
-                "kind": "mirror",
-                "k": args.k,
-                "join_node": rep.join_node,
-                "frozen_status": rep.frozen_status,
-                "frozen_period": rep.frozen_period,
-                "cross_tokens_exchanged": rep.cross_exchanged,
-                "control_gossip_step": rep.control_gossip_step,
-                "ok": rep.ok,
-            }
-        _write_report(report, report_fh)
+        _write_report({"kind": args.kind, **asdict(rep), "ok": rep.ok}, report_fh)
     return EXIT_OK if rep.ok else EXIT_TRUNCATED
 
 

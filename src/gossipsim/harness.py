@@ -209,7 +209,6 @@ def _first_repeat(
     candidates: list[int],
     checkpoints: list[Configuration],
     duplex: str,
-    frozen: bool,
 ) -> int | None:
     """The candidate step whose state has ``key``, or None.
 
@@ -227,7 +226,7 @@ def _first_repeat(
         if start > probe_step:
             probe, probe_step = checkpoints[j].clone(), start
         while probe_step < c:
-            sync_round(probe, duplex, frozen=frozen)
+            sync_round(probe, duplex)
             probe_step += 1
         if state_key(probe) == key:
             return c
@@ -239,7 +238,6 @@ def detect_cycle(
     duplex: str = HALF,
     *,
     budget: int | None = None,
-    frozen: bool = False,
     observer=None,
 ) -> CycleReport:
     """Run synchronous rounds until an exact state repeat.
@@ -272,7 +270,7 @@ def detect_cycle(
     while True:
         candidates = seen.setdefault(hash(keys.key(rec)), [])
         if candidates:
-            prefix = _first_repeat(state_key(cfg), candidates, checkpoints, duplex, frozen)
+            prefix = _first_repeat(state_key(cfg), candidates, checkpoints, duplex)
             if prefix is not None:
                 period = step - prefix
                 break
@@ -283,7 +281,7 @@ def detect_cycle(
             gossip_step = step
         if step >= limit:
             return CycleReport(BUDGET, step, 0, gossip_step, records)
-        rec = sync_round(cfg, duplex, frozen=frozen)
+        rec = sync_round(cfg, duplex)
         records.append(rec)
         if observer is not None:
             observer(cfg, rec)
@@ -379,17 +377,18 @@ def audit_move_bounds(records: list[StepRecord], graph: PortLabeledGraph) -> Mov
 
 @dataclass(slots=True)
 class MirrorReport:
+    k: int
     join_node: int
     frozen_status: str
     frozen_period: int
-    cross_exchanged: bool
+    cross_tokens_exchanged: bool
     control_gossip_step: int | None
 
     @property
     def ok(self) -> bool:
         return (
             self.frozen_status == CYCLE
-            and not self.cross_exchanged
+            and not self.cross_tokens_exchanged
             and self.control_gossip_step is not None
         )
 
@@ -409,15 +408,31 @@ def _translate_board(board: Whiteboard, offset: int, max_live: int) -> Whiteboar
     return out
 
 
+def _park_for_good(cfg: Configuration) -> None:
+    """Park every agent at its node for good: ``parked`` set, its id in the
+    node's waiting set, and that node's ``wait_t`` at ``timer_cap + 1``.
+    Timers saturate at the cap, so no timeout releases anyone; nobody
+    moves, so no min-id gate runs.  Rounds still merge co-located agents'
+    gossip and tick the timers."""
+    for agent in cfg.agents:
+        board = cfg.boards[agent.pos]
+        agent.parked = True
+        board.waiting.add(agent.ident)
+        board.wait_t = cfg.timer_cap + 1
+
+
 def witness_mirror(graph: PortLabeledGraph, k: int, seed: int = 0) -> MirrorReport:
     """Indistinguishability demonstration on a mirrored network.
 
     Converge k agents on the base graph, join the graph with its mirror
     image at an agent-free node, and mirror all agent and board state
-    into the second copy (ids offset, gossip fresh).  With every agent
-    frozen the doubled system cycles while the two groups' genuine
-    tokens stay on their own sides; the unfrozen control run from the
-    identical start completes gossip.
+    into the second copy (ids offset, gossip fresh), under the joined
+    network's own timer cap.  The control run from that start completes
+    gossip.  In the all-stop hypothetical every agent of it is parked for
+    good (:func:`_park_for_good`): its node's ``wait_t`` lies above the
+    cap, a value that no run writes and no fuzzed start draws.  The
+    doubled system then cycles while the two groups' genuine tokens stay
+    on their own sides.
     """
     n = graph.node_count
     if not 1 <= k < n:
@@ -435,7 +450,6 @@ def witness_mirror(graph: PortLabeledGraph, k: int, seed: int = 0) -> MirrorRepo
     if not free:
         raise HarnessError("no agent-free node to join at")
     w = free[0]
-    mg = mirror_join(graph, w)
 
     offset = k
     # fresh gossip: make_configuration gives each agent its own token only
@@ -444,16 +458,15 @@ def witness_mirror(graph: PortLabeledGraph, k: int, seed: int = 0) -> MirrorRepo
         replace(a, ident=a.ident + offset, pos=mirror_node(graph, w, a.pos), known=set())
         for a in base.agents
     ]
-    joined = make_configuration(
-        mg, agents, CW, timer_cap=base.timer_cap, max_id=base.max_id + offset, l_max=mg.node_count
-    )
+    joined = make_configuration(mirror_join(graph, w), agents, CW)
     joined.boards = [b.clone() for b in base.boards] + [
         _translate_board(base.boards[v], offset, k) for v in range(n) if v != w
     ]
 
     control = joined.clone()
 
-    frozen_report = detect_cycle(joined, HALF, frozen=True)
+    _park_for_good(joined)
+    frozen_report = detect_cycle(joined, HALF)
     a_tokens = {joined.genuine[i] for i in range(k)}
     b_tokens = {joined.genuine[i] for i in range(k, 2 * k)}
     cross = any(agent.known & b_tokens for agent in joined.agents[:k]) or any(
@@ -465,19 +478,23 @@ def witness_mirror(graph: PortLabeledGraph, k: int, seed: int = 0) -> MirrorRepo
     gossip_step = trace.stop_step if trace.status == "met" else None
 
     return MirrorReport(
+        k=k,
         join_node=w,
         frozen_status=frozen_report.status,
         frozen_period=frozen_report.period,
-        cross_exchanged=cross,
+        cross_tokens_exchanged=cross,
         control_gossip_step=gossip_step,
     )
 
 
 @dataclass(slots=True)
 class SymmetryReport:
-    prefix_len: int
-    period: int
+    n: int
+    k: int
+    board: str
     status: str
+    prefix: int
+    period: int
     meetings: int
     gossip_ever_complete: bool
 
@@ -497,13 +514,15 @@ def witness_symmetry(n: int, k: int, board_class: str) -> SymmetryReport:
         raise HarnessError(f"{k} does not divide {n}")
     g = build_ring(n)
     agents = [Agent(ident=None, pos=j * (n // k), program=PROGRAM_PATH_ENUM) for j in range(k)]
-    cfg = make_configuration(g, agents, board_class, l_max=n)
+    cfg = make_configuration(g, agents, board_class)
     report = detect_cycle(cfg, HALF)
-    meetings = sum(len(rec.colocated) for rec in report.records)
     return SymmetryReport(
-        prefix_len=report.prefix_len,
-        period=report.period,
+        n=n,
+        k=k,
+        board=board_class,
         status=report.status,
-        meetings=meetings,
+        prefix=report.prefix_len,
+        period=report.period,
+        meetings=sum(len(rec.colocated) for rec in report.records),
         gossip_ever_complete=report.gossip_step is not None and k > 1,
     )

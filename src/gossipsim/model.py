@@ -187,8 +187,6 @@ class Configuration:
     boards: list[Whiteboard]
     round: int = 0
     timer_cap: int = 0
-    max_id: int = 0
-    l_max: int = 0
     genuine: dict[int, Token] = field(default_factory=dict)
 
     @property
@@ -224,11 +222,11 @@ def make_configuration(
     agents: list[Agent],
     board_class: str,
     *,
-    timer_cap: int | None = None,
     max_id: int | None = None,
-    l_max: int | None = None,
 ) -> Configuration:
-    """Clean configuration: default boards, one genuine token per agent."""
+    """Clean configuration under the graph's default timer cap: default
+    boards (CW and FW MinID ``max_id``, by default one above the largest
+    id) and one genuine token per agent."""
     idents = [a.ident for a in agents if a.ident is not None]
     if len(set(idents)) != len(idents):
         raise ModelError("named agents must have pairwise-distinct ids")
@@ -238,9 +236,7 @@ def make_configuration(
         graph=graph,
         agents=agents,
         boards=[clean_board(board_class, max_id) for _ in range(graph.node_count)],
-        timer_cap=timer_cap if timer_cap is not None else default_timer_cap(graph),
-        max_id=max_id,
-        l_max=l_max if l_max is not None else graph.node_count,
+        timer_cap=default_timer_cap(graph),
     )
     for idx, agent in enumerate(agents):
         token = Token(origin=f"agent{idx}", payload=f"gossip-{idx}")
@@ -330,8 +326,8 @@ def state_key(cfg: Configuration) -> tuple:
 
     - ``round`` advances every round; with it no state could repeat.
     - ``graph`` is immutable and shared by every configuration of a run.
-    - ``timer_cap``, ``max_id`` and ``l_max`` are run constants, set when
-      the configuration is made and never written by a step.
+    - ``timer_cap`` is a run constant, set when the configuration is made
+      and never written by a step.
     - ``genuine`` names each agent's initial token for the gossip check;
       it is never written after the configuration is made.
     """

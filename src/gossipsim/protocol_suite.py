@@ -8,7 +8,7 @@ stores, which the scheduler merges on every visit.
 ``anon_path_enum``: anonymous agents cannot own whiteboard marks, so
 each one enumerates all walks of a given length from its current home
 node in lexicographic order of the port-label sequences, growing the
-length once a phase is exhausted.  The agent retraces its recorded
+length once a phase is exhausted: lengths 1..n for n nodes, then 1 again.  The agent retraces its recorded
 return-port trail between walks.  Its whole state is one immutable
 :class:`PathCursor`; any internally inconsistent cursor (fuzz injection)
 resets to the shortest phase.
@@ -38,7 +38,7 @@ def fw_dft_step(cfg: Configuration, idx: int) -> tuple[MoveIntent, StepMeta]:
 
 
 def _cursor_ok(cursor: PathCursor, cfg: Configuration) -> bool:
-    if not 1 <= cursor.length <= max(cfg.l_max, 1):
+    if not 1 <= cursor.length <= cfg.graph.node_count:
         return False
     max_deg = cfg.graph.max_degree
     if not 0 <= cursor.next_label <= max_deg:
@@ -92,7 +92,7 @@ def anon_path_enum_step(cfg: Configuration, idx: int) -> tuple[MoveIntent, StepM
         agent.cursor = PathCursor(ell, labels + (nxt,), trail, 0, True)
         return MoveIntent(idx, agent.pos, nxt), StepMeta(branch="descend", kind=FORWARD)
 
-    # all sequences of this length exhausted: grow the phase
-    wrapped = ell + 1 > cfg.l_max
+    # all sequences of this length exhausted: grow the phase (n wraps to 1)
+    wrapped = ell + 1 > cfg.graph.node_count
     agent.cursor = PathCursor(1 if wrapped else ell + 1)
     return MoveIntent(idx, agent.pos, None), StepMeta(branch="phase_advance")

@@ -197,29 +197,24 @@ def _apply_moves(
     return records
 
 
-def sync_round(cfg: Configuration, duplex: str = HALF, *, frozen: bool = False) -> StepRecord:
-    """Advance one synchronous lock-step round in place.
-
-    ``frozen`` suppresses all agent activity (the all-stop hypothetical of
-    the mirror witness); merges and timer ticks still happen.
-    """
+def sync_round(cfg: Configuration, duplex: str = HALF) -> StepRecord:
+    """Advance one synchronous lock-step round in place, phases as above."""
     rec = StepRecord(step=cfg.round, acting=())
     intents: list[tuple[MoveIntent, StepMeta]] = []
     acting: list[int] = []
     merged: list[int] = []
-    if not frozen:
-        groups = _positions_by_node(cfg)
-        for node in sorted(groups):
-            here = groups[node]
-            merge_gossip(cfg, node, here)
-            merged.append(node)
-            for idx in here:
-                step_fn = _STEP_FNS[cfg.agents[idx].program]
-                intent, meta = step_fn(cfg, idx)
-                acting.append(idx)
-                if not intent.stay:
-                    intents.append((intent, meta))
-    timeouts = not frozen and any(a.program == PROGRAM_DFT for a in cfg.agents)
+    groups = _positions_by_node(cfg)
+    for node in sorted(groups):
+        here = groups[node]
+        merge_gossip(cfg, node, here)
+        merged.append(node)
+        for idx in here:
+            step_fn = _STEP_FNS[cfg.agents[idx].program]
+            intent, meta = step_fn(cfg, idx)
+            acting.append(idx)
+            if not intent.stay:
+                intents.append((intent, meta))
+    timeouts = any(a.program == PROGRAM_DFT for a in cfg.agents)
     releases = []
     cap = cfg.timer_cap
     # each node's timeout check reads that node's timer only, and is a
@@ -252,7 +247,10 @@ def sync_round(cfg: Configuration, duplex: str = HALF, *, frozen: bool = False) 
 def _random_fair(k: int, seed: int, window: int) -> Iterator[int]:
     """Uniform draws, except that an agent idle for k·``window`` steps goes
     next.  Agents start as if 0..k-1 had just run in that order, so last-run
-    steps stay distinct and at most one agent is overdue at a time."""
+    steps stay distinct and at most one agent is overdue at a time.  With
+    no agents it yields nothing."""
+    if k == 0:
+        return
     rng = random.Random(seed)
     bound = k * window
     last = list(range(1 - k, 1))  # each agent's last-run step

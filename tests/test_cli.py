@@ -202,6 +202,7 @@ class TestMainExitCodes:
             ["run", "--graph", "ring:4", "--schedule", "async_round_robin", "--unsafe-async",
              "--trace", "{trace}", "--report", "{bad}"],
             ["witness", "symmetry", "--report", "{bad}"],
+            ["witness", "mirror", "--report", "{bad}"],
         ],
     )
     def test_bad_output_path(self, argv, tmp_path, capsys, monkeypatch):
@@ -401,11 +402,30 @@ GOLDEN = [
     (["witness", "mirror", "--graph", "ring:4", "--k", "2", "--report", "{tmp}/r.json"], EXIT_OK, {
         "stdout": "e1fcffee1e66f3521f4a8cd52aee053dd82e2c0f1c6f7eab3c9faaaaadea1e04",
         "r.json": "e1fcffee1e66f3521f4a8cd52aee053dd82e2c0f1c6f7eab3c9faaaaadea1e04"}),
+    (["witness", "symmetry", "--n", "6", "--k", "2", "--board", "NW", "--report", "{tmp}/r.json"],
+     EXIT_OK, {
+        "stdout": "f9932ef33f573761bb8614a4e4848f3d40910f17031fc92d8481683a243db6dd",
+        "r.json": "f9932ef33f573761bb8614a4e4848f3d40910f17031fc92d8481683a243db6dd"}),
+    (["witness", "mirror", "--graph", "grid:3x3", "--k", "3", "--seed", "4",
+      "--report", "{tmp}/r.json"], EXIT_OK, {
+        "stdout": "14a00767e6b333c82d14413a288bbdc2b6af5b0a24ed4267213d1498da04feef",
+        "r.json": "14a00767e6b333c82d14413a288bbdc2b6af5b0a24ed4267213d1498da04feef"}),
 ]
 
 
-@pytest.mark.parametrize("argv, code, digests", GOLDEN,
-                         ids=[" ".join(argv[:3]) for argv, _, _ in GOLDEN])
+def _case_ids(cases):
+    """Each case's shortest argv prefix, of three words or more, that no
+    earlier case's id took."""
+    ids = []
+    for argv, _, _ in cases:
+        width = 3
+        while " ".join(argv[:width]) in ids:
+            width += 1
+        ids.append(" ".join(argv[:width]))
+    return ids
+
+
+@pytest.mark.parametrize("argv, code, digests", GOLDEN, ids=_case_ids(GOLDEN))
 def test_golden_artifacts(argv, code, digests, tmp_path, capsys):
     assert main([a.format(tmp=tmp_path) for a in argv]) == code
     got = {"stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}

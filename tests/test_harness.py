@@ -11,6 +11,7 @@ from gossipsim.harness import (
     FuzzSpec,
     HarnessError,
     audit_move_bounds,
+    _park_for_good,
     default_cycle_budget,
     detect_cycle,
     fuzz_config,
@@ -50,7 +51,7 @@ class TestFuzzConfig:
             assert board.t_table == {} and board.in_link == {} and board.out_link == {}
             assert board.waiting == set()
             assert board.timer == 0 and board.wait_t == 0
-            assert board.min_id == cfg.max_id
+            assert board.min_id == CLEAN_SPEC.id_high + 1
         assert all(a.t_bit is False for a in cfg.agents)
         assert all(len(a.known) == 1 for a in cfg.agents)
 
@@ -158,7 +159,7 @@ class TestDetectCycle:
         assert default_cycle_budget(cfg) == min(3 * cfg.timer_cap * 4, 200_000)
 
 
-def reference_detect(cfg, duplex=HALF, *, budget=None, frozen=False):
+def reference_detect(cfg, duplex=HALF, *, budget=None):
     """Cycle detection that keeps every full state key as a dict key."""
     limit = budget if budget is not None else default_cycle_budget(cfg)
     seen = {}
@@ -175,7 +176,7 @@ def reference_detect(cfg, duplex=HALF, *, budget=None, frozen=False):
             gossip_step = step
         if step >= limit:
             return (BUDGET, step, 0, (), (), {}, gossip_step, 0, {})
-        records.append(sync_round(cfg, duplex, frozen=frozen))
+        records.append(sync_round(cfg, duplex))
         step += 1
     prefix = seen[key]
     period = step - prefix
@@ -201,29 +202,36 @@ def summary(rep):
 def symmetric_walkers(board_class=CW):
     # witness_symmetry(4, 2, board_class)'s start
     agents = [Agent(ident=None, pos=j * 2, program=PROGRAM_PATH_ENUM) for j in range(2)]
-    return make_configuration(build_ring(4), agents, board_class, l_max=4)
+    return make_configuration(build_ring(4), agents, board_class)
 
 
 def seed_246():
     return fuzz_config(random_connected_graph(7, 2, seed=3), 3, FuzzSpec(), 246)
 
 
-# name -> (start, duplex, budget, frozen); each call makes a fresh start
+def parked(cfg):
+    """``cfg`` with every agent parked for good, as the mirror witness's
+    all-stop start."""
+    _park_for_good(cfg)
+    return cfg
+
+
+# name -> (start, duplex, budget); each call makes a fresh start
 EXACTNESS_CASES = {
-    "ring:2 k=1": (lambda: fuzz_config(build_ring(2), 1, CLEAN_SPEC, 0), HALF, None, False),
-    "ring:2 k=2": (lambda: fuzz_config(build_ring(2), 2, CLEAN_SPEC, 0), HALF, None, False),
-    "random:7:2:3 seed 246 half": (seed_246, HALF, None, False),
-    "random:7:2:3 seed 246 full": (seed_246, FULL, None, False),
+    "ring:2 k=1": (lambda: fuzz_config(build_ring(2), 1, CLEAN_SPEC, 0), HALF, None),
+    "ring:2 k=2": (lambda: fuzz_config(build_ring(2), 2, CLEAN_SPEC, 0), HALF, None),
+    "random:7:2:3 seed 246 half": (seed_246, HALF, None),
+    "random:7:2:3 seed 246 full": (seed_246, FULL, None),
     # counterexample A: two movers and in-cycle releases
     "clean random:3:99": (
-        lambda: fuzz_config(random_connected_graph(3, 99, seed=0), 2, CLEAN_SPEC, 0),
-        HALF, None, False),
-    "grid:3x3 budget 40": (lambda: fuzz_config(build_grid(3, 3), 3, FuzzSpec(), 0), HALF, 40, False),
+        lambda: fuzz_config(random_connected_graph(3, 99, seed=0), 2, CLEAN_SPEC, 0), HALF, None),
+    "grid:3x3 budget 40": (lambda: fuzz_config(build_grid(3, 3), 3, FuzzSpec(), 0), HALF, 40),
     "grid:3x3 FW": (
-        lambda: fuzz_config(build_grid(3, 3), 3, FuzzSpec(), 0, board_class=FW), HALF, None, False),
-    "symmetry witness": (symmetric_walkers, HALF, None, False),
-    "symmetry witness NW": (lambda: symmetric_walkers(NW), HALF, None, False),
-    "frozen": (lambda: fuzz_config(build_ring(4), 2, FuzzSpec(), 5), HALF, None, True),
+        lambda: fuzz_config(build_grid(3, 3), 3, FuzzSpec(), 0, board_class=FW), HALF, None),
+    "symmetry witness": (symmetric_walkers, HALF, None),
+    "symmetry witness NW": (lambda: symmetric_walkers(NW), HALF, None),
+    # every agent parked for good
+    "frozen": (lambda: parked(fuzz_config(build_ring(4), 2, FuzzSpec(), 5)), HALF, None),
 }
 
 
@@ -254,11 +262,11 @@ class TestDetectCycleExactness:
 
     @pytest.mark.parametrize("case", sorted(EXACTNESS_CASES))
     def test_matches_reference(self, case, collide):
-        make, duplex, budget, frozen = EXACTNESS_CASES[case]
-        want = reference_detect(make(), duplex, budget=budget, frozen=frozen)
+        make, duplex, budget = EXACTNESS_CASES[case]
+        want = reference_detect(make(), duplex, budget=budget)
         observed = []
         cfg = make()
-        rep = detect_cycle(cfg, duplex, budget=budget, frozen=frozen,
+        rep = detect_cycle(cfg, duplex, budget=budget,
                            observer=lambda c, rec: observed.append((rec.step, state_key(c))))
         assert summary(rep) == want
         # the observer sees each round once, in order, and the run ends
@@ -270,8 +278,8 @@ class TestDetectCycleExactness:
             assert observed[rep.prefix_len - 1][1] == state_key(cfg)
 
     def test_case_kinds(self):
-        reps = {name: detect_cycle(make(), duplex, budget=budget, frozen=frozen)
-                for name, (make, duplex, budget, frozen) in EXACTNESS_CASES.items()}
+        reps = {name: detect_cycle(make(), duplex, budget=budget)
+                for name, (make, duplex, budget) in EXACTNESS_CASES.items()}
         assert reps["grid:3x3 budget 40"].status == BUDGET
         assert len(reps["clean random:3:99"].movers) == 2
         assert reps["clean random:3:99"].releases_in_cycle > 0
@@ -282,14 +290,14 @@ class TestDetectCycleExactness:
 class TestKeyCache:
     @pytest.mark.parametrize("case", sorted(EXACTNESS_CASES))
     def test_cached_key_is_state_key_every_round(self, case):
-        make, duplex, budget, frozen = EXACTNESS_CASES[case]
-        rounds = len(detect_cycle(make(), duplex, budget=budget, frozen=frozen).records)
+        make, duplex, budget = EXACTNESS_CASES[case]
+        rounds = len(detect_cycle(make(), duplex, budget=budget).records)
         cfg = make()
         keys = KeyCache(cfg)
         rec = None
         for _ in range(rounds):
             assert keys.key(rec) == state_key(cfg)
-            rec = sync_round(cfg, duplex, frozen=frozen)
+            rec = sync_round(cfg, duplex)
         assert keys.key(rec) == state_key(cfg)
 
 
@@ -297,7 +305,7 @@ class TestQuiescenceHolds:
     def test_verdicts(self):
         verdicts = {}
         for name in ("ring:2 k=2", "clean random:3:99", "grid:3x3 budget 40"):
-            make, duplex, budget, frozen = EXACTNESS_CASES[name]
+            make, duplex, budget = EXACTNESS_CASES[name]
             cfg = make()
             verdicts[name] = quiescence_holds(cfg, detect_cycle(cfg, duplex, budget=budget))
         # counterexample A ends with two movers; a budget run decides nothing
@@ -350,7 +358,7 @@ class TestWitnesses:
         report = witness_mirror(build_ring(4), 2, seed=0)
         assert report.ok
         assert report.frozen_period >= 1
-        assert not report.cross_exchanged
+        assert not report.cross_tokens_exchanged
         assert report.control_gossip_step is not None
 
     def test_mirror_random_graph(self):
@@ -372,3 +380,46 @@ class TestWitnesses:
         # degenerate single walker: no meetings by definition
         report = witness_symmetry(4, 1, CW)
         assert report.status == CYCLE and report.meetings == 0
+
+
+def mirror_parked_start(monkeypatch, graph, k, seed):
+    """The start ``witness_mirror`` hands the cycle detector for its
+    all-stop run (its second detector call, after the base run)."""
+    starts = []
+
+    def capture(cfg, duplex):
+        starts.append(cfg.clone())
+        return detect_cycle(cfg, duplex)
+
+    monkeypatch.setattr(harness, "detect_cycle", capture)
+    witness_mirror(graph, k, seed=seed)
+    assert len(starts) == 2
+    return starts[1]
+
+
+class TestParkedStart:
+    """An all-parked start never moves or releases anyone; co-located
+    agents merge gossip, timers saturate, and the run settles into a
+    fixed point."""
+
+    @pytest.mark.parametrize("case", ["mirror ring:4", "mirror grid:3x3", "fuzzed clustered",
+                                      "fuzzed uniform"])
+    def test_only_merges_and_ticks(self, case, monkeypatch):
+        if case == "mirror ring:4":
+            cfg = mirror_parked_start(monkeypatch, build_ring(4), 2, 0)
+        elif case == "mirror grid:3x3":
+            cfg = mirror_parked_start(monkeypatch, build_grid(3, 3), 3, 4)
+        else:
+            spec = FuzzSpec(placement=CLUSTERED) if case == "fuzzed clustered" else FuzzSpec()
+            cfg = parked(fuzz_config(build_grid(3, 3), 4, spec, 1))
+        assert all(a.parked for a in cfg.agents)
+        positions = [a.pos for a in cfg.agents]
+        rep = detect_cycle(cfg, HALF)
+        assert rep.status == CYCLE and rep.period == 1
+        assert all(rec.moves == [] and rec.releases == () for rec in rep.records)
+        assert [a.pos for a in cfg.agents] == positions
+        # the clustered start puts all four agents on one node
+        for v in set(positions):
+            here = [a.known for a in cfg.agents if a.pos == v]
+            assert all(known == here[0] for known in here)
+        assert all(b.timer == cfg.timer_cap for b in cfg.boards)

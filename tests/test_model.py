@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gossipsim.cli import load_graph
-from gossipsim.harness import CLEAN_SPEC, FuzzSpec, fuzz_config
+from gossipsim.harness import CLEAN_SPEC, FuzzSpec, _park_for_good, fuzz_config
 from gossipsim.model import (
     Agent,
     BoardClassError,
@@ -197,19 +197,23 @@ def _untimed(board: Whiteboard) -> Whiteboard:
 
 WAITERS_AND_STORES = FuzzSpec(waiting_garbage_rate=1.0, store_garbage_rate=1.0)
 
-# name -> (start, duplex, frozen); every start writes boards in its rounds
+
+def frozen_ring4_fw():
+    # every agent parked for good: rounds only merge gossip and tick timers
+    cfg = fuzz_config(build_ring(4), 3, FuzzSpec(), 5, board_class=FW)
+    _park_for_good(cfg)
+    return cfg
+
+
+# name -> (start, duplex); every start writes boards in its rounds
 ROUND_STARTS = {
     "grid:3x3 FW, waiters everywhere": (
-        lambda: fuzz_config(build_grid(3, 3), 3, WAITERS_AND_STORES, 0, board_class=FW),
-        HALF, False),
+        lambda: fuzz_config(build_grid(3, 3), 3, WAITERS_AND_STORES, 0, board_class=FW), HALF),
     "random:7:2:3 seed 246 half": (
-        lambda: fuzz_config(random_connected_graph(7, 2, seed=3), 3, FuzzSpec(), 246),
-        HALF, False),
+        lambda: fuzz_config(random_connected_graph(7, 2, seed=3), 3, FuzzSpec(), 246), HALF),
     "random:7:2:3 seed 246 full": (
-        lambda: fuzz_config(random_connected_graph(7, 2, seed=3), 3, FuzzSpec(), 246),
-        FULL, False),
-    "ring:4 FW frozen": (
-        lambda: fuzz_config(build_ring(4), 3, FuzzSpec(), 5, board_class=FW), HALF, True),
+        lambda: fuzz_config(random_connected_graph(7, 2, seed=3), 3, FuzzSpec(), 246), FULL),
+    "ring:4 FW frozen": (frozen_ring4_fw, HALF),
 }
 
 
@@ -231,7 +235,7 @@ class TestKeyCache:
 
     @pytest.mark.parametrize("case", sorted(ROUND_STARTS))
     def test_round_writes_beyond_timer_only_where_agents_are_or_wait(self, case):
-        make, duplex, frozen = ROUND_STARTS[case]
+        make, duplex = ROUND_STARTS[case]
         cfg = make()
         keys = KeyCache(cfg)
         rec = None
@@ -240,7 +244,7 @@ class TestKeyCache:
             assert keys.key(rec) == state_key(cfg)
             before = [_untimed(b) for b in cfg.boards]
             waiters = {v for v, b in enumerate(cfg.boards) if b.waiting}
-            rec = sync_round(cfg, duplex, frozen=frozen)
+            rec = sync_round(cfg, duplex)
             changed = {v for v, b in enumerate(cfg.boards) if _untimed(b) != before[v]}
             assert changed <= set(rec.merges) | set(rec.colocated) | waiters
             writes += len(changed)
@@ -299,8 +303,6 @@ class TestEncodingCoverage:
         "round": 7,
         "graph": build_grid(2, 2),
         "timer_cap": 99,
-        "max_id": 99,
-        "l_max": 99,
         "genuine": {},
     }
 

@@ -5,7 +5,7 @@ import pytest
 from gossipsim.model import Agent, CW, FW, make_configuration
 from gossipsim.protocol_suite import PathCursor, anon_path_enum_step, fw_dft_step
 from gossipsim.protocol_dft import ProtocolError
-from gossipsim.topology import build_grid, build_ring
+from gossipsim.topology import build_grid, build_ring, random_connected_graph
 
 
 def all_walks(g, v, ell):
@@ -44,13 +44,15 @@ def drive(cfg, idx, steps):
 
 
 class TestEnumerationOrder:
-    @pytest.mark.parametrize("graph,l_max", [(build_ring(3), 3), (build_grid(2, 3), 2)])
-    def test_matches_recursive_oracle(self, graph, l_max):
+    # walks of lengths 1..n, n the node count; the second graph has
+    # nodes of degree 3, 2 and 1
+    @pytest.mark.parametrize("graph,n", [(build_ring(3), 3), (random_connected_graph(4, 1, 0), 4)])
+    def test_matches_recursive_oracle(self, graph, n):
+        assert graph.node_count == n
         cfg = make_configuration(
-            graph, [Agent(ident=None, pos=0, program="anon_path_enum")], FW,
-            l_max=l_max)
+            graph, [Agent(ident=None, pos=0, program="anon_path_enum")], FW)
         expected = [(ell, w)
-                    for ell in range(1, l_max + 1)
+                    for ell in range(1, n + 1)
                     for w in all_walks(graph, 0, ell)]
         got = drive(cfg, 0, 4000)
         # the enumeration wraps; the first full sweep must match exactly
@@ -58,26 +60,27 @@ class TestEnumerationOrder:
         assert len(got) > len(expected)  # and it does wrap around
 
     def test_phase_wraps_at_l_max(self):
-        g = build_ring(3)
+        # the walk bound l_max is the node count: on ring:2 the phases
+        # run 1, 2, 1, 2, ...
+        g = build_ring(2)
         cfg = make_configuration(
-            g, [Agent(ident=None, pos=0, program="anon_path_enum")], FW, l_max=1)
-        wrapped = False
+            g, [Agent(ident=None, pos=0, program="anon_path_enum")], FW)
+        phases = []
         for _ in range(40):
             intent, meta = anon_path_enum_step(cfg, 0)
-            # with l_max = 1 every phase advance wraps to length 1
-            wrapped = wrapped or meta.branch == "phase_advance"
+            if meta.branch == "phase_advance":
+                phases.append(cfg.agents[0].cursor.length)
             if intent.via is not None:
                 to, back = g.neighbor(cfg.agents[0].pos, intent.via)
                 cfg.agents[0].pos = to
                 cfg.agents[0].arrival_port = back
                 cfg.agents[0].last_move_accepted = True
-        assert wrapped
-        assert cfg.agents[0].cursor.length == 1
+        assert phases[:4] == [2, 1, 2, 1]
 
     def test_cursor_footprint_stays_bounded(self):
-        g = build_grid(2, 3)
+        g = build_grid(1, 3)  # three nodes: walks of length at most 3
         cfg = make_configuration(
-            g, [Agent(ident=None, pos=0, program="anon_path_enum")], FW, l_max=3)
+            g, [Agent(ident=None, pos=0, program="anon_path_enum")], FW)
         for _ in range(1000):
             cur = cfg.agents[0].cursor
             assert len(cur.labels) <= 3 and len(cur.trail) <= 3
@@ -91,7 +94,8 @@ class TestEnumerationOrder:
 
 
 class TestCursorReset:
-    # ``regs`` is the walker's cursor register; ring:4 has degree 2, l_max 4
+    # ``regs`` is the walker's cursor register; ring:4 has degree 2 and
+    # walks of length at most 4
     @pytest.mark.parametrize(
         "regs",
         [
@@ -106,7 +110,7 @@ class TestCursorReset:
     def test_garbage_resets_to_phase_one(self, regs):
         g = build_ring(4)
         cfg = make_configuration(
-            g, [Agent(ident=None, pos=1, program="anon_path_enum")], FW, l_max=4)
+            g, [Agent(ident=None, pos=1, program="anon_path_enum")], FW)
         cfg.agents[0].cursor = regs
         intent, meta = anon_path_enum_step(cfg, 0)
         assert intent.stay and meta.reset
@@ -115,7 +119,7 @@ class TestCursorReset:
     def test_rejected_move_retries_same_label(self):
         g = build_ring(4)
         cfg = make_configuration(
-            g, [Agent(ident=None, pos=0, program="anon_path_enum")], FW, l_max=2)
+            g, [Agent(ident=None, pos=0, program="anon_path_enum")], FW)
         intent, meta = anon_path_enum_step(cfg, 0)
         assert meta.branch == "descend" and intent.via == 0
         cfg.agents[0].last_move_accepted = False  # duplex loss, agent stayed put

@@ -3,6 +3,7 @@ from itertools import islice
 
 from hypothesis import given, settings, strategies as st
 
+from gossipsim.harness import _park_for_good
 from gossipsim.model import Agent, CW, FW, make_configuration, state_key
 from gossipsim.protocol_dft import MoveIntent, StepMeta
 from gossipsim.scheduler import (
@@ -28,10 +29,10 @@ def dft_cfg(positions_ids, n=4, cls=CW):
     return make_configuration(g, agents, cls)
 
 
-def walker_cfg(positions, n=6, l_max=None):
+def walker_cfg(positions, n=6):
     g = build_ring(n)
     agents = [Agent(ident=None, pos=p, program="anon_path_enum") for p in positions]
-    return make_configuration(g, agents, FW, l_max=l_max)
+    return make_configuration(g, agents, FW)
 
 
 class TestDuplex:
@@ -98,14 +99,16 @@ class TestSyncRound:
         assert cfg.boards[0].timer == cfg.timer_cap
 
     def test_frozen_round_only_merges_and_ticks(self):
+        # every agent parked for good: each acts, but none moves or is released
         cfg = dft_cfg([(1, 0), (2, 0)])
+        _park_for_good(cfg)
         t0 = cfg.boards[0].timer
-        rec = sync_round(cfg, frozen=True)
-        assert rec.acting == () and rec.moves == []
+        rec = sync_round(cfg)
+        assert rec.acting == (0, 1) and rec.moves == [] and rec.releases == ()
         assert rec.colocated == (0,)
         assert cfg.agents[0].pos == cfg.agents[1].pos == 0
         assert cfg.boards[0].timer == t0 + 1
-        # frozen co-location still exchanges gossip
+        # parked co-location still exchanges gossip
         assert cfg.agents[0].known == cfg.agents[1].known
 
     def test_deterministic_replay(self):
@@ -214,6 +217,12 @@ class TestRun:
         cfg = dft_cfg([(1, 0)])
         trace = run(cfg, SchedulePolicy(kind=SYNC), stop=lambda c: False, max_steps=7)
         assert trace.status == "truncated" and len(trace) == 7
+
+    @pytest.mark.parametrize("kind", [ASYNC_RANDOM_FAIR, ASYNC_ROUND_ROBIN, ASYNC_SCRIPTED])
+    def test_no_agents_truncate_after_no_step(self, kind):
+        cfg = make_configuration(build_ring(4), [], FW)
+        trace = run(cfg, SchedulePolicy(kind=kind), stop=lambda c: False, max_steps=5)
+        assert trace.status == "truncated" and len(trace) == 0
 
     def test_script_end_truncates(self):
         cfg = walker_cfg([0, 3])
