@@ -18,7 +18,7 @@ from .model import (
     NW,
     Agent,
     Configuration,
-    KeyCache,
+    Fingerprint,
     ModelError,
     PROGRAM_DFT,
     PROGRAM_PATH_ENUM,
@@ -242,15 +242,16 @@ def detect_cycle(
 ) -> CycleReport:
     """Run synchronous rounds until an exact state repeat.
 
-    Each round's state key comes from a :class:`~gossipsim.model.KeyCache`
-    fed the round's record, which re-encodes only the boards that record
-    names as possibly written beyond their timers.  The key is indexed by
-    its hash only and then dropped.  A clone of the state is kept at step
-    0 and at every power-of-two step.  When a hash recurs, each earlier
-    step with that hash is re-simulated from its latest checkpoint and its
-    :func:`state_key` is compared in full with a fresh :func:`state_key`
-    of the current state, so the returned (prefix, period) pair is exact,
-    not a hash coincidence and not a cache result; a false hit (a hash
+    Each round's state is indexed by its
+    :func:`~gossipsim.model.fingerprint`, which a
+    :class:`~gossipsim.model.Fingerprint` updates from the boards the round
+    wrote (the write barrier ``cfg.dirty``) and from the round count, so
+    no round re-encodes the whole state.  A clone of the state is kept at
+    step 0 and at every power-of-two step.  When a fingerprint recurs,
+    each earlier step with that fingerprint is re-simulated from its
+    latest checkpoint and its :func:`state_key` is compared in full with a
+    fresh :func:`state_key` of the current state, so the returned (prefix,
+    period) pair is exact, not a fingerprint coincidence; a false hit (a
     collision) only lets the run go on.  Without a false hit the
     re-simulation costs at most half the prefix in rounds.  Memory is
     O(log rounds) clones plus the per-round records.
@@ -260,15 +261,14 @@ def detect_cycle(
     runs after every round, for monitoring.
     """
     limit = budget if budget is not None else default_cycle_budget(cfg)
-    keys = KeyCache(cfg)
+    fingerprint = Fingerprint(cfg)
     seen: dict[int, list[int]] = {}
     checkpoints: list[Configuration] = []
     records: list[StepRecord] = []
     gossip_step: int | None = None
     step = 0
-    rec = None
     while True:
-        candidates = seen.setdefault(hash(keys.key(rec)), [])
+        candidates = seen.setdefault(fingerprint.update(), [])
         if candidates:
             prefix = _first_repeat(state_key(cfg), candidates, checkpoints, duplex)
             if prefix is not None:

@@ -10,19 +10,24 @@ A :class:`Configuration` is a value and cloning is cheap.
 :func:`state_key` is the one place that lists which fields make up a
 configuration's state.  It leaves out the round counter and the run
 constants, so two configurations of one run hold the same state exactly
-when their keys are equal; the board timers form a tuple of their own.
-:class:`KeyCache` builds the same key round after round from the same
-encoders, re-encoding only the boards a round's record names as possibly
-written beyond their timers; cycle detection fingerprints that key and
-confirms a repeat by comparing fresh :func:`state_key` results.
-:func:`snapshot_hash` is a digest of the key that does not depend on
-``PYTHONHASHSEED``.
+when their keys are equal.  :func:`snapshot_hash` is a digest of the key
+that does not depend on ``PYTHONHASHSEED``.
+
+Cycle detection indexes rounds by the :func:`fingerprint` of their key,
+a sum of one term for the agents, one per board and one per timer.
+:class:`Fingerprint` keeps that sum across synchronous rounds at the cost
+of what a round writes: a write barrier names the boards a round wrote
+beyond their timers (every writer of a board adds its node to
+``Configuration.dirty``), only those are re-encoded, and a timer that
+only ticks is a stamp that the round count turns into its value.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+import random
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 from .topology import PortLabeledGraph
@@ -123,7 +128,9 @@ class Agent:
     last_move_accepted: bool = True
 
     def clone(self) -> "Agent":
-        return replace(self, known=set(self.known))
+        return Agent(self.ident, self.pos, self.t_bit, set(self.known), self.program,
+                     self.parked, self.bounced, self.cursor, self.arrival_port,
+                     self.last_move_accepted)
 
 
 @dataclass(slots=True)
@@ -139,14 +146,9 @@ class Whiteboard:
     store: set[Token] = field(default_factory=set)
 
     def clone(self) -> "Whiteboard":
-        return replace(
-            self,
-            t_table=dict(self.t_table),
-            in_link=dict(self.in_link),
-            out_link=dict(self.out_link),
-            waiting=set(self.waiting),
-            store=set(self.store),
-        )
+        return Whiteboard(self.cls, dict(self.t_table), dict(self.in_link),
+                          dict(self.out_link), self.min_id, self.wait_t, set(self.waiting),
+                          self.timer, set(self.store))
 
 
 _TABLES = {
@@ -180,7 +182,13 @@ def assoc_get(board: Whiteboard, table: str, ident: int):
 
 @dataclass(slots=True)
 class Configuration:
-    """Graph + all agents + all whiteboards + run parameters."""
+    """Graph + all agents + all whiteboards + run parameters.
+
+    ``dirty`` is the write barrier: every step that may write a board
+    beyond its timer adds the board's node (:func:`merge_gossip` growing a
+    store, and the protocol's visit and timeout release).  Only a
+    :class:`Fingerprint` reads and clears it.
+    """
 
     graph: PortLabeledGraph
     agents: list[Agent]
@@ -188,18 +196,16 @@ class Configuration:
     round: int = 0
     timer_cap: int = 0
     genuine: dict[int, Token] = field(default_factory=dict)
+    dirty: set[int] = field(default_factory=set)
 
     @property
     def k(self) -> int:
         return len(self.agents)
 
     def clone(self) -> "Configuration":
-        return replace(
-            self,
-            agents=[a.clone() for a in self.agents],
-            boards=[b.clone() for b in self.boards],
-            genuine=dict(self.genuine),
-        )
+        return Configuration(self.graph, [a.clone() for a in self.agents],
+                             [b.clone() for b in self.boards], self.round, self.timer_cap,
+                             dict(self.genuine), set(self.dirty))
 
 
 def default_timer_cap(graph: PortLabeledGraph) -> int:
@@ -250,7 +256,8 @@ def merge_gossip(cfg: Configuration, node: int, idxs: list[int] | None = None) -
 
     ``idxs`` lists the indices of the agents at ``node`` when the caller
     has grouped them already; without it the agents are scanned.  A set
-    the union does not grow is left as it is.
+    the union does not grow is left as it is; a store it grows puts
+    ``node`` in the write barrier ``cfg.dirty``.
     """
     agents = cfg.agents
     if idxs is None:
@@ -260,8 +267,8 @@ def merge_gossip(cfg: Configuration, node: int, idxs: list[int] | None = None) -
     if not here:
         return
     board = cfg.boards[node]
-    if len(here) == 1 and board.cls != FW:
-        return  # a lone agent and no store: nothing to exchange
+    if len(here) == 1 and (board.cls != FW or here[0].known == board.store):
+        return  # a lone agent and nothing new on either side
     union: set[Token] = set()
     for a in here:
         union |= a.known
@@ -269,6 +276,7 @@ def merge_gossip(cfg: Configuration, node: int, idxs: list[int] | None = None) -
         union |= board.store
         if len(union) != len(board.store):
             board.store = set(union)
+            cfg.dirty.add(node)
     for a in here:
         if len(a.known) != len(union):
             a.known = set(union)
@@ -319,8 +327,8 @@ def state_key(cfg: Configuration) -> tuple:
     other fields, hence the separate timers tuple.  Agents are listed in
     hidden-index order: half-duplex ties between anonymous agents are
     broken by that index, so swapping two indistinguishable agents can
-    change the future.  :class:`KeyCache` returns the same tuple for a
-    run of synchronous rounds, re-encoding fewer boards.
+    change the future.  :func:`fingerprint` maps equal keys to equal
+    values.
 
     Left out, because they do not belong to the state:
 
@@ -330,6 +338,8 @@ def state_key(cfg: Configuration) -> tuple:
       and never written by a step.
     - ``genuine`` names each agent's initial token for the gossip check;
       it is never written after the configuration is made.
+    - ``dirty`` is the write barrier: it names the boards written since a
+      :class:`Fingerprint` last read it, not what they hold.
     """
     return (
         tuple(_agent_key(a) for a in cfg.agents),
@@ -338,34 +348,103 @@ def state_key(cfg: Configuration) -> tuple:
     )
 
 
-class KeyCache:
-    """:func:`state_key` of one configuration, kept across synchronous rounds.
+_PRIME = (1 << 61) - 1  # fingerprints are taken modulo this Mersenne prime
 
-    Call :meth:`key` at any state, then after every round of
-    :func:`~gossipsim.scheduler.sync_round` on ``cfg`` with that round's
-    record (None when no round ran); each call returns ``state_key(cfg)``.
-    The first call encodes every board.  Beyond the timers, a round writes
-    only the boards at its record's ``merges`` (each acting agent's merge
-    and step) and ``colocated`` (the post-move merges) and at the nodes
-    that had waiters before it (the timeout check), so a call re-encodes
-    those and rebuilds the agent keys and the timers tuple.
+
+@lru_cache(maxsize=8)
+def _timer_weights(n: int) -> tuple[int, ...]:
+    """One fixed pseudo-random weight per node of an n-node graph."""
+    rng = random.Random(n)
+    return tuple(rng.randrange(1, _PRIME) for _ in range(n))
+
+
+def fingerprint(key: tuple) -> int:
+    """The fingerprint of a :func:`state_key`: the hash of its agent-key
+    tuple, plus ``hash((v, board key))`` for every node v, plus every
+    board's timer times its node's fixed weight, modulo a 61-bit prime.
+    Equal keys give equal fingerprints; unequal keys may collide, so a
+    fingerprint match is confirmed by comparing keys."""
+    agents, boards, timers = key
+    weights = _timer_weights(len(boards))
+    total = hash(agents)
+    for v, (board, timer) in enumerate(zip(boards, timers)):
+        total += hash((v, board)) + weights[v] * timer
+    return total % _PRIME
+
+
+class Fingerprint:
+    """:func:`fingerprint` of one configuration, kept across synchronous rounds.
+
+    Make it at any state, which encodes every board, then call
+    :meth:`update` at that state and after every round of
+    :func:`~gossipsim.scheduler.sync_round` on ``cfg``; each call returns
+    ``fingerprint(state_key(cfg))``.  An update rehashes the agent-key
+    tuple and re-encodes only the boards in ``cfg.dirty``, which it then
+    clears.
+
+    A board that is not written ticks its timer once a round until the
+    cap, so its timer term is ``w·(R − s)`` for the R rounds since the
+    start and a stamp s fixed when the board was last encoded.  Those
+    terms sum to ``R·rate − Σ w·s``; the rate is the weights of the
+    ticking boards.  A bucket keyed by the round at which a ticking timer
+    reaches the cap moves that board to a constant term then.  NW timers
+    and timers at or above the cap never tick and are constant too.
     """
 
-    __slots__ = ("cfg", "_boards", "_waiters")
+    __slots__ = ("cfg", "_start", "_weights", "_terms", "_stamps", "_base", "_rate", "_saturate")
 
     def __init__(self, cfg: Configuration):
+        n = len(cfg.boards)
         self.cfg = cfg
-        self._boards: list[tuple] = [()] * len(cfg.boards)
-        self._waiters = set(range(len(cfg.boards)))  # so the first call encodes all
+        self._start = cfg.round
+        self._weights = _timer_weights(n)
+        self._terms = [0] * n  # each board's hash and constant or -w·s timer term
+        self._stamps: list[int | None] = [None] * n  # None: the timer is constant
+        self._base = 0  # the sum of the terms
+        self._rate = 0  # the sum of the ticking boards' weights
+        self._saturate: dict[int, list[int]] = {}  # round -> nodes whose timers reach the cap
+        self._encode(range(n), 0)
+        cfg.dirty.clear()
 
-    def key(self, rec=None) -> tuple:
+    def _encode(self, nodes, r: int) -> None:
         boards = self.cfg.boards
-        stale = self._waiters if rec is None else self._waiters.union(rec.merges, rec.colocated)
-        for v in stale:
-            self._boards[v] = _board_key(boards[v])
-        self._waiters = {v for v, b in enumerate(boards) if b.waiting}
-        return (tuple(_agent_key(a) for a in self.cfg.agents), tuple(self._boards),
-                tuple(b.timer for b in boards))
+        cap = self.cfg.timer_cap
+        weights, terms, stamps = self._weights, self._terms, self._stamps
+        for v in nodes:
+            b = boards[v]
+            w = weights[v]
+            self._base -= terms[v]
+            if stamps[v] is not None:
+                self._rate -= w
+            term = hash((v, _board_key(b)))
+            t = b.timer
+            if b.cls == NW or t >= cap:
+                stamps[v] = None
+                term += w * t
+            else:
+                stamps[v] = s = r - t
+                term -= w * s
+                self._rate += w
+                self._saturate.setdefault(s + cap, []).append(v)
+            terms[v] = term
+            self._base += term
+
+    def update(self) -> int:
+        cfg = self.cfg
+        r = cfg.round - self._start
+        stamp = r - cfg.timer_cap
+        for v in self._saturate.pop(r, ()):
+            if self._stamps[v] == stamp:  # else re-encoded since it was bucketed
+                w = self._weights[v]
+                self._stamps[v] = None
+                self._terms[v] += w * r
+                self._base += w * r
+                self._rate -= w
+        if cfg.dirty:
+            self._encode(cfg.dirty, r)
+            cfg.dirty.clear()
+        agents = hash(tuple(_agent_key(a) for a in cfg.agents))
+        return (agents + self._base + r * self._rate) % _PRIME
 
 
 def _canonical(value):

@@ -81,9 +81,9 @@ class MoveRecord:
 
 @dataclass(slots=True)
 class StepRecord:
-    """What one round or step did; the trace, the cycle report, the bound
-    audit and :class:`~gossipsim.model.KeyCache` read its fields.
-    ``releases`` and ``colocated`` are filled by synchronous rounds only."""
+    """What one round or step did; the trace, the cycle report and the
+    bound audit read its fields.  ``releases`` and ``colocated`` are
+    filled by synchronous rounds only."""
 
     step: int
     acting: tuple[int, ...]

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from gossipsim import harness
+from gossipsim import harness, model
 from gossipsim.harness import (
     BUDGET,
     CLEAN_SPEC,
@@ -25,9 +25,10 @@ from gossipsim.model import (
     CW,
     FW,
     NW,
-    KeyCache,
+    Fingerprint,
     PROGRAM_PATH_ENUM,
     PathCursor,
+    fingerprint,
     make_configuration,
     state_key,
 )
@@ -235,29 +236,30 @@ EXACTNESS_CASES = {
 }
 
 
-class ConstantKeys:
-    """A stand-in for KeyCache whose key never changes, so every step's
-    hash collides with every earlier step's."""
+class ConstantFingerprint:
+    """A stand-in for Fingerprint whose value never changes, so every
+    step's fingerprint collides with every earlier step's."""
 
     def __init__(self, cfg):
         pass
 
-    def key(self, rec=None):
-        return ()
+    def update(self):
+        return 0
 
 
 class TestDetectCycleExactness:
-    """The hash-indexed detector answers exactly like one keeping every
-    key, also when every hash collides and when the key cache is useless:
-    a repeat is confirmed by fresh state keys only."""
+    """The fingerprint-indexed detector answers exactly like one keeping
+    every key, also when the fingerprint sees the timers only and when it
+    never changes: a repeat is confirmed by fresh state keys only."""
 
     @pytest.fixture(params=["hash", "constant", "constant cache"])
     def collide(self, request, monkeypatch):
         if request.param == "constant":
-            # shadow the builtin in the harness module: distinct keys, one hash
-            monkeypatch.setattr(harness, "hash", lambda key: 0, raising=False)
+            # shadow the builtin in the model module: the agent and board
+            # terms of every fingerprint are 0, only the timers count
+            monkeypatch.setattr(model, "hash", lambda key: 0, raising=False)
         elif request.param == "constant cache":
-            monkeypatch.setattr(harness, "KeyCache", ConstantKeys)
+            monkeypatch.setattr(harness, "Fingerprint", ConstantFingerprint)
         return request.param
 
     @pytest.mark.parametrize("case", sorted(EXACTNESS_CASES))
@@ -290,15 +292,54 @@ class TestDetectCycleExactness:
 class TestKeyCache:
     @pytest.mark.parametrize("case", sorted(EXACTNESS_CASES))
     def test_cached_key_is_state_key_every_round(self, case):
+        # the incremental fingerprint detect_cycle keeps is the one of a
+        # fresh state key in every round it runs
         make, duplex, budget = EXACTNESS_CASES[case]
         rounds = len(detect_cycle(make(), duplex, budget=budget).records)
         cfg = make()
-        keys = KeyCache(cfg)
-        rec = None
+        fp = Fingerprint(cfg)
         for _ in range(rounds):
-            assert keys.key(rec) == state_key(cfg)
-            rec = sync_round(cfg, duplex)
-        assert keys.key(rec) == state_key(cfg)
+            assert fp.update() == fingerprint(state_key(cfg))
+            sync_round(cfg, duplex)
+        assert fp.update() == fingerprint(state_key(cfg))
+
+
+# three starts whose reports are compared across string hash seeds
+HASH_SEED_CASES = ("clean random:3:99", "grid:3x3 FW", "random:7:2:3 seed 246 half")
+HASH_SEED_SCRIPT = """
+import sys
+sys.path[:0] = sys.argv[1:3]
+from test_harness import EXACTNESS_CASES, HASH_SEED_CASES
+from gossipsim.harness import detect_cycle
+for name in HASH_SEED_CASES:
+    make, duplex, budget = EXACTNESS_CASES[name]
+    rep = detect_cycle(make(), duplex, budget=budget)
+    print(repr((rep.status, rep.prefix_len, rep.period, rep.gossip_step, rep.quiescent,
+                sorted((i, sorted(v)) for i, v in rep.mover_visits.items()),
+                rep.releases_in_cycle, sorted(rep.flip_steps.items()))))
+"""
+
+
+def test_reports_independent_of_hash_seed():
+    # fingerprints hash strings, so which steps collide depends on the
+    # seed; every report field but the records must not
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import gossipsim
+
+    src = str(Path(gossipsim.__file__).resolve().parent.parent)
+    tests = str(Path(__file__).resolve().parent)
+    outputs = set()
+    for seed in ("0", "123"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        out = subprocess.run([sys.executable, "-c", HASH_SEED_SCRIPT, src, tests], env=env,
+                             capture_output=True, text=True, check=True)
+        outputs.add(out.stdout)
+    assert len(outputs) == 1
+    assert len(outputs.pop().splitlines()) == len(HASH_SEED_CASES)
 
 
 class TestQuiescenceHolds:

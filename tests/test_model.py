@@ -12,7 +12,7 @@ from gossipsim.model import (
     FW,
     PROGRAM_PATH_ENUM,
     Configuration,
-    KeyCache,
+    Fingerprint,
     ModelError,
     NW,
     PathCursor,
@@ -22,6 +22,7 @@ from gossipsim.model import (
     assoc_put,
     clean_board,
     default_timer_cap,
+    fingerprint,
     make_configuration,
     merge_gossip,
     snapshot_hash,
@@ -205,6 +206,15 @@ def frozen_ring4_fw():
     return cfg
 
 
+def small_cap(cfg, cap=3):
+    """``cfg`` under timer cap ``cap``, each timer clamped to one above it,
+    so that timers saturate within a few rounds."""
+    cfg.timer_cap = cap
+    for board in cfg.boards:
+        board.timer = min(board.timer, cap + 1)
+    return cfg
+
+
 # name -> (start, duplex); every start writes boards in its rounds
 ROUND_STARTS = {
     "grid:3x3 FW, waiters everywhere": (
@@ -214,59 +224,118 @@ ROUND_STARTS = {
     "random:7:2:3 seed 246 full": (
         lambda: fuzz_config(random_connected_graph(7, 2, seed=3), 3, FuzzSpec(), 246), FULL),
     "ring:4 FW frozen": (frozen_ring4_fw, HALF),
+    "grid:3x3 FW cap 3": (
+        lambda: small_cap(fuzz_config(build_grid(3, 3), 3, WAITERS_AND_STORES, 1,
+                                      board_class=FW)), HALF),
+    "random:7:2:3 seed 246 cap 7": (
+        lambda: small_cap(fuzz_config(random_connected_graph(7, 2, seed=3), 3, FuzzSpec(),
+                                      246), 7), FULL),
 }
 
 
+def _reordered(cfg: Configuration) -> Configuration:
+    """A clone of ``cfg`` whose sets and tables were filled in reverse order."""
+    def rev_set(s):
+        return set(reversed(list(s)))
+
+    def rev_dict(d):
+        return dict(reversed(list(d.items())))
+
+    out = cfg.clone()
+    for a in out.agents:
+        a.known = rev_set(a.known)
+    for b in out.boards:
+        b.t_table, b.in_link = rev_dict(b.t_table), rev_dict(b.in_link)
+        b.out_link = rev_dict(b.out_link)
+        b.waiting, b.store = rev_set(b.waiting), rev_set(b.store)
+    return out
+
+
 class TestKeyCache:
-    """KeyCache re-encodes only the boards a round's record names as
-    possibly written beyond their timers, and still returns exactly
-    ``state_key``."""
+    """The round key :func:`~gossipsim.harness.detect_cycle` keeps: a
+    :class:`Fingerprint` updated from the write barrier ``cfg.dirty`` and
+    the round count returns ``fingerprint(state_key(cfg))`` every round,
+    and every board a round writes beyond its timer is in the barrier."""
 
     @pytest.mark.parametrize("board_class", [CW, FW])
     def test_timer_only_change_at_quiet_board(self, board_class):
+        # every agent parked for good: the boards without agents only
+        # tick, under a cap low enough that they saturate
         cfg = make_configuration(
             build_ring(4), [Agent(ident=1, pos=0), Agent(ident=2, pos=2)], board_class
         )
-        keys = KeyCache(cfg)
-        assert keys.key() == state_key(cfg)
-        cfg.boards[1].timer = 9
-        cfg.boards[3].timer = 4
-        assert keys.key() == state_key(cfg)
+        _park_for_good(cfg)
+        small_cap(cfg)
+        cfg.boards[3].timer = 9  # above the cap: never ticks
+        fp = Fingerprint(cfg)
+        for _ in range(6):
+            assert fp.update() == fingerprint(state_key(cfg))
+            sync_round(cfg, HALF)
+        cfg.boards[1].timer = 1
+        cfg.dirty.add(1)
+        for _ in range(6):
+            assert fp.update() == fingerprint(state_key(cfg))
+            sync_round(cfg, HALF)
+        assert [b.timer for b in cfg.boards] == [3, 3, 3, 9]
 
     @pytest.mark.parametrize("case", sorted(ROUND_STARTS))
     def test_round_writes_beyond_timer_only_where_agents_are_or_wait(self, case):
+        # the barrier holds every board the round wrote beyond its timer,
+        # and no node without an agent or a waiter
         make, duplex = ROUND_STARTS[case]
         cfg = make()
-        keys = KeyCache(cfg)
-        rec = None
         writes = 0
         for _ in range(120):
-            assert keys.key(rec) == state_key(cfg)
+            cfg.dirty.clear()
             before = [_untimed(b) for b in cfg.boards]
             waiters = {v for v, b in enumerate(cfg.boards) if b.waiting}
             rec = sync_round(cfg, duplex)
             changed = {v for v, b in enumerate(cfg.boards) if _untimed(b) != before[v]}
-            assert changed <= set(rec.merges) | set(rec.colocated) | waiters
+            assert changed <= cfg.dirty <= set(rec.merges) | set(rec.colocated) | waiters
             writes += len(changed)
         assert writes > 0  # the starts do write boards
+
+    @pytest.mark.parametrize("case", sorted(ROUND_STARTS))
+    def test_incremental_equals_from_scratch(self, case):
+        make, duplex = ROUND_STARTS[case]
+        cfg = make()
+        fp = Fingerprint(cfg)
+        for _ in range(120):
+            assert fp.update() == fingerprint(state_key(cfg))
+            sync_round(cfg, duplex)
+        assert fp.update() == fingerprint(state_key(cfg))
+
+    @pytest.mark.parametrize("case", sorted(ROUND_STARTS))
+    def test_equal_keys_equal_fingerprints(self, case):
+        make, duplex = ROUND_STARTS[case]
+        cfg = make()
+        other = _reordered(cfg)
+        assert state_key(other) == state_key(cfg)
+        fps = Fingerprint(cfg), Fingerprint(other)
+        for _ in range(40):
+            assert fps[0].update() == fps[1].update()
+            sync_round(cfg, duplex)
+            sync_round(other, duplex)
 
     @given(
         st.sampled_from(["ring:5", "grid:2x3", "random:6:3:1", "random:7:2:3"]),
         st.sampled_from([CW, FW]),
         st.sampled_from([HALF, FULL]),
         st.booleans(),
+        st.sampled_from([None, 3, 7]),
         st.integers(0, 10**6),
     )
     @settings(max_examples=30, deadline=None, derandomize=True)
-    def test_equals_state_key_every_round(self, graph, board_class, duplex, clean, seed):
+    def test_equals_state_key_every_round(self, graph, board_class, duplex, clean, cap, seed):
         spec = CLEAN_SPEC if clean else FuzzSpec()
         cfg = fuzz_config(load_graph(graph), 3, spec, seed, board_class=board_class)
-        keys = KeyCache(cfg)
-        rec = None
+        if cap is not None:
+            small_cap(cfg, cap)
+        fp = Fingerprint(cfg)
         for _ in range(60):
-            assert keys.key(rec) == state_key(cfg)
-            rec = sync_round(cfg, duplex)
-        assert keys.key(rec) == state_key(cfg)
+            assert fp.update() == fingerprint(state_key(cfg))
+            sync_round(cfg, duplex)
+        assert fp.update() == fingerprint(state_key(cfg))
 
 
 class TestEncodingCoverage:
@@ -304,6 +373,7 @@ class TestEncodingCoverage:
         "graph": build_grid(2, 2),
         "timer_cap": 99,
         "genuine": {},
+        "dirty": {1},
     }
 
     def _cfg(self, board_class):
