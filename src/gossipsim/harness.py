@@ -27,7 +27,9 @@ from .model import (
     Whiteboard,
     assoc_put,
     make_configuration,
+    set_timer,
     state_key,
+    timer,
 )
 from .scheduler import HALF, SchedulePolicy, StepRecord, SYNC, run, sync_round
 from .topology import PortLabeledGraph, build_ring, mirror_join, mirror_node
@@ -151,7 +153,8 @@ def fuzz_config(
         if rng.random() < spec.fake_id_rate:
             board.min_id = rng.choice(list(domain))
         if spec.randomize_timers:
-            board.timer = rng.randint(0, cap)
+            # the round clock of a new configuration is 0, the stamp's default
+            board.timer_base = rng.randint(0, cap)
             board.wait_t = rng.randint(0, cap)
         if rng.random() < spec.waiting_garbage_rate:
             board.waiting.update(rng.sample(domain, rng.randint(1, 2)))
@@ -413,7 +416,7 @@ def _park_for_good(cfg: Configuration) -> None:
     node's waiting set, and that node's ``wait_t`` at ``timer_cap + 1``.
     Timers saturate at the cap, so no timeout releases anyone; nobody
     moves, so no min-id gate runs.  Rounds still merge co-located agents'
-    gossip and tick the timers."""
+    gossip, and the timers still count up to the cap."""
     for agent in cfg.agents:
         board = cfg.boards[agent.pos]
         agent.parked = True
@@ -459,9 +462,13 @@ def witness_mirror(graph: PortLabeledGraph, k: int, seed: int = 0) -> MirrorRepo
         for a in base.agents
     ]
     joined = make_configuration(mirror_join(graph, w), agents, CW)
+    sources = base.boards + [base.boards[v] for v in range(n) if v != w]
     joined.boards = [b.clone() for b in base.boards] + [
         _translate_board(base.boards[v], offset, k) for v in range(n) if v != w
     ]
+    # each copy holds the timer its source reads on the base's round clock
+    for board, source in zip(joined.boards, sources):
+        set_timer(joined, board, timer(base, source))
 
     control = joined.clone()
 

@@ -13,13 +13,19 @@ constants, so two configurations of one run hold the same state exactly
 when their keys are equal.  :func:`snapshot_hash` is a digest of the key
 that does not depend on ``PYTHONHASHSEED``.
 
+A node timer counts synchronous rounds up to the configuration's
+``timer_cap``.  It is read lazily: a board keeps the value its timer was
+last given and the value of the round clock ``Configuration.ticks`` at
+that write, so :func:`timer` derives the current value and no round
+writes a timer that only ticks.  :func:`set_timer` is the one writer.
+
 Cycle detection indexes rounds by the :func:`fingerprint` of their key,
 a sum of one term for the agents, one per board and one per timer.
 :class:`Fingerprint` keeps that sum across synchronous rounds at the cost
 of what a round writes: a write barrier names the boards a round wrote
-beyond their timers (every writer of a board adds its node to
-``Configuration.dirty``), only those are re-encoded, and a timer that
-only ticks is a stamp that the round count turns into its value.
+(every writer of a board adds its node to ``Configuration.dirty``), only
+those are re-encoded, and a timer that only ticks is a stamp that the
+round clock turns into its value.
 """
 
 from __future__ import annotations
@@ -135,6 +141,10 @@ class Agent:
 
 @dataclass(slots=True)
 class Whiteboard:
+    """One node's whiteboard.  Its timer is not a field: ``timer_base`` is
+    the value last given by :func:`set_timer` and ``timer_stamp`` the
+    round clock at that write; read it with :func:`timer`."""
+
     cls: str = CW
     t_table: dict[int, bool] = field(default_factory=dict)
     in_link: dict[int, int] = field(default_factory=dict)
@@ -142,13 +152,14 @@ class Whiteboard:
     min_id: int = 0
     wait_t: int = 0
     waiting: set[int] = field(default_factory=set)
-    timer: int = 0
+    timer_base: int = 0
+    timer_stamp: int = 0
     store: set[Token] = field(default_factory=set)
 
     def clone(self) -> "Whiteboard":
         return Whiteboard(self.cls, dict(self.t_table), dict(self.in_link),
                           dict(self.out_link), self.min_id, self.wait_t, set(self.waiting),
-                          self.timer, set(self.store))
+                          self.timer_base, self.timer_stamp, set(self.store))
 
 
 _TABLES = {
@@ -184,16 +195,19 @@ def assoc_get(board: Whiteboard, table: str, ident: int):
 class Configuration:
     """Graph + all agents + all whiteboards + run parameters.
 
+    ``round`` counts steps of either kind; ``ticks`` counts synchronous
+    rounds only, and is the clock the board timers are read against.
     ``dirty`` is the write barrier: every step that may write a board
-    beyond its timer adds the board's node (:func:`merge_gossip` growing a
-    store, and the protocol's visit and timeout release).  Only a
-    :class:`Fingerprint` reads and clears it.
+    adds the board's node (:func:`merge_gossip` growing a store, and the
+    protocol's visit and timeout release).  Only a :class:`Fingerprint`
+    reads and clears it.
     """
 
     graph: PortLabeledGraph
     agents: list[Agent]
     boards: list[Whiteboard]
     round: int = 0
+    ticks: int = 0
     timer_cap: int = 0
     genuine: dict[int, Token] = field(default_factory=dict)
     dirty: set[int] = field(default_factory=set)
@@ -204,8 +218,26 @@ class Configuration:
 
     def clone(self) -> "Configuration":
         return Configuration(self.graph, [a.clone() for a in self.agents],
-                             [b.clone() for b in self.boards], self.round, self.timer_cap,
-                             dict(self.genuine), set(self.dirty))
+                             [b.clone() for b in self.boards], self.round, self.ticks,
+                             self.timer_cap, dict(self.genuine), set(self.dirty))
+
+
+def timer(cfg: Configuration, board: Whiteboard) -> int:
+    """The board's timer: its last written value plus the synchronous
+    rounds since, saturating at ``cfg.timer_cap``.  An NW timer and a
+    timer written at or above the cap never tick."""
+    t = board.timer_base
+    cap = cfg.timer_cap
+    if t >= cap or board.cls == NW:
+        return t
+    t += cfg.ticks - board.timer_stamp
+    return t if t < cap else cap
+
+
+def set_timer(cfg: Configuration, board: Whiteboard, value: int) -> None:
+    """Give the board's timer ``value``, to tick from the current round on."""
+    board.timer_base = value
+    board.timer_stamp = cfg.ticks
 
 
 def default_timer_cap(graph: PortLabeledGraph) -> int:
@@ -316,14 +348,14 @@ def _board_key(b: Whiteboard) -> tuple:
 
 def state_key(cfg: Configuration) -> tuple:
     """Exact hashable encoding of the configuration's state: (agent keys,
-    board keys without their timers, every board's timer).
+    board keys without their timers, every board's :func:`timer`).
 
     Sets and tables are encoded as frozensets (of members, or of
     ``(id, value)`` rows), which compare exactly like sorted tuples but
     need no sort.  Every field of :class:`Agent` and :class:`Whiteboard`
     is encoded, the gossip store only on FW boards (no other store is
     ever written) and only the class and the never-ticking timer on NW
-    boards.  A round ticks every other timer but writes few boards'
+    boards.  Timers tick every round but a round writes few boards'
     other fields, hence the separate timers tuple.  Agents are listed in
     hidden-index order: half-duplex ties between anonymous agents are
     broken by that index, so swapping two indistinguishable agents can
@@ -333,6 +365,8 @@ def state_key(cfg: Configuration) -> tuple:
     Left out, because they do not belong to the state:
 
     - ``round`` advances every round; with it no state could repeat.
+    - ``ticks`` advances every synchronous round for the same reason; it
+      enters the key only through the timer values read against it.
     - ``graph`` is immutable and shared by every configuration of a run.
     - ``timer_cap`` is a run constant, set when the configuration is made
       and never written by a step.
@@ -344,7 +378,7 @@ def state_key(cfg: Configuration) -> tuple:
     return (
         tuple(_agent_key(a) for a in cfg.agents),
         tuple(_board_key(b) for b in cfg.boards),
-        tuple(b.timer for b in cfg.boards),
+        tuple(timer(cfg, b) for b in cfg.boards),
     )
 
 
@@ -367,8 +401,8 @@ def fingerprint(key: tuple) -> int:
     agents, boards, timers = key
     weights = _timer_weights(len(boards))
     total = hash(agents)
-    for v, (board, timer) in enumerate(zip(boards, timers)):
-        total += hash((v, board)) + weights[v] * timer
+    for v, (board, t) in enumerate(zip(boards, timers)):
+        total += hash((v, board)) + weights[v] * t
     return total % _PRIME
 
 
@@ -382,33 +416,34 @@ class Fingerprint:
     tuple and re-encodes only the boards in ``cfg.dirty``, which it then
     clears.
 
-    A board that is not written ticks its timer once a round until the
-    cap, so its timer term is ``w·(R − s)`` for the R rounds since the
-    start and a stamp s fixed when the board was last encoded.  Those
-    terms sum to ``R·rate − Σ w·s``; the rate is the weights of the
-    ticking boards.  A bucket keyed by the round at which a ticking timer
-    reaches the cap moves that board to a constant term then.  NW timers
-    and timers at or above the cap never tick and are constant too.
+    A board that is not written keeps its timer's stamp, so while that
+    timer ticks, its term is ``w·(T − s)`` for the round clock T
+    (``cfg.ticks``) and the clock s at which it read 0.  Those terms sum
+    to ``T·rate − Σ w·s``; the rate is the weights of the ticking boards.
+    A bucket keyed by the tick at which a ticking timer reaches the cap
+    moves that board to a constant term then.  NW timers and timers at or
+    above the cap never tick and are constant too.
     """
 
-    __slots__ = ("cfg", "_start", "_weights", "_terms", "_stamps", "_base", "_rate", "_saturate")
+    __slots__ = ("cfg", "_weights", "_terms", "_stamps", "_base", "_rate", "_saturate")
 
     def __init__(self, cfg: Configuration):
         n = len(cfg.boards)
         self.cfg = cfg
-        self._start = cfg.round
         self._weights = _timer_weights(n)
         self._terms = [0] * n  # each board's hash and constant or -w·s timer term
         self._stamps: list[int | None] = [None] * n  # None: the timer is constant
         self._base = 0  # the sum of the terms
         self._rate = 0  # the sum of the ticking boards' weights
-        self._saturate: dict[int, list[int]] = {}  # round -> nodes whose timers reach the cap
-        self._encode(range(n), 0)
+        self._saturate: dict[int, list[int]] = {}  # tick -> nodes whose timers reach the cap
+        self._encode(range(n))
         cfg.dirty.clear()
 
-    def _encode(self, nodes, r: int) -> None:
-        boards = self.cfg.boards
-        cap = self.cfg.timer_cap
+    def _encode(self, nodes) -> None:
+        cfg = self.cfg
+        boards = cfg.boards
+        cap = cfg.timer_cap
+        ticks = cfg.ticks
         weights, terms, stamps = self._weights, self._terms, self._stamps
         for v in nodes:
             b = boards[v]
@@ -417,12 +452,12 @@ class Fingerprint:
             if stamps[v] is not None:
                 self._rate -= w
             term = hash((v, _board_key(b)))
-            t = b.timer
+            t = timer(cfg, b)
             if b.cls == NW or t >= cap:
                 stamps[v] = None
                 term += w * t
             else:
-                stamps[v] = s = r - t
+                stamps[v] = s = ticks - t
                 term -= w * s
                 self._rate += w
                 self._saturate.setdefault(s + cap, []).append(v)
@@ -431,7 +466,7 @@ class Fingerprint:
 
     def update(self) -> int:
         cfg = self.cfg
-        r = cfg.round - self._start
+        r = cfg.ticks
         stamp = r - cfg.timer_cap
         for v in self._saturate.pop(r, ()):
             if self._stamps[v] == stamp:  # else re-encoded since it was bucketed
@@ -441,7 +476,7 @@ class Fingerprint:
                 self._base += w * r
                 self._rate -= w
         if cfg.dirty:
-            self._encode(cfg.dirty, r)
+            self._encode(cfg.dirty)
             cfg.dirty.clear()
         agents = hash(tuple(_agent_key(a) for a in cfg.agents))
         return (agents + self._base + r * self._rate) % _PRIME

@@ -27,10 +27,14 @@ from .model import (
     FW,
     LINK_DEFAULT,
     NW,
+    Agent,
     Configuration,
     ModelError,
+    Whiteboard,
     assoc_get,
     assoc_put,
+    set_timer,
+    timer,
 )
 
 FORWARD = "forward"
@@ -75,7 +79,7 @@ def next_port(a: int, deg: int) -> int:
     return (a + 1) % deg
 
 
-def _passes_gate(board, agent, meta: StepMeta, quiesce: bool) -> bool:
+def _passes_gate(cfg: Configuration, board, agent, meta: StepMeta, quiesce: bool) -> bool:
     """The min-id gate of the quiescing variant.  An id no larger than
     MinID claims the node and restarts its timer (True); a larger id
     parks in the waiting set (False).  The non-quiescing variant always
@@ -88,8 +92,8 @@ def _passes_gate(board, agent, meta: StepMeta, quiesce: bool) -> bool:
         # never lower the recorded traversal time: a timeout release
         # resets the timer mid-interval, and trusting that short
         # reading re-arms the timeout and sustains a release livelock
-        board.wait_t = max(board.wait_t, board.timer)
-        board.timer = 0
+        board.wait_t = max(board.wait_t, timer(cfg, board))
+        set_timer(cfg, board, 0)
         return True
     board.waiting.add(i)
     agent.parked = True
@@ -153,7 +157,7 @@ def visit(
         meta.branch = "first_visit"
         assoc_put(board, "t_table", i, agent.t_bit)
         assoc_put(board, "in_link", i, a)
-        if not _passes_gate(board, agent, meta, quiesce):
+        if not _passes_gate(cfg, board, agent, meta, quiesce):
             return MoveIntent(idx, v, None), meta
         return _leave_after(board, i, v, idx, a, deg, meta), meta
 
@@ -179,7 +183,7 @@ def visit(
     if nxt == 0 and assoc_get(board, "in_link", i) == LINK_DEFAULT:
         # v is the root of i's traversal and the traversal is complete
         meta.branch = "root_complete"
-        if not _passes_gate(board, agent, meta, quiesce):
+        if not _passes_gate(cfg, board, agent, meta, quiesce):
             return MoveIntent(idx, v, None), meta
         return _start_traversal(board, agent, v, idx, meta), meta
 
@@ -197,18 +201,24 @@ def visit(
     return MoveIntent(idx, v, nxt), meta
 
 
-def timeout_check_and_execute(cfg: Configuration, v: int) -> list[tuple[MoveIntent, StepMeta]]:
-    """Per-round node behavior after visits: release one waiting agent when
-    the count-up timer has reached the recorded traversal time.
+def release_due(cfg: Configuration, board: Whiteboard) -> bool:
+    """The timeout release condition: the board has a waiter and its
+    count-up timer has reached the recorded traversal time.  NW boards
+    hold no timer machinery and are never due."""
+    return board.cls != NW and timer(cfg, board) >= board.wait_t and bool(board.waiting)
 
-    An empty waiting set is a guarded no-op (the timer is left expired so a
-    later-arriving waiter is released the round it arrives).  A waiting id
-    with no matching agent at the node is discarded without a move.
+
+def timeout_check_and_execute(cfg: Configuration, v: int) -> list[tuple[MoveIntent, StepMeta]]:
+    """Per-round node behavior after visits: when :func:`release_due`
+    holds at ``v``, release its smallest waiting id and restart the timer.
+
+    A board that is not due is a guarded no-op; in particular an empty
+    waiting set leaves an expired timer expired, so a later-arriving
+    waiter is released the round it arrives.  A waiting id with no
+    matching parked agent at the node is discarded without a move.
     """
     board = cfg.boards[v]
-    if board.cls == NW:
-        return []
-    if board.timer < board.wait_t or not board.waiting:
+    if not release_due(cfg, board):
         return []
     i = min(board.waiting)
     board.waiting.discard(i)
@@ -223,7 +233,7 @@ def timeout_check_and_execute(cfg: Configuration, v: int) -> list[tuple[MoveInte
         # is here); purge and do nothing else
         return []
     board.min_id = i
-    board.timer = 0
+    set_timer(cfg, board, 0)
     agent = cfg.agents[located]
     agent.parked = False
     agent.bounced = False
@@ -239,20 +249,27 @@ def timeout_check_and_execute(cfg: Configuration, v: int) -> list[tuple[MoveInte
     return [(_start_traversal(board, agent, v, located, meta), meta)]
 
 
+def waits(cfg: Configuration, agent: Agent) -> bool:
+    """The agent is parked and its id is in its node's waiting set, so its
+    activation stays put and writes nothing; it re-enters the traversal
+    only through a timeout release.  Parked state is real only while the
+    two sides agree: either one alone is stale initialization."""
+    if not agent.parked:
+        return False
+    board = cfg.boards[agent.pos]
+    return board.cls in (CW, FW) and agent.ident in board.waiting
+
+
 def dft_agent_step(cfg: Configuration, idx: int) -> tuple[MoveIntent, StepMeta]:
     """One activation under the quiescing protocol.
 
-    A parked agent stays put; it re-enters the traversal only through a
-    timeout release.
+    A waiting agent (:func:`waits`) stays put; a stale ``parked`` flag is
+    dropped and the agent visits its node.
     """
     agent = cfg.agents[idx]
     if agent.ident is None:
         raise ProtocolError("dft_kminus1 requires named agents")
-    board = cfg.boards[agent.pos]
-    if agent.parked:
-        # parked state is real only while the node's waiting set agrees;
-        # either side alone is stale initialization and is dropped
-        if board.cls in (CW, FW) and agent.ident in board.waiting:
-            return MoveIntent(idx, agent.pos, None), StepMeta(branch="waiting")
-        agent.parked = False
+    if waits(cfg, agent):
+        return MoveIntent(idx, agent.pos, None), StepMeta(branch="waiting")
+    agent.parked = False
     return visit(cfg, agent.pos, idx, agent.arrival_port)

@@ -1,20 +1,21 @@
 """Drive configurations forward: synchronous rounds and asynchronous stepping.
 
 A synchronous round runs, in order: gossip merges and agent activations
-per node (nodes ascending, co-located agents ascending by id), one walk
-over the boards that runs each node's timeout check and then ticks its
-timer, duplex conflict resolution, simultaneous application of the
-accepted moves, and post-move gossip merges.  No phase after the tick
-reads a timer, so the tick may share the timeout check's walk.  The
-whole round is deterministic.
+per node (nodes ascending, co-located agents ascending by id), the
+timeout check at each node where a release is due (nodes ascending),
+duplex conflict resolution, simultaneous application of the accepted
+moves, post-move gossip merges, and one tick of the round clock
+``Configuration.ticks`` that every board timer is read against.  No
+round writes a timer that only ticks, and a waiting agent's activation,
+which writes nothing, is not called.  The whole round is deterministic.
 
 An asynchronous step activates the one agent a policy picks (no duplex
-conflicts can arise) and never ticks timers: the timer protocol is
-proven for the synchronous model only.  :func:`run` refuses, before its
-first step, a policy it cannot play and a configuration whose protocol
-and board class :func:`~gossipsim.model.refusal` rules out,
-timer-dependent protocols under async scheduling included unless
-explicitly forced.
+conflicts can arise) and never advances the round clock: the timer
+protocol is proven for the synchronous model only.  :func:`run`
+refuses, before its first step, a policy it cannot play and a
+configuration whose protocol and board class
+:func:`~gossipsim.model.refusal` rules out, timer-dependent protocols
+under async scheduling included unless explicitly forced.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from functools import lru_cache
 from itertools import count, cycle, islice, repeat
 
 from .model import (
-    NW,
     Configuration,
     ModelError,
     PROGRAM_DFT,
@@ -35,7 +35,14 @@ from .model import (
     merge_gossip,
     refusal,
 )
-from .protocol_dft import MoveIntent, StepMeta, dft_agent_step, timeout_check_and_execute
+from .protocol_dft import (
+    MoveIntent,
+    StepMeta,
+    dft_agent_step,
+    release_due,
+    timeout_check_and_execute,
+    waits,
+)
 from .protocol_suite import anon_path_enum_step, fw_dft_step
 
 SYNC = "sync"
@@ -144,6 +151,8 @@ def resolve_duplex(
         return accepted
     if duplex != HALF:
         raise SchedulerError(f"unknown duplex mode {duplex!r}")
+    if len(intents) < 2:
+        return accepted  # no two intents to oppose each other
     by_edge: dict[tuple, list[int]] = {}
     darts = []
     for n, (intent, _) in enumerate(intents):
@@ -198,36 +207,37 @@ def _apply_moves(
 
 
 def sync_round(cfg: Configuration, duplex: str = HALF) -> StepRecord:
-    """Advance one synchronous lock-step round in place, phases as above."""
+    """Advance one synchronous lock-step round in place, phases as above.
+
+    Every agent at an activated node is listed in ``acting``, a waiting
+    agent of the quiescing protocol too, whose step would only stay."""
     rec = StepRecord(step=cfg.round, acting=())
     intents: list[tuple[MoveIntent, StepMeta]] = []
     acting: list[int] = []
     merged: list[int] = []
+    agents = cfg.agents
     groups = _positions_by_node(cfg)
     for node in sorted(groups):
         here = groups[node]
         merge_gossip(cfg, node, here)
         merged.append(node)
         for idx in here:
-            step_fn = _STEP_FNS[cfg.agents[idx].program]
-            intent, meta = step_fn(cfg, idx)
             acting.append(idx)
+            agent = agents[idx]
+            if agent.program == PROGRAM_DFT and waits(cfg, agent):
+                continue
+            intent, meta = _STEP_FNS[agent.program](cfg, idx)
             if not intent.stay:
                 intents.append((intent, meta))
-    timeouts = any(a.program == PROGRAM_DFT for a in cfg.agents)
     releases = []
-    cap = cfg.timer_cap
-    # each node's timeout check reads that node's timer only, and is a
-    # no-op without a waiter; the node's tick follows it
-    for node, board in enumerate(cfg.boards):
-        if board.cls == NW:
-            continue  # no timer, and the check is a no-op
-        if timeouts and board.waiting:
+    if any(a.program == PROGRAM_DFT for a in agents):
+        # a check reads and writes its own board only, so the due boards
+        # can be found before any of them releases
+        boards = cfg.boards
+        for node in [v for v, b in enumerate(boards) if b.waiting and release_due(cfg, b)]:
             for intent, meta in timeout_check_and_execute(cfg, node):
                 releases.append((node, intent.agent))
                 intents.append((intent, meta))
-        if board.timer < cap:
-            board.timer += 1
     rec.releases = tuple(releases)
     rec.merges = tuple(merged)
     accepted = resolve_duplex(cfg, intents, duplex)
@@ -241,6 +251,7 @@ def sync_round(cfg: Configuration, duplex: str = HALF) -> StepRecord:
             colocated.append(node)
     rec.colocated = tuple(sorted(colocated))
     cfg.round += 1
+    cfg.ticks += 1
     return rec
 
 
@@ -284,7 +295,8 @@ def _picks(policy: SchedulePolicy, k: int) -> Iterator[int | None]:
 
 def async_step(cfg: Configuration, idx: int) -> StepRecord:
     """Activate agent ``idx`` alone: a merge at its node before its step
-    and, if it moved, at its new node after.  Timers do not advance."""
+    and, if it moved, at its new node after.  The round clock, and with
+    it every timer, stands still."""
     rec = StepRecord(step=cfg.round, acting=(idx,))
     agent = cfg.agents[idx]
     merge_gossip(cfg, agent.pos)

@@ -31,6 +31,7 @@ from gossipsim.model import (
     fingerprint,
     make_configuration,
     state_key,
+    timer,
 )
 from gossipsim.protocol_dft import BACKTRACK, FORWARD
 from gossipsim.scheduler import FULL, HALF, MoveRecord, StepRecord, sync_round
@@ -51,7 +52,7 @@ class TestFuzzConfig:
         for board in cfg.boards:
             assert board.t_table == {} and board.in_link == {} and board.out_link == {}
             assert board.waiting == set()
-            assert board.timer == 0 and board.wait_t == 0
+            assert timer(cfg, board) == 0 and board.wait_t == 0
             assert board.min_id == CLEAN_SPEC.id_high + 1
         assert all(a.t_bit is False for a in cfg.agents)
         assert all(len(a.known) == 1 for a in cfg.agents)
@@ -438,6 +439,30 @@ def mirror_parked_start(monkeypatch, graph, k, seed):
     return starts[1]
 
 
+def test_mirror_start_holds_base_timers(monkeypatch):
+    # witness_mirror copies the converged base's boards into a start whose
+    # round clock is 0; each copy must read its source's timer
+    runs = []
+
+    def capture(cfg, duplex):
+        start = cfg.clone()
+        rep = detect_cycle(cfg, duplex)
+        runs.append((start, cfg.clone()))
+        return rep
+
+    monkeypatch.setattr(harness, "detect_cycle", capture)
+    graph = build_grid(3, 3)
+    w = witness_mirror(graph, 3, seed=4).join_node
+    (_, base), (joined, _) = runs
+    assert base.ticks > 0 and joined.ticks == 0
+    sources = base.boards + [b for v, b in enumerate(base.boards) if v != w]
+    assert len(sources) == len(joined.boards)
+    want = [timer(base, b) for b in sources]
+    assert [timer(joined, b) for b in joined.boards] == want
+    # the stored values differ from the values read, so the copies need the rebase
+    assert any(b.timer_base != t for b, t in zip(sources, want))
+
+
 class TestParkedStart:
     """An all-parked start never moves or releases anyone; co-located
     agents merge gossip, timers saturate, and the run settles into a
@@ -463,4 +488,4 @@ class TestParkedStart:
         for v in set(positions):
             here = [a.known for a in cfg.agents if a.pos == v]
             assert all(known == here[0] for known in here)
-        assert all(b.timer == cfg.timer_cap for b in cfg.boards)
+        assert all(timer(cfg, b) == cfg.timer_cap for b in cfg.boards)

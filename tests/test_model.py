@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,10 +26,12 @@ from gossipsim.model import (
     fingerprint,
     make_configuration,
     merge_gossip,
+    set_timer,
     snapshot_hash,
     state_key,
+    timer,
 )
-from gossipsim.scheduler import FULL, HALF, sync_round
+from gossipsim.scheduler import ASYNC_ROUND_ROBIN, FULL, HALF, SchedulePolicy, run, sync_round
 from gossipsim.topology import build_grid, build_ring, random_connected_graph
 
 
@@ -193,14 +196,14 @@ class TestStateKey:
 
 
 def _untimed(board: Whiteboard) -> Whiteboard:
-    return dataclasses.replace(board.clone(), timer=0)
+    return dataclasses.replace(board.clone(), timer_base=0, timer_stamp=0)
 
 
 WAITERS_AND_STORES = FuzzSpec(waiting_garbage_rate=1.0, store_garbage_rate=1.0)
 
 
 def frozen_ring4_fw():
-    # every agent parked for good: rounds only merge gossip and tick timers
+    # every agent parked for good: rounds only merge gossip while the timers count up
     cfg = fuzz_config(build_ring(4), 3, FuzzSpec(), 5, board_class=FW)
     _park_for_good(cfg)
     return cfg
@@ -211,7 +214,7 @@ def small_cap(cfg, cap=3):
     so that timers saturate within a few rounds."""
     cfg.timer_cap = cap
     for board in cfg.boards:
-        board.timer = min(board.timer, cap + 1)
+        set_timer(cfg, board, min(timer(cfg, board), cap + 1))
     return cfg
 
 
@@ -254,8 +257,9 @@ def _reordered(cfg: Configuration) -> Configuration:
 class TestKeyCache:
     """The round key :func:`~gossipsim.harness.detect_cycle` keeps: a
     :class:`Fingerprint` updated from the write barrier ``cfg.dirty`` and
-    the round count returns ``fingerprint(state_key(cfg))`` every round,
-    and every board a round writes beyond its timer is in the barrier."""
+    the round clock returns ``fingerprint(state_key(cfg))`` every round,
+    and every board a round writes is in the barrier: a timer that only
+    ticks is not written."""
 
     @pytest.mark.parametrize("board_class", [CW, FW])
     def test_timer_only_change_at_quiet_board(self, board_class):
@@ -266,32 +270,35 @@ class TestKeyCache:
         )
         _park_for_good(cfg)
         small_cap(cfg)
-        cfg.boards[3].timer = 9  # above the cap: never ticks
+        set_timer(cfg, cfg.boards[3], 9)  # above the cap: never ticks
         fp = Fingerprint(cfg)
         for _ in range(6):
             assert fp.update() == fingerprint(state_key(cfg))
             sync_round(cfg, HALF)
-        cfg.boards[1].timer = 1
+        set_timer(cfg, cfg.boards[1], 1)
         cfg.dirty.add(1)
         for _ in range(6):
             assert fp.update() == fingerprint(state_key(cfg))
             sync_round(cfg, HALF)
-        assert [b.timer for b in cfg.boards] == [3, 3, 3, 9]
+        assert [timer(cfg, b) for b in cfg.boards] == [3, 3, 3, 9]
 
     @pytest.mark.parametrize("case", sorted(ROUND_STARTS))
     def test_round_writes_beyond_timer_only_where_agents_are_or_wait(self, case):
         # the barrier holds every board the round wrote beyond its timer,
-        # and no node without an agent or a waiter
+        # and no node without an agent or a waiter; a stored timer changes
+        # only where the round wrote the board
         make, duplex = ROUND_STARTS[case]
         cfg = make()
         writes = 0
         for _ in range(120):
             cfg.dirty.clear()
+            stored = [b.clone() for b in cfg.boards]
             before = [_untimed(b) for b in cfg.boards]
             waiters = {v for v, b in enumerate(cfg.boards) if b.waiting}
             rec = sync_round(cfg, duplex)
             changed = {v for v, b in enumerate(cfg.boards) if _untimed(b) != before[v]}
             assert changed <= cfg.dirty <= set(rec.merges) | set(rec.colocated) | waiters
+            assert {v for v, b in enumerate(cfg.boards) if b != stored[v]} <= cfg.dirty
             writes += len(changed)
         assert writes > 0  # the starts do write boards
 
@@ -338,6 +345,68 @@ class TestKeyCache:
         assert fp.update() == fingerprint(state_key(cfg))
 
 
+class TestLazyTimers:
+    """Timers read against the round clock give the states that a tick of
+    every board in every round gave; the digests were computed with that
+    per-round tick."""
+
+    # SHA-256 over the snapshot_hash of the state after each of 120 rounds;
+    # the cap-3 and cap-7 starts hold timers at cap + 1
+    ROUND_DIGESTS = {
+        "grid:3x3 FW cap 3": "7bb0399869f34425fe4c21bf3965bef1d5b30973490498b2ea01e27ae3cd8dbc",
+        "grid:3x3 FW, waiters everywhere":
+            "14cf3d8c9a60374536e8d85cb1e115950a1fe4ed45d3f44841d03bec7ad1f73c",
+        "random:7:2:3 seed 246 cap 7":
+            "b37b29625d03eb7ee9f5e8f3f2c7dee1d765cb3e8b902a55fdda03fb041a8448",
+        "random:7:2:3 seed 246 full":
+            "9bf59a550167712a4b76ffe4f71ccf5cb4961100281a093b167aad4790ebd802",
+        "random:7:2:3 seed 246 half":
+            "9bf59a550167712a4b76ffe4f71ccf5cb4961100281a093b167aad4790ebd802",
+        "ring:4 FW frozen": "d9dfe7410e29c8a1c42296c68fc2f0d222df963fe53774fe084beb7382975a8d",
+    }
+    ASYNC_DIGEST = "9964c265cfb72c7b33e9c3644bfb837c71ff228f6c0eae44ed2d444194549e50"
+
+    @pytest.mark.parametrize("case", sorted(ROUND_STARTS))
+    def test_round_sequence_pinned(self, case):
+        make, duplex = ROUND_STARTS[case]
+        cfg = make()
+        h = hashlib.sha256()
+        for _ in range(120):
+            sync_round(cfg, duplex)
+            h.update(snapshot_hash(cfg).encode())
+        assert h.hexdigest() == self.ROUND_DIGESTS[case]
+        assert cfg.ticks == cfg.round == 120
+
+    def test_unsafe_async_run_pinned(self):
+        # an async step never advances the clock, so a timer reads either
+        # its start value or the 0 a gate wrote
+        cfg = fuzz_config(random_connected_graph(7, 2, seed=3), 3, FuzzSpec(), 246)
+        start = [timer(cfg, b) for b in cfg.boards]
+        h = hashlib.sha256()
+
+        def observe(c, rec):
+            h.update(snapshot_hash(c).encode())
+            assert all(timer(c, b) in (t, 0) for b, t in zip(c.boards, start))
+
+        run(cfg, SchedulePolicy(kind=ASYNC_ROUND_ROBIN), max_steps=20, unsafe_async=True,
+            observer=observe)
+        assert cfg.round == 20 and cfg.ticks == 0
+        assert h.hexdigest() == self.ASYNC_DIGEST
+
+    @pytest.mark.parametrize("case", sorted(ROUND_STARTS))
+    def test_clone_mid_run_reads_same_timers(self, case):
+        make, duplex = ROUND_STARTS[case]
+        cfg = make()
+        for _ in range(37):
+            sync_round(cfg, duplex)
+        twin = cfg.clone()
+        assert [timer(twin, b) for b in twin.boards] == [timer(cfg, b) for b in cfg.boards]
+        for _ in range(20):
+            sync_round(cfg, duplex)
+            sync_round(twin, duplex)
+            assert state_key(twin) == state_key(cfg)
+
+
 class TestEncodingCoverage:
     """Every field either changes ``state_key`` or is named as left out, so
     a field added later without an encoding fails here."""
@@ -362,14 +431,17 @@ class TestEncodingCoverage:
         "min_id": 3,
         "wait_t": 4,
         "waiting": {1},
-        "timer": 2,
+        "timer": 2,  # given through set_timer, which writes TIMER_FIELDS
         "store": {Token("x", "y")},
     }
+    # the stored form of the timer: the value last given and the clock then
+    TIMER_FIELDS = {"timer_base", "timer_stamp"}
     # CW boards reject gossip-store writes, so their store stays empty
     BOARD_UNENCODED = {CW: {"store"}, FW: set()}
     # the state_key docstring gives the reason for each
     CONFIG_LEFT_OUT = {
         "round": 7,
+        "ticks": 7,
         "graph": build_grid(2, 2),
         "timer_cap": 99,
         "genuine": {},
@@ -381,10 +453,17 @@ class TestEncodingCoverage:
             build_ring(4), [Agent(ident=1, pos=0), Agent(ident=5, pos=2)], board_class
         )
 
+    @staticmethod
+    def _set_board_field(cfg, board, name, value):
+        if name == "timer":
+            set_timer(cfg, board, value)
+        else:
+            setattr(board, name, value)
+
     def test_tables_cover_every_field(self):
         names = {cls: {f.name for f in dataclasses.fields(cls)} for cls in (Agent, Whiteboard, Configuration)}
         assert set(self.AGENT_ALTERNATIVES) == names[Agent]
-        assert set(self.BOARD_ALTERNATIVES) == names[Whiteboard]
+        assert set(self.BOARD_ALTERNATIVES) == names[Whiteboard] - self.TIMER_FIELDS | {"timer"}
         assert set(self.CONFIG_LEFT_OUT) | {"agents", "boards"} == names[Configuration]
         for name in self.CONFIG_LEFT_OUT:
             assert f"``{name}``" in state_key.__doc__
@@ -401,7 +480,7 @@ class TestEncodingCoverage:
     def test_board_field_encoded(self, board_class, name):
         cfg = self._cfg(board_class)
         key = state_key(cfg)
-        setattr(cfg.boards[1], name, self.BOARD_ALTERNATIVES[name])
+        self._set_board_field(cfg, cfg.boards[1], name, self.BOARD_ALTERNATIVES[name])
         changed = state_key(cfg) != key
         assert changed is (name not in self.BOARD_UNENCODED[board_class])
 
@@ -410,6 +489,11 @@ class TestEncodingCoverage:
         cfg = self._cfg(FW)
         key = state_key(cfg)
         setattr(cfg, name, self.CONFIG_LEFT_OUT[name])
+        if name == "ticks":
+            # the timers are read against the round clock: moved with it,
+            # they read as before
+            for board in cfg.boards:
+                board.timer_stamp += self.CONFIG_LEFT_OUT[name]
         assert state_key(cfg) == key
 
     def test_clone_keeps_every_field(self):
@@ -417,7 +501,7 @@ class TestEncodingCoverage:
         for name, value in self.CONFIG_LEFT_OUT.items():
             setattr(cfg, name, value)
         for name, value in self.BOARD_ALTERNATIVES.items():
-            setattr(cfg.boards[1], name, value)
+            self._set_board_field(cfg, cfg.boards[1], name, value)  # stamped at ticks 7
         for name, value in self.AGENT_ALTERNATIVES.items():
             setattr(cfg.agents[1], name, value)
         assert cfg.clone() == cfg

@@ -2,7 +2,7 @@
 
 import pytest
 
-from gossipsim.model import Agent, CW, NW, assoc_get, make_configuration
+from gossipsim.model import Agent, CW, NW, assoc_get, make_configuration, set_timer, timer
 from gossipsim.protocol_dft import (
     ProtocolError,
     dft_agent_step,
@@ -40,14 +40,14 @@ class TestFirstVisit:
         # via port 0; timer carries a prior value to observe the handoff
         cfg = two_node_cfg()
         board = cfg.boards[0]
-        board.timer = 5
+        set_timer(cfg, board, 5)
         intent, meta = visit(cfg, 0, 0, 0)
         assert meta.branch == "first_visit"
         assert board.t_table == {1: False}
         assert assoc_get(board, "in_link", 1) is None  # deg 1 resets it to bottom
         assert board.min_id == 1
         assert board.wait_t == 5
-        assert board.timer == 0
+        assert timer(cfg, board) == 0
         assert (intent.frm, intent.via) == (0, 0)
         assert meta.kind == "backtrack"
 
@@ -106,7 +106,7 @@ class TestCompletion:
         board = cfg.boards[0]
         board.t_table[1] = False
         board.out_link[1] = 1  # arrival via port 1, next(1)=0, in_link bottom
-        board.timer = 9
+        set_timer(cfg, board, 9)
         intent, meta = visit(cfg, 0, 0, 1)
         assert meta.branch == "root_complete"
         assert meta.flipped
@@ -114,7 +114,7 @@ class TestCompletion:
         # the new mark equals the table default, so the row disappears
         assert assoc_get(board, "t_table", 1) is True and board.t_table == {}
         assert board.out_link == {1: 0}
-        assert board.wait_t == 9 and board.timer == 0
+        assert board.wait_t == 9 and timer(cfg, board) == 0
         assert intent.via == 0
 
     def test_subtree_complete_clears_links(self):
@@ -156,7 +156,7 @@ class TestTimeout:
         a8 = self._parked(g, 8, 1)
         cfg = make_configuration(g, [a3, a8], CW)
         board = cfg.boards[1]
-        board.timer = 5
+        set_timer(cfg, board, 5)
         board.wait_t = 5
         board.waiting = {3, 8}
         actions = timeout_check_and_execute(cfg, 1)
@@ -166,7 +166,7 @@ class TestTimeout:
         assert meta.branch == "timeout_root" and meta.flipped
         assert board.min_id == 3
         assert board.waiting == {8}
-        assert board.timer == 0
+        assert timer(cfg, board) == 0
         assert a3.t_bit is True
         assert board.out_link == {3: 0}
         assert a3.parked is False
@@ -176,7 +176,8 @@ class TestTimeout:
         agent = self._parked(g, 5, 2)
         cfg = make_configuration(g, [agent], CW)
         board = cfg.boards[2]
-        board.timer = board.wait_t = 3
+        set_timer(cfg, board, 3)
+        board.wait_t = 3
         board.waiting = {5}
         board.in_link[5] = 1
         actions = timeout_check_and_execute(cfg, 2)
@@ -189,23 +190,24 @@ class TestTimeout:
         g = build_ring(3)
         cfg = make_configuration(g, [self._parked(g, 2, 0)], CW)
         cfg.boards[0].wait_t = 10
-        cfg.boards[0].timer = 9
+        set_timer(cfg, cfg.boards[0], 9)
         cfg.boards[0].waiting = {2}
         assert timeout_check_and_execute(cfg, 0) == []
 
     def test_empty_waiting_is_noop_without_reset(self):
         g = build_ring(3)
         cfg = make_configuration(g, [Agent(ident=2, pos=0)], CW)
-        cfg.boards[0].timer = 7
+        set_timer(cfg, cfg.boards[0], 7)
         cfg.boards[0].wait_t = 7
         assert timeout_check_and_execute(cfg, 0) == []
-        assert cfg.boards[0].timer == 7  # stays expired for a late arrival
+        assert timer(cfg, cfg.boards[0]) == 7  # stays expired for a late arrival
 
     def test_ghost_entry_discarded(self):
         g = build_ring(3)
         cfg = make_configuration(g, [Agent(ident=2, pos=1)], CW)
         board = cfg.boards[0]
-        board.timer = board.wait_t = 1
+        set_timer(cfg, board, 1)
+        board.wait_t = 1
         board.waiting = {2, 4}  # neither is a parked agent at node 0
         assert timeout_check_and_execute(cfg, 0) == []
         assert board.waiting == {4}

@@ -3,8 +3,18 @@ from itertools import islice
 
 from hypothesis import given, settings, strategies as st
 
-from gossipsim.harness import _park_for_good
-from gossipsim.model import Agent, CW, FW, make_configuration, state_key
+from gossipsim import scheduler
+from gossipsim.harness import FuzzSpec, _park_for_good, fuzz_config
+from gossipsim.model import (
+    Agent,
+    CW,
+    FW,
+    PROGRAM_DFT,
+    make_configuration,
+    set_timer,
+    state_key,
+    timer,
+)
 from gossipsim.protocol_dft import MoveIntent, StepMeta
 from gossipsim.scheduler import (
     ASYNC_RANDOM_FAIR,
@@ -81,7 +91,7 @@ class TestSyncRound:
         cfg = make_configuration(g, [], CW)
         rec = sync_round(cfg)
         assert cfg.round == 1
-        assert all(b.timer == 1 for b in cfg.boards)
+        assert all(timer(cfg, b) == 1 for b in cfg.boards)
         assert rec.moves == [] and rec.acting == ()
 
     def test_every_agent_acts_once(self):
@@ -94,22 +104,61 @@ class TestSyncRound:
     def test_timer_saturates_at_cap(self):
         g = build_ring(3)
         cfg = make_configuration(g, [], CW)
-        cfg.boards[0].timer = cfg.timer_cap
+        set_timer(cfg, cfg.boards[0], cfg.timer_cap)
         sync_round(cfg)
-        assert cfg.boards[0].timer == cfg.timer_cap
+        assert timer(cfg, cfg.boards[0]) == cfg.timer_cap
 
     def test_frozen_round_only_merges_and_ticks(self):
         # every agent parked for good: each acts, but none moves or is released
         cfg = dft_cfg([(1, 0), (2, 0)])
         _park_for_good(cfg)
-        t0 = cfg.boards[0].timer
+        t0 = timer(cfg, cfg.boards[0])
         rec = sync_round(cfg)
         assert rec.acting == (0, 1) and rec.moves == [] and rec.releases == ()
         assert rec.colocated == (0,)
         assert cfg.agents[0].pos == cfg.agents[1].pos == 0
-        assert cfg.boards[0].timer == t0 + 1
+        assert timer(cfg, cfg.boards[0]) == t0 + 1
         # parked co-location still exchanges gossip
         assert cfg.agents[0].known == cfg.agents[1].known
+
+    @staticmethod
+    def _count_steps(monkeypatch):
+        stepped = []
+        step = scheduler._STEP_FNS[PROGRAM_DFT]
+
+        def counting(cfg, idx):
+            stepped.append(idx)
+            return step(cfg, idx)
+
+        monkeypatch.setitem(scheduler._STEP_FNS, PROGRAM_DFT, counting)
+        return stepped
+
+    def test_waiting_agent_not_stepped(self, monkeypatch):
+        # agents 0 and 1 wait at node 0 for longer than any timer counts,
+        # agent 2 is free at node 2
+        cfg = dft_cfg([(1, 0), (2, 0), (3, 2)])
+        for idx in (0, 1):
+            cfg.agents[idx].parked = True
+            cfg.boards[0].waiting.add(cfg.agents[idx].ident)
+        cfg.boards[0].wait_t = cfg.timer_cap + 1
+        stepped = self._count_steps(monkeypatch)
+        rec = sync_round(cfg)
+        assert stepped == [2]
+        assert rec.acting == (0, 1, 2)
+        assert cfg.agents[0].parked and cfg.agents[1].parked
+
+    def test_stale_parked_flag_still_stepped(self, monkeypatch):
+        # every agent's parked flag is set and no waiting set names it
+        spec = FuzzSpec(table_garbage_rate=1.0, waiting_garbage_rate=0.0)
+        cfg = fuzz_config(build_ring(6), 3, spec, 2)
+        assert all(a.parked for a in cfg.agents)
+        assert not any(b.waiting for b in cfg.boards)
+        stepped = self._count_steps(monkeypatch)
+        rec = sync_round(cfg)
+        assert sorted(stepped) == [0, 1, 2] and sorted(rec.acting) == [0, 1, 2]
+        # a flag left set is one the min-id gate set, with its waiting entry
+        for a in cfg.agents:
+            assert not a.parked or a.ident in cfg.boards[a.pos].waiting
 
     def test_deterministic_replay(self):
         cfg = dft_cfg([(5, 0), (2, 1), (9, 3)])
@@ -160,7 +209,7 @@ class TestAsyncPolicies:
     def test_async_timers_do_not_tick(self):
         cfg = walker_cfg([0, 3])
         run(cfg, SchedulePolicy(kind=ASYNC_ROUND_ROBIN), max_steps=20)
-        assert all(b.timer == 0 for b in cfg.boards)
+        assert all(timer(cfg, b) == 0 for b in cfg.boards)
 
     def test_dft_needs_unsafe_flag(self):
         policy = SchedulePolicy(kind=ASYNC_ROUND_ROBIN)
