@@ -31,7 +31,7 @@ from .model import (
     state_key,
     timer,
 )
-from .scheduler import HALF, SchedulePolicy, StepRecord, SYNC, run, sync_round
+from .scheduler import HALF, RoundIndex, SchedulePolicy, StepRecord, SYNC, run, sync_round
 from .topology import PortLabeledGraph, build_ring, mirror_join, mirror_node
 
 UNIFORM = "uniform"
@@ -221,15 +221,16 @@ def _first_repeat(
     ascending candidates, jumping to a later checkpoint when that is
     closer; it calls no observer.
     """
-    probe = None
+    probe = index = None
     probe_step = -1
     for c in candidates:
         j = c.bit_length()
         start = (1 << j) >> 1
         if start > probe_step:
             probe, probe_step = checkpoints[j].clone(), start
+            index = RoundIndex(probe)
         while probe_step < c:
-            sync_round(probe, duplex)
+            sync_round(probe, duplex, index)
             probe_step += 1
         if state_key(probe) == key:
             return c
@@ -245,26 +246,31 @@ def detect_cycle(
 ) -> CycleReport:
     """Run synchronous rounds until an exact state repeat.
 
+    The rounds carry one :class:`~gossipsim.scheduler.RoundIndex`, so a
+    round in which k-1 agents wait costs about what its mover does.
     Each round's state is indexed by its
     :func:`~gossipsim.model.fingerprint`, which a
-    :class:`~gossipsim.model.Fingerprint` updates from the boards the round
-    wrote (the write barrier ``cfg.dirty``) and from the round count, so
-    no round re-encodes the whole state.  A clone of the state is kept at
+    :class:`~gossipsim.model.Fingerprint` updates from the boards and the
+    agents the round wrote (the write barriers ``cfg.dirty`` and
+    ``cfg.dirty_agents``) and from the round count, so no round
+    re-encodes the whole state.  A clone of the state is kept at
     step 0 and at every power-of-two step.  When a fingerprint recurs,
     each earlier step with that fingerprint is re-simulated from its
     latest checkpoint and its :func:`state_key` is compared in full with a
     fresh :func:`state_key` of the current state, so the returned (prefix,
     period) pair is exact, not a fingerprint coincidence; a false hit (a
     collision) only lets the run go on.  Without a false hit the
-    re-simulation costs at most half the prefix in rounds.  Memory is
+    re-simulation, which carries a fresh index from the checkpoint,
+    costs at most half the prefix in rounds.  Memory is
     O(log rounds) clones plus the per-round records.
 
     ``cfg`` is mutated and ends at step prefix + period, a state on the
     cycle; clone first to keep the start state.  ``observer(cfg, record)``
-    runs after every round, for monitoring.
+    runs after every round, for monitoring; it must not write ``cfg``.
     """
     limit = budget if budget is not None else default_cycle_budget(cfg)
     fingerprint = Fingerprint(cfg)
+    index = RoundIndex(cfg)
     seen: dict[int, list[int]] = {}
     checkpoints: list[Configuration] = []
     records: list[StepRecord] = []
@@ -284,7 +290,7 @@ def detect_cycle(
             gossip_step = step
         if step >= limit:
             return CycleReport(BUDGET, step, 0, gossip_step, records)
-        rec = sync_round(cfg, duplex)
+        rec = sync_round(cfg, duplex, index)
         records.append(rec)
         if observer is not None:
             observer(cfg, rec)

@@ -20,12 +20,14 @@ that write, so :func:`timer` derives the current value and no round
 writes a timer that only ticks.  :func:`set_timer` is the one writer.
 
 Cycle detection indexes rounds by the :func:`fingerprint` of their key,
-a sum of one term for the agents, one per board and one per timer.
+a sum of one term per agent, one per board and one per timer.
 :class:`Fingerprint` keeps that sum across synchronous rounds at the cost
-of what a round writes: a write barrier names the boards a round wrote
-(every writer of a board adds its node to ``Configuration.dirty``), only
-those are re-encoded, and a timer that only ticks is a stamp that the
-round clock turns into its value.
+of what a round writes: write barriers name the boards and the agents a
+round wrote (every writer of a board adds its node to
+``Configuration.dirty``, and a synchronous round adds the agents it
+steps, moves or merges to ``Configuration.dirty_agents``), only those
+are re-encoded, and a timer that only ticks is a stamp that the round
+clock turns into its value.
 """
 
 from __future__ import annotations
@@ -199,8 +201,10 @@ class Configuration:
     rounds only, and is the clock the board timers are read against.
     ``dirty`` is the write barrier: every step that may write a board
     adds the board's node (:func:`merge_gossip` growing a store, and the
-    protocol's visit and timeout release).  Only a :class:`Fingerprint`
-    reads and clears it.
+    protocol's visit and timeout release).  ``dirty_agents`` is its twin
+    for agents: a synchronous round adds the index of every agent it
+    steps, every agent with a move intent and every agent of a merge it
+    runs.  Only a :class:`Fingerprint` reads and clears them.
     """
 
     graph: PortLabeledGraph
@@ -211,6 +215,7 @@ class Configuration:
     timer_cap: int = 0
     genuine: dict[int, Token] = field(default_factory=dict)
     dirty: set[int] = field(default_factory=set)
+    dirty_agents: set[int] = field(default_factory=set)
 
     @property
     def k(self) -> int:
@@ -219,7 +224,8 @@ class Configuration:
     def clone(self) -> "Configuration":
         return Configuration(self.graph, [a.clone() for a in self.agents],
                              [b.clone() for b in self.boards], self.round, self.ticks,
-                             self.timer_cap, dict(self.genuine), set(self.dirty))
+                             self.timer_cap, dict(self.genuine), set(self.dirty),
+                             set(self.dirty_agents))
 
 
 def timer(cfg: Configuration, board: Whiteboard) -> int:
@@ -374,6 +380,8 @@ def state_key(cfg: Configuration) -> tuple:
       it is never written after the configuration is made.
     - ``dirty`` is the write barrier: it names the boards written since a
       :class:`Fingerprint` last read it, not what they hold.
+    - ``dirty_agents`` is the same barrier for agents: it names the
+      agents a synchronous round may have written, not what they hold.
     """
     return (
         tuple(_agent_key(a) for a in cfg.agents),
@@ -393,14 +401,15 @@ def _timer_weights(n: int) -> tuple[int, ...]:
 
 
 def fingerprint(key: tuple) -> int:
-    """The fingerprint of a :func:`state_key`: the hash of its agent-key
-    tuple, plus ``hash((v, board key))`` for every node v, plus every
-    board's timer times its node's fixed weight, modulo a 61-bit prime.
-    Equal keys give equal fingerprints; unequal keys may collide, so a
-    fingerprint match is confirmed by comparing keys."""
+    """The fingerprint of a :func:`state_key`: ``hash((i, agent key))``
+    for every agent index i, plus ``hash((v, board key))`` for every node
+    v, plus every board's timer times its node's fixed weight, modulo a
+    61-bit prime (Zobrist hashing: each part of the state contributes
+    its own term).  Equal keys give equal fingerprints; unequal keys may
+    collide, so a fingerprint match is confirmed by comparing keys."""
     agents, boards, timers = key
     weights = _timer_weights(len(boards))
-    total = hash(agents)
+    total = sum(hash((i, a)) for i, a in enumerate(agents))
     for v, (board, t) in enumerate(zip(boards, timers)):
         total += hash((v, board)) + weights[v] * t
     return total % _PRIME
@@ -412,9 +421,9 @@ class Fingerprint:
     Make it at any state, which encodes every board, then call
     :meth:`update` at that state and after every round of
     :func:`~gossipsim.scheduler.sync_round` on ``cfg``; each call returns
-    ``fingerprint(state_key(cfg))``.  An update rehashes the agent-key
-    tuple and re-encodes only the boards in ``cfg.dirty``, which it then
-    clears.
+    ``fingerprint(state_key(cfg))``.  An update re-encodes only the
+    agents in ``cfg.dirty_agents`` and the boards in ``cfg.dirty``, and
+    then clears both barriers.
 
     A board that is not written keeps its timer's stamp, so while that
     timer ticks, its term is ``w·(T − s)`` for the round clock T
@@ -425,11 +434,15 @@ class Fingerprint:
     above the cap never tick and are constant too.
     """
 
-    __slots__ = ("cfg", "_weights", "_terms", "_stamps", "_base", "_rate", "_saturate")
+    __slots__ = ("cfg", "_agent_terms", "_agents", "_weights", "_terms", "_stamps", "_base",
+                 "_rate", "_saturate")
 
     def __init__(self, cfg: Configuration):
         n = len(cfg.boards)
         self.cfg = cfg
+        self._agent_terms = [hash((i, _agent_key(a))) for i, a in enumerate(cfg.agents)]
+        self._agents = sum(self._agent_terms)  # the sum of the agent terms
+        cfg.dirty_agents.clear()
         self._weights = _timer_weights(n)
         self._terms = [0] * n  # each board's hash and constant or -w·s timer term
         self._stamps: list[int | None] = [None] * n  # None: the timer is constant
@@ -478,8 +491,14 @@ class Fingerprint:
         if cfg.dirty:
             self._encode(cfg.dirty)
             cfg.dirty.clear()
-        agents = hash(tuple(_agent_key(a) for a in cfg.agents))
-        return (agents + self._base + r * self._rate) % _PRIME
+        if cfg.dirty_agents:
+            agents, terms = cfg.agents, self._agent_terms
+            for i in cfg.dirty_agents:
+                term = hash((i, _agent_key(agents[i])))
+                self._agents += term - terms[i]
+                terms[i] = term
+            cfg.dirty_agents.clear()
+        return (self._agents + self._base + r * self._rate) % _PRIME
 
 
 def _canonical(value):

@@ -201,11 +201,27 @@ def visit(
     return MoveIntent(idx, v, nxt), meta
 
 
+def due_tick(cfg: Configuration, board: Whiteboard) -> int | None:
+    """The first round clock value, from ``cfg.ticks`` on, at which
+    :func:`release_due` holds if nobody writes the board, or None if it
+    never will.  NW boards hold no timer machinery and are never due; a
+    board without a waiter is not due; a timer that has reached the
+    recorded traversal time is due now, and one still ticking toward a
+    traversal time within the cap is due when it gets there."""
+    if board.cls == NW or not board.waiting:
+        return None
+    t = timer(cfg, board)
+    if t >= board.wait_t:
+        return cfg.ticks
+    if t < cfg.timer_cap and board.wait_t <= cfg.timer_cap:
+        return cfg.ticks + board.wait_t - t
+    return None
+
+
 def release_due(cfg: Configuration, board: Whiteboard) -> bool:
     """The timeout release condition: the board has a waiter and its
-    count-up timer has reached the recorded traversal time.  NW boards
-    hold no timer machinery and are never due."""
-    return board.cls != NW and timer(cfg, board) >= board.wait_t and bool(board.waiting)
+    count-up timer has reached the recorded traversal time."""
+    return due_tick(cfg, board) == cfg.ticks
 
 
 def timeout_check_and_execute(cfg: Configuration, v: int) -> list[tuple[MoveIntent, StepMeta]]:

@@ -9,6 +9,13 @@ moves, post-move gossip merges, and one tick of the round clock
 round writes a timer that only ticks, and a waiting agent's activation,
 which writes nothing, is not called.  The whole round is deterministic.
 
+A run of synchronous rounds carries one :class:`RoundIndex` from round
+to round, so a round pays for the agents that act and the boards that
+can come due, not for every agent and board: the agents grouped by
+node, the waiting agents, the nodes agents arrived at (the only ones
+where a merge can find something new) and a queue of the ticks at
+which boards come due.
+
 An asynchronous step activates the one agent a policy picks (no duplex
 conflicts can arise) and never advances the round clock: the timer
 protocol is proven for the synchronous model only.  :func:`run`
@@ -39,7 +46,7 @@ from .protocol_dft import (
     MoveIntent,
     StepMeta,
     dft_agent_step,
-    release_due,
+    due_tick,
     timeout_check_and_execute,
     waits,
 )
@@ -125,13 +132,74 @@ def _activation_order(idents: tuple[int | None, ...]) -> tuple[int, ...]:
     return tuple(sorted(range(len(idents)), key=lambda i: _order_key(idents[i], i)))
 
 
-def _positions_by_node(cfg: Configuration) -> dict[int, list[int]]:
-    """Node -> indices of the agents there, each group in activation order."""
-    agents = cfg.agents
-    groups: dict[int, list[int]] = {}
-    for idx in _activation_order(tuple([a.ident for a in agents])):
-        groups.setdefault(agents[idx].pos, []).append(idx)
-    return groups
+class RoundIndex:
+    """What the synchronous rounds of one run carry from round to round,
+    so that a round touches only the agents that act and the boards that
+    can come due.  Built from any configuration; see :func:`sync_round`
+    for how long it stays valid.
+
+    - ``groups``: occupied node -> indices of the agents there, each
+      group in activation order.
+    - ``waiting``: the quiescing agents for which
+      :func:`~gossipsim.protocol_dft.waits` holds.  Only a timeout
+      release takes an agent out (only a release pops its id), and only
+      the agent's own step puts it in.
+    - ``arrivals``: the nodes an agent moved into last round; at build
+      time every occupied node.  Known sets and stores grow only in
+      :func:`~gossipsim.model.merge_gossip`, so the agents of a node that
+      nobody joined since its last merge already hold equal sets.
+    - ``due_at``: node -> its :func:`~gossipsim.protocol_dft.due_tick`,
+      for every board that has one, and ``due``: tick -> the nodes
+      scheduled for it, stale entries (the node's ``due_at`` moved since)
+      included.  Kept only if a quiescing agent runs (``timed``): no other
+      protocol releases anyone.
+    """
+
+    __slots__ = ("groups", "waiting", "arrivals", "due_at", "due", "timed", "_rank")
+
+    def __init__(self, cfg: Configuration):
+        agents = cfg.agents
+        order = _activation_order(tuple([a.ident for a in agents]))
+        self._rank = [0] * len(agents)  # agent index -> its place in activation order
+        self.groups: dict[int, list[int]] = {}
+        for rank, idx in enumerate(order):
+            self._rank[idx] = rank
+            self.groups.setdefault(agents[idx].pos, []).append(idx)
+        self.waiting = {idx for idx, a in enumerate(agents)
+                        if a.program == PROGRAM_DFT and waits(cfg, a)}
+        self.arrivals = set(self.groups)
+        self.due_at: dict[int, int] = {}
+        self.due: dict[int, list[int]] = {}
+        self.timed = any(a.program == PROGRAM_DFT for a in agents)
+        if self.timed:
+            for v in range(len(cfg.boards)):
+                self.schedule(cfg, v)
+
+    def schedule(self, cfg: Configuration, v: int) -> None:
+        """Record node ``v``'s due tick, read at the current round clock."""
+        tick = due_tick(cfg, cfg.boards[v])
+        if tick is None:
+            self.due_at.pop(v, None)
+        elif self.due_at.get(v) != tick:
+            self.due_at[v] = tick
+            self.due.setdefault(tick, []).append(v)
+
+    def pop_due(self, tick: int) -> list[int]:
+        """The nodes due at ``tick``, ascending; forgets the tick's entries."""
+        due_at = self.due_at
+        return sorted({v for v in self.due.pop(tick, ()) if due_at.get(v) == tick})
+
+    def move(self, idx: int, frm: int, to: int) -> None:
+        """Move agent ``idx`` from ``frm``'s group to ``to``'s."""
+        groups = self.groups
+        group = groups[frm]
+        group.remove(idx)
+        if not group:
+            del groups[frm]
+        group = groups.setdefault(to, [])
+        group.append(idx)
+        if len(group) > 1:
+            group.sort(key=self._rank.__getitem__)
 
 
 def resolve_duplex(
@@ -206,52 +274,85 @@ def _apply_moves(
     return records
 
 
-def sync_round(cfg: Configuration, duplex: str = HALF) -> StepRecord:
+def sync_round(
+    cfg: Configuration, duplex: str = HALF, index: RoundIndex | None = None
+) -> StepRecord:
     """Advance one synchronous lock-step round in place, phases as above.
 
     Every agent at an activated node is listed in ``acting``, a waiting
-    agent of the quiescing protocol too, whose step would only stay."""
+    agent of the quiescing protocol too, whose step would only stay, and
+    every occupied node in ``merges``, although only a node an agent
+    arrived at last round can have gossip to merge.
+
+    ``index`` carries what one round leaves for the next; None builds a
+    fresh one, which makes the round start from scratch.  An index stays
+    valid only while :func:`sync_round` with that index is the only
+    writer of ``cfg``: it changes with the agents' positions, the
+    waiting agents and the boards' due ticks as the round changes them.
+    Each round the index reschedules a node after every step there, then
+    checks the nodes due at this round clock in ascending order, and
+    reschedules those from the next one.  The round adds the agents it may write to
+    ``cfg.dirty_agents``.
+    """
+    if index is None:
+        index = RoundIndex(cfg)
     rec = StepRecord(step=cfg.round, acting=())
     intents: list[tuple[MoveIntent, StepMeta]] = []
     acting: list[int] = []
-    merged: list[int] = []
     agents = cfg.agents
-    groups = _positions_by_node(cfg)
-    for node in sorted(groups):
+    groups, waiting, arrivals, timed = index.groups, index.waiting, index.arrivals, index.timed
+    dirty = cfg.dirty_agents
+    occupied = sorted(groups)
+    for node in occupied:
         here = groups[node]
-        merge_gossip(cfg, node, here)
-        merged.append(node)
+        if node in arrivals:
+            merge_gossip(cfg, node, here)
+            dirty.update(here)
+        acting.extend(here)
         for idx in here:
-            acting.append(idx)
-            agent = agents[idx]
-            if agent.program == PROGRAM_DFT and waits(cfg, agent):
+            if idx in waiting:
                 continue
-            intent, meta = _STEP_FNS[agent.program](cfg, idx)
+            intent, meta = _STEP_FNS[agents[idx].program](cfg, idx)
+            dirty.add(idx)
+            if meta.joined_waiting:
+                waiting.add(idx)
             if not intent.stay:
                 intents.append((intent, meta))
+            if timed:  # a step writes its own node's board only
+                index.schedule(cfg, node)
     releases = []
-    if any(a.program == PROGRAM_DFT for a in agents):
+    due: list[int] = []
+    if timed:
         # a check reads and writes its own board only, so the due boards
-        # can be found before any of them releases
-        boards = cfg.boards
-        for node in [v for v, b in enumerate(boards) if b.waiting and release_due(cfg, b)]:
+        # are known before any of them releases
+        due = index.pop_due(cfg.ticks)
+        for node in due:
             for intent, meta in timeout_check_and_execute(cfg, node):
                 releases.append((node, intent.agent))
                 intents.append((intent, meta))
+                waiting.discard(intent.agent)
     rec.releases = tuple(releases)
-    rec.merges = tuple(merged)
+    rec.merges = tuple(occupied)
     accepted = resolve_duplex(cfg, intents, duplex)
     rec.moves = _apply_moves(cfg, intents, accepted)
     rec.acting = tuple(acting)
-    groups_after = _positions_by_node(cfg)
-    colocated = []
-    for node, members in groups_after.items():
-        if len(members) >= 2:
-            merge_gossip(cfg, node, members)
-            colocated.append(node)
-    rec.colocated = tuple(sorted(colocated))
+    arrivals = set()
+    for mv in rec.moves:
+        dirty.add(mv.agent)  # a move writes its agent, and no step wrote a released one
+        if mv.accepted:
+            index.move(mv.agent, mv.frm, mv.to)
+            arrivals.add(mv.to)
+    index.arrivals = arrivals
+    colocated = sorted(node for node, members in groups.items() if len(members) >= 2)
+    for node in colocated:
+        if node in arrivals:
+            merge_gossip(cfg, node, groups[node])
+            dirty.update(groups[node])
+    rec.colocated = tuple(colocated)
     cfg.round += 1
     cfg.ticks += 1
+    for node in due:
+        index.schedule(cfg, node)
     return rec
 
 
@@ -329,8 +430,10 @@ def run(
     board class) pair of ``cfg`` it refuses under ``policy``, or that
     :func:`_picks` gives for ``policy``; a run whose script ends first is
     truncated.  Mutates ``cfg`` in place; clone first to keep the start.
-    ``observer(cfg, record)`` runs after every step; the trace keeps only
-    the step count, so a caller that wants the records collects them there.
+    A synchronous run carries one :class:`RoundIndex` through its rounds.
+    ``observer(cfg, record)`` runs after every step and must not write
+    ``cfg``; the trace keeps only the step count, so a caller that wants
+    the records collects them there.
     """
     classes = sorted({b.cls for b in cfg.boards})
     for program in sorted({a.program for a in cfg.agents}):
@@ -341,9 +444,10 @@ def run(
     picks = _picks(policy, cfg.k)
     if stop is not None and stop(cfg):
         return Trace(0, "met", stop_step=0)
+    index = RoundIndex(cfg) if policy.kind == SYNC else None
     steps = 0
     for idx in islice(picks, max_steps):
-        rec = sync_round(cfg, duplex) if idx is None else async_step(cfg, idx)
+        rec = sync_round(cfg, duplex, index) if idx is None else async_step(cfg, idx)
         steps += 1
         if observer is not None:
             observer(cfg, rec)

@@ -34,7 +34,7 @@ from gossipsim.model import (
     timer,
 )
 from gossipsim.protocol_dft import BACKTRACK, FORWARD
-from gossipsim.scheduler import FULL, HALF, MoveRecord, StepRecord, sync_round
+from gossipsim.scheduler import FULL, HALF, MoveRecord, RoundIndex, StepRecord, sync_round
 from gossipsim.topology import build_grid, build_ring, random_connected_graph
 
 
@@ -299,9 +299,10 @@ class TestKeyCache:
         rounds = len(detect_cycle(make(), duplex, budget=budget).records)
         cfg = make()
         fp = Fingerprint(cfg)
+        index = RoundIndex(cfg)
         for _ in range(rounds):
             assert fp.update() == fingerprint(state_key(cfg))
-            sync_round(cfg, duplex)
+            sync_round(cfg, duplex, index)
         assert fp.update() == fingerprint(state_key(cfg))
 
 

@@ -31,7 +31,15 @@ from gossipsim.model import (
     state_key,
     timer,
 )
-from gossipsim.scheduler import ASYNC_ROUND_ROBIN, FULL, HALF, SchedulePolicy, run, sync_round
+from gossipsim.scheduler import (
+    ASYNC_ROUND_ROBIN,
+    FULL,
+    HALF,
+    RoundIndex,
+    SchedulePolicy,
+    run,
+    sync_round,
+)
 from gossipsim.topology import build_grid, build_ring, random_connected_graph
 
 
@@ -256,10 +264,12 @@ def _reordered(cfg: Configuration) -> Configuration:
 
 class TestKeyCache:
     """The round key :func:`~gossipsim.harness.detect_cycle` keeps: a
-    :class:`Fingerprint` updated from the write barrier ``cfg.dirty`` and
-    the round clock returns ``fingerprint(state_key(cfg))`` every round,
-    and every board a round writes is in the barrier: a timer that only
-    ticks is not written."""
+    :class:`Fingerprint` updated from the write barriers ``cfg.dirty`` and
+    ``cfg.dirty_agents`` and the round clock returns
+    ``fingerprint(state_key(cfg))`` every round, and every board and agent
+    a round writes is in its barrier: a timer that only ticks is not
+    written.  The rounds carry one :class:`RoundIndex`, as detect_cycle's
+    do, so the barriers see only what such rounds write."""
 
     @pytest.mark.parametrize("board_class", [CW, FW])
     def test_timer_only_change_at_quiet_board(self, board_class):
@@ -303,13 +313,31 @@ class TestKeyCache:
         assert writes > 0  # the starts do write boards
 
     @pytest.mark.parametrize("case", sorted(ROUND_STARTS))
+    def test_round_writes_agents_only_in_barrier(self, case):
+        # every agent a round with a carried index changes is in the
+        # agent barrier
+        make, duplex = ROUND_STARTS[case]
+        cfg = make()
+        index = RoundIndex(cfg)
+        writes = 0
+        for _ in range(120):
+            cfg.dirty_agents.clear()
+            before = [a.clone() for a in cfg.agents]
+            sync_round(cfg, duplex, index)
+            changed = {i for i, a in enumerate(cfg.agents) if a != before[i]}
+            assert changed <= cfg.dirty_agents
+            writes += len(changed)
+        assert writes > 0
+
+    @pytest.mark.parametrize("case", sorted(ROUND_STARTS))
     def test_incremental_equals_from_scratch(self, case):
         make, duplex = ROUND_STARTS[case]
         cfg = make()
         fp = Fingerprint(cfg)
+        index = RoundIndex(cfg)
         for _ in range(120):
             assert fp.update() == fingerprint(state_key(cfg))
-            sync_round(cfg, duplex)
+            sync_round(cfg, duplex, index)
         assert fp.update() == fingerprint(state_key(cfg))
 
     @pytest.mark.parametrize("case", sorted(ROUND_STARTS))
@@ -339,9 +367,10 @@ class TestKeyCache:
         if cap is not None:
             small_cap(cfg, cap)
         fp = Fingerprint(cfg)
+        index = RoundIndex(cfg)
         for _ in range(60):
             assert fp.update() == fingerprint(state_key(cfg))
-            sync_round(cfg, duplex)
+            sync_round(cfg, duplex, index)
         assert fp.update() == fingerprint(state_key(cfg))
 
 
@@ -446,6 +475,7 @@ class TestEncodingCoverage:
         "timer_cap": 99,
         "genuine": {},
         "dirty": {1},
+        "dirty_agents": {1},
     }
 
     def _cfg(self, board_class):

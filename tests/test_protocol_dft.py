@@ -1,12 +1,15 @@
 """Unit fixtures for the traversal protocol, hand-executed line by line."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gossipsim.model import Agent, CW, NW, assoc_get, make_configuration, set_timer, timer
+from gossipsim.model import Agent, CW, FW, NW, assoc_get, make_configuration, set_timer, timer
 from gossipsim.protocol_dft import (
     ProtocolError,
     dft_agent_step,
+    due_tick,
     next_port,
+    release_due,
     timeout_check_and_execute,
     visit,
 )
@@ -217,6 +220,32 @@ class TestTimeout:
         g = build_ring(3)
         cfg = make_configuration(g, [Agent(ident=2, pos=0)], NW)
         assert timeout_check_and_execute(cfg, 0) == []
+
+
+class TestDueTick:
+    """The forecast the round index schedules by: on a board nobody
+    writes, the release condition holds exactly from :func:`due_tick` on."""
+
+    @given(st.sampled_from([NW, CW, FW]), st.sampled_from([3, 7, None]), st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_forecast_matches_release_condition(self, cls, cap, data):
+        cfg = make_configuration(build_ring(3), [], cls)
+        if cap is not None:  # else the graph's default cap
+            cfg.timer_cap = cap
+        cap = cfg.timer_cap
+        board = cfg.boards[0]
+        cfg.ticks = data.draw(st.integers(0, 5))
+        board.timer_base = data.draw(st.integers(0, cap + 1))
+        board.timer_stamp = data.draw(st.integers(0, cfg.ticks))
+        board.wait_t = data.draw(st.integers(0, cap + 1))
+        board.waiting = data.draw(st.sets(st.integers(1, 9), max_size=2))
+        forecast = due_tick(cfg, board)
+        assert forecast is None or forecast >= cfg.ticks
+        for _ in range(cap + 2):
+            literal = cls != NW and bool(board.waiting) and timer(cfg, board) >= board.wait_t
+            due = forecast is not None and cfg.ticks >= forecast
+            assert release_due(cfg, board) == due == literal
+            cfg.ticks += 1
 
 
 class TestAgentStep:

@@ -4,7 +4,8 @@ from itertools import islice
 from hypothesis import given, settings, strategies as st
 
 from gossipsim import scheduler
-from gossipsim.harness import FuzzSpec, _park_for_good, fuzz_config
+from gossipsim.cli import load_graph
+from gossipsim.harness import CLUSTERED, UNIFORM, FuzzSpec, _park_for_good, fuzz_config
 from gossipsim.model import (
     Agent,
     CW,
@@ -12,6 +13,7 @@ from gossipsim.model import (
     PROGRAM_DFT,
     make_configuration,
     set_timer,
+    snapshot_hash,
     state_key,
     timer,
 )
@@ -23,6 +25,7 @@ from gossipsim.scheduler import (
     FULL,
     HALF,
     SYNC,
+    RoundIndex,
     SchedulePolicy,
     SchedulerError,
     _picks,
@@ -31,6 +34,7 @@ from gossipsim.scheduler import (
     sync_round,
 )
 from gossipsim.topology import build_ring
+from test_model import ROUND_STARTS, small_cap
 
 
 def dft_cfg(positions_ids, n=4, cls=CW):
@@ -167,6 +171,80 @@ class TestSyncRound:
             sync_round(cfg, HALF)
             sync_round(twin, HALF)
         assert state_key(cfg) == state_key(twin)
+
+
+def index_state(index: RoundIndex) -> tuple:
+    """What a fresh index rebuilds from the configuration alone: the
+    groups, the waiting agents and every board's due tick.  Every due
+    tick must also be queued, or its node would never be checked."""
+    for v, tick in index.due_at.items():
+        assert v in index.due.get(tick, ()), (v, tick)
+    return index.groups, index.waiting, index.due_at
+
+
+class TestRoundIndex:
+    """A round with the index carried from the last one does what a round
+    from scratch does, and leaves the index a fresh build would make."""
+
+    @staticmethod
+    def _check_rounds(cfg, duplex, rounds):
+        index = RoundIndex(cfg)
+        for _ in range(rounds):
+            twin = cfg.clone()
+            want = sync_round(twin, duplex)
+            assert sync_round(cfg, duplex, index) == want
+            assert snapshot_hash(cfg) == snapshot_hash(twin)
+            assert index_state(index) == index_state(RoundIndex(cfg))
+
+    def test_parked_round_touches_nobody(self, monkeypatch):
+        # every agent parked for good: the first round merges at every
+        # occupied node; a carried round after it steps, merges and
+        # writes no agent, and still records every occupied node
+        cfg = dft_cfg([(1, 0), (2, 0), (3, 2)])
+        _park_for_good(cfg)
+        index = RoundIndex(cfg)
+        merged = []
+        merge = scheduler.merge_gossip
+
+        def counting(c, node, idxs=None):
+            merged.append(node)
+            merge(c, node, idxs)
+
+        monkeypatch.setattr(scheduler, "merge_gossip", counting)
+        stepped = TestSyncRound._count_steps(monkeypatch)
+        sync_round(cfg, HALF, index)
+        assert merged == [0, 2] and stepped == []
+        for _ in range(5):
+            merged.clear()
+            cfg.dirty_agents.clear()
+            rec = sync_round(cfg, HALF, index)
+            assert merged == [] and stepped == [] and cfg.dirty_agents == set()
+            assert rec.merges == (0, 2) and rec.colocated == (0,) and rec.acting == (0, 1, 2)
+
+    @pytest.mark.parametrize("case", sorted(ROUND_STARTS))
+    def test_carried_equals_fresh(self, case):
+        make, duplex = ROUND_STARTS[case]
+        self._check_rounds(make(), duplex, 120)
+
+    @given(
+        st.sampled_from(["ring:5", "grid:3x3", "random:7:2:3", "random:8:3:5"]),
+        st.integers(2, 4),
+        st.sampled_from([CW, FW]),
+        st.sampled_from([HALF, FULL]),
+        st.sampled_from([None, 3, 7]),
+        st.booleans(),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_carried_equals_fresh_on_drawn_starts(self, graph, k, board_class, duplex, cap,
+                                                  clustered, seed):
+        # ghost waiters and stale parked flags on many boards and agents
+        spec = FuzzSpec(waiting_garbage_rate=0.5, table_garbage_rate=0.5,
+                        placement=CLUSTERED if clustered else UNIFORM)
+        cfg = fuzz_config(load_graph(graph), k, spec, seed, board_class=board_class)
+        if cap is not None:
+            small_cap(cfg, cap)
+        self._check_rounds(cfg, duplex, 60)
 
 
 class TestAsyncPolicies:
