@@ -45,9 +45,12 @@ class ProtocolError(ModelError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class MoveIntent:
-    """An agent's decision for this activation; ``via is None`` means stay."""
+    """An agent's decision for this activation; ``via is None`` means stay.
+    Built once and never written.  Not frozen: a frozen dataclass sets each
+    field through ``object.__setattr__`` and costs about three times as much
+    to build, once per activation."""
 
     agent: int
     frm: int

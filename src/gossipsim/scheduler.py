@@ -34,6 +34,7 @@ from functools import lru_cache
 from itertools import count, cycle, islice, repeat
 
 from .model import (
+    FW,
     Configuration,
     ModelError,
     PROGRAM_DFT,
@@ -81,8 +82,12 @@ class SchedulePolicy:
     fairness_window: int = DEFAULT_FAIRNESS_WINDOW
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class MoveRecord:
+    """One move intent and its fate, built once and never written.  Not
+    frozen: a frozen dataclass sets each field through ``object.__setattr__``
+    and costs about five times as much to build, once per move."""
+
     agent: int
     frm: int
     via: int
@@ -253,24 +258,11 @@ def _apply_moves(
     for (intent, meta), ok in zip(intents, accepted):
         to, b = cfg.graph.neighbor(intent.frm, intent.via)
         agent = cfg.agents[intent.agent]
+        agent.last_move_accepted = ok
         if ok:
-            agent.pos = to
-            agent.arrival_port = b
-            agent.last_move_accepted = True
-        else:
-            agent.last_move_accepted = False
-        records.append(
-            MoveRecord(
-                agent=intent.agent,
-                frm=intent.frm,
-                via=intent.via,
-                to=to,
-                accepted=ok,
-                kind=meta.kind,
-                branch=meta.branch,
-                flipped=meta.flipped,
-            )
-        )
+            agent.pos, agent.arrival_port = to, b
+        records.append(MoveRecord(intent.agent, intent.frm, intent.via, to, ok,
+                                  meta.kind, meta.branch, meta.flipped))
     return records
 
 
@@ -282,7 +274,8 @@ def sync_round(
     Every agent at an activated node is listed in ``acting``, a waiting
     agent of the quiescing protocol too, whose step would only stay, and
     every occupied node in ``merges``, although only a node an agent
-    arrived at last round can have gossip to merge.
+    arrived at last round can have gossip to merge, and a lone agent
+    only with an FW store.
 
     ``index`` carries what one round leaves for the next; None builds a
     fresh one, which makes the round start from scratch.  An index stays
@@ -305,7 +298,7 @@ def sync_round(
     occupied = sorted(groups)
     for node in occupied:
         here = groups[node]
-        if node in arrivals:
+        if node in arrivals and (len(here) > 1 or cfg.boards[node].cls == FW):
             merge_gossip(cfg, node, here)
             dirty.update(here)
         acting.extend(here)
@@ -402,8 +395,7 @@ def async_step(cfg: Configuration, idx: int) -> StepRecord:
     agent = cfg.agents[idx]
     merge_gossip(cfg, agent.pos)
     merged = [agent.pos]
-    step_fn = _STEP_FNS[agent.program]
-    intent, meta = step_fn(cfg, idx)
+    intent, meta = _STEP_FNS[agent.program](cfg, idx)
     if not intent.stay:
         rec.moves = _apply_moves(cfg, [(intent, meta)], [True])
         merge_gossip(cfg, agent.pos)

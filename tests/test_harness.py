@@ -1,6 +1,7 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gossipsim import harness, model
 from gossipsim.harness import (
@@ -28,6 +29,7 @@ from gossipsim.model import (
     Fingerprint,
     PROGRAM_PATH_ENUM,
     PathCursor,
+    Token,
     fingerprint,
     make_configuration,
     state_key,
@@ -114,6 +116,20 @@ class TestGossipComplete:
         cfg = make_configuration(g, [Agent(ident=1, pos=0)], CW)
         cfg.agents[0].known.add(("not", "genuine"))
         assert gossip_complete(cfg)
+
+    @given(st.data(), st.integers(0, 4))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_equals_literal_subset_check(self, data, k):
+        # starts with no agents, empty known sets, partial ones and ghost tokens
+        agents = [Agent(ident=i + 1, pos=i % 3) for i in range(k)]
+        cfg = make_configuration(build_ring(3), agents, CW)
+        tokens = list(cfg.genuine.values())
+        for agent in cfg.agents:
+            agent.known = data.draw(st.sets(st.sampled_from(tokens)))
+            agent.known.update(Token(f"ghost{g}", "junk")
+                               for g in data.draw(st.lists(st.integers(0, 3), max_size=2)))
+        literal = all(set(cfg.genuine.values()) <= a.known for a in cfg.agents)
+        assert gossip_complete(cfg) == literal
 
 
 class TestDetectCycle:

@@ -605,6 +605,40 @@ class TestSnapshotHash:
         cfg = fuzz_config(build_ring(5), 3, spec, 4, board_class=board_class, program=program)
         assert snapshot_hash(cfg) == digest
 
+    # fuzz_config's draw order is part of its contract: `run --fuzz --seed s`
+    # and every `fuzz` row must reproduce across versions.  One digest over
+    # the snapshot hashes of a table of starts: every legal (board class,
+    # protocol) pair, four specs (the last with an id domain one above k, so
+    # few fake ids remain), three graphs and three seeds with k = 2..4
+    FUZZ_TABLE_PAIRS = (
+        (CW, "dft_kminus1"), (FW, "dft_kminus1"), (FW, "fw_async_dft"),
+        (NW, PROGRAM_PATH_ENUM), (CW, PROGRAM_PATH_ENUM), (FW, PROGRAM_PATH_ENUM),
+    )
+    FUZZ_TABLE_DIGEST = "c55131f6907c7ded3d7c4d0ada3f78fd64c87cd484adca1e039ab23582b0957d"
+
+    @staticmethod
+    def _fuzz_table_specs(k):
+        return (
+            CLEAN_SPEC,
+            FuzzSpec(),
+            FuzzSpec(placement="clustered"),
+            FuzzSpec(id_high=k + 1, fake_id_rate=1.0, table_garbage_rate=0.9,
+                     waiting_garbage_rate=1.0, garbage_token_rate=1.0, store_garbage_rate=1.0),
+        )
+
+    def test_pinned_fuzz_table(self):
+        h = hashlib.sha256()
+        for graph_spec in ("ring:5", "grid:3x4", "random:7:2:3"):
+            g = load_graph(graph_spec)
+            for board_class, program in self.FUZZ_TABLE_PAIRS:
+                for seed in range(3):
+                    k = 2 + seed
+                    for spec in self._fuzz_table_specs(k):
+                        cfg = fuzz_config(g, k, spec, seed, board_class=board_class,
+                                          program=program)
+                        h.update(snapshot_hash(cfg).encode())
+        assert h.hexdigest() == self.FUZZ_TABLE_DIGEST
+
     def test_independent_of_hash_seed(self):
         import os
         import subprocess

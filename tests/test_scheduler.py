@@ -1,3 +1,4 @@
+import hashlib
 import pytest
 from itertools import islice
 
@@ -5,12 +6,21 @@ from hypothesis import given, settings, strategies as st
 
 from gossipsim import scheduler
 from gossipsim.cli import load_graph
-from gossipsim.harness import CLUSTERED, UNIFORM, FuzzSpec, _park_for_good, fuzz_config
+from gossipsim.harness import (
+    CLUSTERED,
+    UNIFORM,
+    FuzzSpec,
+    _park_for_good,
+    fuzz_config,
+    gossip_complete,
+)
 from gossipsim.model import (
     Agent,
     CW,
     FW,
+    NW,
     PROGRAM_DFT,
+    PROGRAM_PATH_ENUM,
     make_configuration,
     set_timer,
     snapshot_hash,
@@ -198,11 +208,10 @@ class TestRoundIndex:
 
     def test_parked_round_touches_nobody(self, monkeypatch):
         # every agent parked for good: the first round merges at every
-        # occupied node; a carried round after it steps, merges and
-        # writes no agent, and still records every occupied node
-        cfg = dft_cfg([(1, 0), (2, 0), (3, 2)])
-        _park_for_good(cfg)
-        index = RoundIndex(cfg)
+        # occupied node where a merge can write (node 2's lone agent only
+        # with an FW store) and writes only the agents of those merges; a
+        # carried round after it steps, merges and writes no agent, and
+        # still records every occupied node
         merged = []
         merge = scheduler.merge_gossip
 
@@ -212,14 +221,20 @@ class TestRoundIndex:
 
         monkeypatch.setattr(scheduler, "merge_gossip", counting)
         stepped = TestSyncRound._count_steps(monkeypatch)
-        sync_round(cfg, HALF, index)
-        assert merged == [0, 2] and stepped == []
-        for _ in range(5):
+        for cls, first, written in ((CW, [0], {0, 1}), (FW, [0, 2], {0, 1, 2})):
+            cfg = dft_cfg([(1, 0), (2, 0), (3, 2)], cls=cls)
+            _park_for_good(cfg)
+            index = RoundIndex(cfg)
             merged.clear()
             cfg.dirty_agents.clear()
-            rec = sync_round(cfg, HALF, index)
-            assert merged == [] and stepped == [] and cfg.dirty_agents == set()
-            assert rec.merges == (0, 2) and rec.colocated == (0,) and rec.acting == (0, 1, 2)
+            sync_round(cfg, HALF, index)
+            assert merged == first and stepped == [] and cfg.dirty_agents == written
+            for _ in range(5):
+                merged.clear()
+                cfg.dirty_agents.clear()
+                rec = sync_round(cfg, HALF, index)
+                assert merged == [] and stepped == [] and cfg.dirty_agents == set()
+                assert rec.merges == (0, 2) and rec.colocated == (0,) and rec.acting == (0, 1, 2)
 
     @pytest.mark.parametrize("case", sorted(ROUND_STARTS))
     def test_carried_equals_fresh(self, case):
@@ -373,3 +388,57 @@ class TestRun:
         trace = run(cfg, SchedulePolicy(kind=ASYNC_RANDOM_FAIR, seed=3),
                     stop=stop, max_steps=5000)
         assert trace.status == "met"
+
+
+def _async_lines(cfg, policy):
+    """One line per step of ``policy`` from ``cfg`` until gossip is complete
+    or 200 steps: every StepRecord field, every field of its MoveRecords
+    and the snapshot hash after the step, then the trace's ending."""
+    lines = []
+
+    def observe(c, rec):
+        moves = tuple((m.agent, m.frm, m.via, m.to, m.accepted, m.kind, m.branch, m.flipped)
+                      for m in rec.moves)
+        lines.append(repr((rec.step, rec.acting, moves, rec.merges, rec.releases,
+                           rec.colocated, snapshot_hash(c))))
+
+    trace = run(cfg, policy, stop=gossip_complete, max_steps=200, observer=observe)
+    lines.append(repr((trace.steps, trace.status, trace.stop_step)))
+    return lines
+
+
+class TestAsyncPinned:
+    """The asynchronous path from fuzzed starts, pinned by SHA-256 digests:
+    the two 0-quiescent protocols under both fair async policies."""
+
+    GRAPHS = {
+        ("fw_async_dft", FW): ("grid:3x4", "random:7:2:3"),
+        (PROGRAM_PATH_ENUM, NW): ("ring:6", "grid:3x4"),
+        (PROGRAM_PATH_ENUM, FW): ("ring:6", "random:7:2:3"),
+    }
+
+    DIGESTS = {
+        ("fw_async_dft", FW, ASYNC_ROUND_ROBIN):
+            "cf4ab3e7ae6b3022a45d512a84071501bb0607c5cbfaf1651248ae831d1fdc9a",
+        ("fw_async_dft", FW, ASYNC_RANDOM_FAIR):
+            "2fdc3a001ea632d6e09a169c4b6d577bd156b3d7de6520cf79300c19f50b9a3f",
+        (PROGRAM_PATH_ENUM, NW, ASYNC_ROUND_ROBIN):
+            "64cfbfd8e300664edf5b58fabc5a566f073ec6c26da4fae01105e15e1cb9f870",
+        (PROGRAM_PATH_ENUM, NW, ASYNC_RANDOM_FAIR):
+            "98b67a5208ac8ce138fe9ffc0e081f355e86b1eba5bc261a920f0baca9bbeb27",
+        (PROGRAM_PATH_ENUM, FW, ASYNC_ROUND_ROBIN):
+            "b59c9946eb7c8bc55ae00d3660b873392a8e54a4e488e75d7fd557e62f339596",
+        (PROGRAM_PATH_ENUM, FW, ASYNC_RANDOM_FAIR):
+            "5708f208b05e2274e94935d8d3354c44b4624730b0179e2e844fa32feb274eb7",
+    }
+
+    @pytest.mark.parametrize("program, board_class, kind", list(DIGESTS))
+    def test_pinned_runs(self, program, board_class, kind):
+        h = hashlib.sha256()
+        for graph_spec in self.GRAPHS[program, board_class]:
+            for seed in range(4):
+                cfg = fuzz_config(load_graph(graph_spec), 2 + seed % 3, FuzzSpec(), seed,
+                                  board_class=board_class, program=program)
+                for line in _async_lines(cfg, SchedulePolicy(kind=kind, seed=seed)):
+                    h.update(line.encode())
+        assert h.hexdigest() == self.DIGESTS[program, board_class, kind]
