@@ -253,9 +253,9 @@ def detect_cycle(
     Each round's state is indexed by its
     :func:`~gossipsim.model.fingerprint`, which a
     :class:`~gossipsim.model.Fingerprint` updates from the boards and the
-    agents the round wrote (the write barriers ``cfg.dirty`` and
-    ``cfg.dirty_agents``) and from the round count, so no round
-    re-encodes the whole state.  A clone of the state is kept at
+    agents the index records the round wrote (``index.boards`` and
+    ``index.agents``) and from the round count, so no round re-encodes
+    the whole state.  A clone of the state is kept at
     step 0 and at every power-of-two step.  When a fingerprint recurs,
     each earlier step with that fingerprint is re-simulated from its
     latest checkpoint and its :func:`state_key` is compared in full with a
@@ -279,7 +279,7 @@ def detect_cycle(
     gossip_step: int | None = None
     step = 0
     while True:
-        candidates = seen.setdefault(fingerprint.update(), [])
+        candidates = seen.setdefault(fingerprint.update(index.boards, index.agents), [])
         if candidates:
             prefix = _first_repeat(state_key(cfg), candidates, checkpoints, duplex)
             if prefix is not None:

@@ -22,18 +22,16 @@ writes a timer that only ticks.  :func:`set_timer` is the one writer.
 Cycle detection indexes rounds by the :func:`fingerprint` of their key,
 a sum of one term per agent, one per board and one per timer.
 :class:`Fingerprint` keeps that sum across synchronous rounds at the cost
-of what a round writes: write barriers name the boards and the agents a
-round wrote (every writer of a board adds its node to
-``Configuration.dirty``, and a synchronous round adds the agents it
-steps, moves or merges to ``Configuration.dirty_agents``), only those
-are re-encoded, and a timer that only ticks is a stamp that the round
-clock turns into its value.
+of what a round writes: it re-encodes only the boards and the agents the
+round names as written, and a timer that only ticks is a stamp that the
+round clock turns into its value.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -199,12 +197,6 @@ class Configuration:
 
     ``round`` counts steps of either kind; ``ticks`` counts synchronous
     rounds only, and is the clock the board timers are read against.
-    ``dirty`` is the write barrier: every step that may write a board
-    adds the board's node (:func:`merge_gossip` growing a store, and the
-    protocol's visit and timeout release).  ``dirty_agents`` is its twin
-    for agents: a synchronous round adds the index of every agent it
-    steps, every agent with a move intent and every agent of a merge it
-    runs.  Only a :class:`Fingerprint` reads and clears them.
     """
 
     graph: PortLabeledGraph
@@ -214,8 +206,6 @@ class Configuration:
     ticks: int = 0
     timer_cap: int = 0
     genuine: dict[int, Token] = field(default_factory=dict)
-    dirty: set[int] = field(default_factory=set)
-    dirty_agents: set[int] = field(default_factory=set)
 
     @property
     def k(self) -> int:
@@ -224,8 +214,7 @@ class Configuration:
     def clone(self) -> "Configuration":
         return Configuration(self.graph, [a.clone() for a in self.agents],
                              [b.clone() for b in self.boards], self.round, self.ticks,
-                             self.timer_cap, dict(self.genuine), set(self.dirty),
-                             set(self.dirty_agents))
+                             self.timer_cap, dict(self.genuine))
 
 
 def timer(cfg: Configuration, board: Whiteboard) -> int:
@@ -294,8 +283,7 @@ def merge_gossip(cfg: Configuration, node: int, idxs: list[int] | None = None) -
 
     ``idxs`` lists the indices of the agents at ``node`` when the caller
     has grouped them already; without it the agents are scanned.  A set
-    the union does not grow is left as it is; a store it grows puts
-    ``node`` in the write barrier ``cfg.dirty``.
+    the union does not grow is left as it is.
     """
     agents = cfg.agents
     if idxs is None:
@@ -314,7 +302,6 @@ def merge_gossip(cfg: Configuration, node: int, idxs: list[int] | None = None) -
         union |= board.store
         if len(union) != len(board.store):
             board.store = set(union)
-            cfg.dirty.add(node)
     for a in here:
         if len(a.known) != len(union):
             a.known = set(union)
@@ -378,10 +365,6 @@ def state_key(cfg: Configuration) -> tuple:
       and never written by a step.
     - ``genuine`` names each agent's initial token for the gossip check;
       it is never written after the configuration is made.
-    - ``dirty`` is the write barrier: it names the boards written since a
-      :class:`Fingerprint` last read it, not what they hold.
-    - ``dirty_agents`` is the same barrier for agents: it names the
-      agents a synchronous round may have written, not what they hold.
     """
     return (
         tuple(_agent_key(a) for a in cfg.agents),
@@ -420,10 +403,11 @@ class Fingerprint:
 
     Make it at any state, which encodes every board, then call
     :meth:`update` at that state and after every round of
-    :func:`~gossipsim.scheduler.sync_round` on ``cfg``; each call returns
-    ``fingerprint(state_key(cfg))``.  An update re-encodes only the
-    agents in ``cfg.dirty_agents`` and the boards in ``cfg.dirty``, and
-    then clears both barriers.
+    :func:`~gossipsim.scheduler.sync_round` on ``cfg``, handing it the
+    nodes of the boards and the indices of the agents written since the
+    last call (the round's ``index.boards`` and ``index.agents``); each
+    call returns ``fingerprint(state_key(cfg))``.  An update re-encodes
+    only what it is handed.
 
     A board that is not written keeps its timer's stamp, so while that
     timer ticks, its term is ``w·(T − s)`` for the round clock T
@@ -442,7 +426,6 @@ class Fingerprint:
         self.cfg = cfg
         self._agent_terms = [hash((i, _agent_key(a))) for i, a in enumerate(cfg.agents)]
         self._agents = sum(self._agent_terms)  # the sum of the agent terms
-        cfg.dirty_agents.clear()
         self._weights = _timer_weights(n)
         self._terms = [0] * n  # each board's hash and constant or -w·s timer term
         self._stamps: list[int | None] = [None] * n  # None: the timer is constant
@@ -450,7 +433,6 @@ class Fingerprint:
         self._rate = 0  # the sum of the ticking boards' weights
         self._saturate: dict[int, list[int]] = {}  # tick -> nodes whose timers reach the cap
         self._encode(range(n))
-        cfg.dirty.clear()
 
     def _encode(self, nodes) -> None:
         cfg = self.cfg
@@ -477,7 +459,7 @@ class Fingerprint:
             terms[v] = term
             self._base += term
 
-    def update(self) -> int:
+    def update(self, boards: Iterable[int] = (), agents: Iterable[int] = ()) -> int:
         cfg = self.cfg
         r = cfg.ticks
         stamp = r - cfg.timer_cap
@@ -488,16 +470,12 @@ class Fingerprint:
                 self._terms[v] += w * r
                 self._base += w * r
                 self._rate -= w
-        if cfg.dirty:
-            self._encode(cfg.dirty)
-            cfg.dirty.clear()
-        if cfg.dirty_agents:
-            agents, terms = cfg.agents, self._agent_terms
-            for i in cfg.dirty_agents:
-                term = hash((i, _agent_key(agents[i])))
-                self._agents += term - terms[i]
-                terms[i] = term
-            cfg.dirty_agents.clear()
+        self._encode(boards)
+        terms = self._agent_terms
+        for i in agents:
+            term = hash((i, _agent_key(cfg.agents[i])))
+            self._agents += term - terms[i]
+            terms[i] = term
         return (self._agents + self._base + r * self._rate) % _PRIME
 
 

@@ -136,8 +136,7 @@ def visit(
     waiting set, and drives the node timer.  With ``quiesce=False`` every
     agent behaves like the minimum-id agent and never waits;
     MinID/WaitT/Waiting/Timer are left untouched.  Every branch but a
-    plain pass-through writes ``v``'s board, so ``v`` joins the write
-    barrier ``cfg.dirty`` on entry.
+    plain pass-through writes ``v``'s board, and no other board.
     """
     agent = cfg.agents[idx]
     if agent.ident is None:
@@ -145,7 +144,6 @@ def visit(
     board = cfg.boards[v]
     if board.cls == NW:
         raise ProtocolError("the DFT protocols require at least a CW whiteboard")
-    cfg.dirty.add(v)
     deg = cfg.graph.degree(v)
     if not 0 <= in_port < deg:
         # arbitrary initial arrival label; clamp into range deterministically
@@ -241,7 +239,6 @@ def timeout_check_and_execute(cfg: Configuration, v: int) -> list[tuple[MoveInte
         return []
     i = min(board.waiting)
     board.waiting.discard(i)
-    cfg.dirty.add(v)
     located = None
     for idx, agent in enumerate(cfg.agents):
         if agent.ident == i and agent.pos == v and agent.parked:

@@ -13,8 +13,8 @@ A run of synchronous rounds carries one :class:`RoundIndex` from round
 to round, so a round pays for the agents that act and the boards that
 can come due, not for every agent and board: the agents grouped by
 node, the waiting agents, the nodes agents arrived at (the only ones
-where a merge can find something new) and a queue of the ticks at
-which boards come due.
+where a merge can find something new), a queue of the ticks at which
+boards come due and a record of what the last round wrote.
 
 An asynchronous step activates the one agent a policy picks (no duplex
 conflicts can arise) and never advances the round clock: the timer
@@ -30,7 +30,6 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import count, cycle, islice, repeat
 
 from .model import (
@@ -130,13 +129,6 @@ def _order_key(ident: int | None, idx: int) -> tuple:
     return (0, ident) if ident is not None else (1, idx)
 
 
-@lru_cache(maxsize=64)
-def _activation_order(idents: tuple[int | None, ...]) -> tuple[int, ...]:
-    """Agent indices in :func:`_order_key` order.  Ids never change
-    during a run, so a run sorts its agents once and reuses the order."""
-    return tuple(sorted(range(len(idents)), key=lambda i: _order_key(idents[i], i)))
-
-
 class RoundIndex:
     """What the synchronous rounds of one run carry from round to round,
     so that a round touches only the agents that act and the boards that
@@ -149,8 +141,9 @@ class RoundIndex:
       :func:`~gossipsim.protocol_dft.waits` holds.  Only a timeout
       release takes an agent out (only a release pops its id), and only
       the agent's own step puts it in.
-    - ``arrivals``: the nodes an agent moved into last round; at build
-      time every occupied node.  Known sets and stores grow only in
+    - ``arrivals``: the nodes an agent moved into last round and that
+      its post-move merges left unmerged; at build time every occupied
+      node.  Known sets and stores grow only in
       :func:`~gossipsim.model.merge_gossip`, so the agents of a node that
       nobody joined since its last merge already hold equal sets.
     - ``due_at``: node -> its :func:`~gossipsim.protocol_dft.due_tick`,
@@ -158,13 +151,18 @@ class RoundIndex:
       scheduled for it, stale entries (the node's ``due_at`` moved since)
       included.  Kept only if a quiescing agent runs (``timed``): no other
       protocol releases anyone.
+    - ``boards`` and ``agents``: the record of the last round, the nodes
+      whose boards and the indices of the agents it may have written;
+      empty at build time.  The round reschedules its boards' due ticks
+      from it and a :class:`~gossipsim.model.Fingerprint` re-encodes it.
     """
 
-    __slots__ = ("groups", "waiting", "arrivals", "due_at", "due", "timed", "_rank")
+    __slots__ = ("groups", "waiting", "arrivals", "due_at", "due", "timed", "boards", "agents",
+                 "_rank")
 
     def __init__(self, cfg: Configuration):
         agents = cfg.agents
-        order = _activation_order(tuple([a.ident for a in agents]))
+        order = sorted(range(len(agents)), key=lambda i: _order_key(agents[i].ident, i))
         self._rank = [0] * len(agents)  # agent index -> its place in activation order
         self.groups: dict[int, list[int]] = {}
         for rank, idx in enumerate(order):
@@ -176,6 +174,8 @@ class RoundIndex:
         self.due_at: dict[int, int] = {}
         self.due: dict[int, list[int]] = {}
         self.timed = any(a.program == PROGRAM_DFT for a in agents)
+        self.boards: set[int] = set()
+        self.agents: set[int] = set()
         if self.timed:
             for v in range(len(cfg.boards)):
                 self.schedule(cfg, v)
@@ -282,43 +282,49 @@ def sync_round(
     valid only while :func:`sync_round` with that index is the only
     writer of ``cfg``: it changes with the agents' positions, the
     waiting agents and the boards' due ticks as the round changes them.
-    Each round the index reschedules a node after every step there, then
-    checks the nodes due at this round clock in ascending order, and
-    reschedules those from the next one.  The round adds the agents it may write to
-    ``cfg.dirty_agents``.
+    The round records in ``index.boards`` the node of every step, merge
+    and due check it runs (each writes its own node's board only), and
+    in ``index.agents`` every agent it steps, moves or merges.  After
+    the steps it reschedules the recorded nodes, then checks the nodes
+    due at this round clock in ascending order, and reschedules those
+    from the next one.
     """
     if index is None:
         index = RoundIndex(cfg)
+    index.boards = boards = set()
+    index.agents = written = set()
     rec = StepRecord(step=cfg.round, acting=())
     intents: list[tuple[MoveIntent, StepMeta]] = []
     acting: list[int] = []
     agents = cfg.agents
     groups, waiting, arrivals, timed = index.groups, index.waiting, index.arrivals, index.timed
-    dirty = cfg.dirty_agents
     occupied = sorted(groups)
     for node in occupied:
         here = groups[node]
         if node in arrivals and (len(here) > 1 or cfg.boards[node].cls == FW):
             merge_gossip(cfg, node, here)
-            dirty.update(here)
+            boards.add(node)
+            written.update(here)
         acting.extend(here)
         for idx in here:
             if idx in waiting:
                 continue
             intent, meta = _STEP_FNS[agents[idx].program](cfg, idx)
-            dirty.add(idx)
+            boards.add(node)
+            written.add(idx)
             if meta.joined_waiting:
                 waiting.add(idx)
             if not intent.stay:
                 intents.append((intent, meta))
-            if timed:  # a step writes its own node's board only
-                index.schedule(cfg, node)
     releases = []
     due: list[int] = []
     if timed:
+        for node in boards:
+            index.schedule(cfg, node)
         # a check reads and writes its own board only, so the due boards
         # are known before any of them releases
         due = index.pop_due(cfg.ticks)
+        boards.update(due)
         for node in due:
             for intent, meta in timeout_check_and_execute(cfg, node):
                 releases.append((node, intent.agent))
@@ -331,16 +337,18 @@ def sync_round(
     rec.acting = tuple(acting)
     arrivals = set()
     for mv in rec.moves:
-        dirty.add(mv.agent)  # a move writes its agent, and no step wrote a released one
+        written.add(mv.agent)  # a move writes its agent, and no step wrote a released one
         if mv.accepted:
             index.move(mv.agent, mv.frm, mv.to)
             arrivals.add(mv.to)
-    index.arrivals = arrivals
     colocated = sorted(node for node, members in groups.items() if len(members) >= 2)
     for node in colocated:
         if node in arrivals:
             merge_gossip(cfg, node, groups[node])
-            dirty.update(groups[node])
+            boards.add(node)
+            written.update(groups[node])
+    arrivals.difference_update(colocated)  # merged already
+    index.arrivals = arrivals
     rec.colocated = tuple(colocated)
     cfg.round += 1
     cfg.ticks += 1

@@ -260,7 +260,7 @@ class ConstantFingerprint:
     def __init__(self, cfg):
         pass
 
-    def update(self):
+    def update(self, boards=(), agents=()):
         return 0
 
 
@@ -317,9 +317,9 @@ class TestKeyCache:
         fp = Fingerprint(cfg)
         index = RoundIndex(cfg)
         for _ in range(rounds):
-            assert fp.update() == fingerprint(state_key(cfg))
+            assert fp.update(index.boards, index.agents) == fingerprint(state_key(cfg))
             sync_round(cfg, duplex, index)
-        assert fp.update() == fingerprint(state_key(cfg))
+        assert fp.update(index.boards, index.agents) == fingerprint(state_key(cfg))
 
 
 # three starts whose reports are compared across string hash seeds

@@ -264,12 +264,12 @@ def _reordered(cfg: Configuration) -> Configuration:
 
 class TestKeyCache:
     """The round key :func:`~gossipsim.harness.detect_cycle` keeps: a
-    :class:`Fingerprint` updated from the write barriers ``cfg.dirty`` and
-    ``cfg.dirty_agents`` and the round clock returns
+    :class:`Fingerprint` updated from the round's write record
+    (``index.boards`` and ``index.agents``) and the round clock returns
     ``fingerprint(state_key(cfg))`` every round, and every board and agent
-    a round writes is in its barrier: a timer that only ticks is not
+    a round writes is in its record: a timer that only ticks is not
     written.  The rounds carry one :class:`RoundIndex`, as detect_cycle's
-    do, so the barriers see only what such rounds write."""
+    do, so the record names only what such rounds write."""
 
     @pytest.mark.parametrize("board_class", [CW, FW])
     def test_timer_only_change_at_quiet_board(self, board_class):
@@ -282,50 +282,51 @@ class TestKeyCache:
         small_cap(cfg)
         set_timer(cfg, cfg.boards[3], 9)  # above the cap: never ticks
         fp = Fingerprint(cfg)
+        index = RoundIndex(cfg)
         for _ in range(6):
-            assert fp.update() == fingerprint(state_key(cfg))
-            sync_round(cfg, HALF)
-        set_timer(cfg, cfg.boards[1], 1)
-        cfg.dirty.add(1)
+            assert fp.update(index.boards, index.agents) == fingerprint(state_key(cfg))
+            sync_round(cfg, HALF, index)
+        fp.update(index.boards, index.agents)
+        set_timer(cfg, cfg.boards[1], 1)  # a write outside a round names its node itself
+        assert fp.update([1]) == fingerprint(state_key(cfg))
         for _ in range(6):
-            assert fp.update() == fingerprint(state_key(cfg))
-            sync_round(cfg, HALF)
+            sync_round(cfg, HALF, index)
+            assert fp.update(index.boards, index.agents) == fingerprint(state_key(cfg))
         assert [timer(cfg, b) for b in cfg.boards] == [3, 3, 3, 9]
 
     @pytest.mark.parametrize("case", sorted(ROUND_STARTS))
     def test_round_writes_beyond_timer_only_where_agents_are_or_wait(self, case):
-        # the barrier holds every board the round wrote beyond its timer,
+        # the record holds every board the round wrote beyond its timer,
         # and no node without an agent or a waiter; a stored timer changes
         # only where the round wrote the board
-        make, duplex = ROUND_STARTS[case]
-        cfg = make()
-        writes = 0
-        for _ in range(120):
-            cfg.dirty.clear()
-            stored = [b.clone() for b in cfg.boards]
-            before = [_untimed(b) for b in cfg.boards]
-            waiters = {v for v, b in enumerate(cfg.boards) if b.waiting}
-            rec = sync_round(cfg, duplex)
-            changed = {v for v, b in enumerate(cfg.boards) if _untimed(b) != before[v]}
-            assert changed <= cfg.dirty <= set(rec.merges) | set(rec.colocated) | waiters
-            assert {v for v, b in enumerate(cfg.boards) if b != stored[v]} <= cfg.dirty
-            writes += len(changed)
-        assert writes > 0  # the starts do write boards
-
-    @pytest.mark.parametrize("case", sorted(ROUND_STARTS))
-    def test_round_writes_agents_only_in_barrier(self, case):
-        # every agent a round with a carried index changes is in the
-        # agent barrier
         make, duplex = ROUND_STARTS[case]
         cfg = make()
         index = RoundIndex(cfg)
         writes = 0
         for _ in range(120):
-            cfg.dirty_agents.clear()
+            stored = [b.clone() for b in cfg.boards]
+            before = [_untimed(b) for b in cfg.boards]
+            waiters = {v for v, b in enumerate(cfg.boards) if b.waiting}
+            rec = sync_round(cfg, duplex, index)
+            changed = {v for v, b in enumerate(cfg.boards) if _untimed(b) != before[v]}
+            assert changed <= index.boards <= set(rec.merges) | set(rec.colocated) | waiters
+            assert {v for v, b in enumerate(cfg.boards) if b != stored[v]} <= index.boards
+            writes += len(changed)
+        assert writes > 0  # the starts do write boards
+
+    @pytest.mark.parametrize("case", sorted(ROUND_STARTS))
+    def test_round_writes_agents_only_in_barrier(self, case):
+        # every agent a round with a carried index changes is in its
+        # agent record
+        make, duplex = ROUND_STARTS[case]
+        cfg = make()
+        index = RoundIndex(cfg)
+        writes = 0
+        for _ in range(120):
             before = [a.clone() for a in cfg.agents]
             sync_round(cfg, duplex, index)
             changed = {i for i, a in enumerate(cfg.agents) if a != before[i]}
-            assert changed <= cfg.dirty_agents
+            assert changed <= index.agents
             writes += len(changed)
         assert writes > 0
 
@@ -336,9 +337,9 @@ class TestKeyCache:
         fp = Fingerprint(cfg)
         index = RoundIndex(cfg)
         for _ in range(120):
-            assert fp.update() == fingerprint(state_key(cfg))
+            assert fp.update(index.boards, index.agents) == fingerprint(state_key(cfg))
             sync_round(cfg, duplex, index)
-        assert fp.update() == fingerprint(state_key(cfg))
+        assert fp.update(index.boards, index.agents) == fingerprint(state_key(cfg))
 
     @pytest.mark.parametrize("case", sorted(ROUND_STARTS))
     def test_equal_keys_equal_fingerprints(self, case):
@@ -346,11 +347,13 @@ class TestKeyCache:
         cfg = make()
         other = _reordered(cfg)
         assert state_key(other) == state_key(cfg)
-        fps = Fingerprint(cfg), Fingerprint(other)
+        fp, fp_other = Fingerprint(cfg), Fingerprint(other)
+        index, index_other = RoundIndex(cfg), RoundIndex(other)
         for _ in range(40):
-            assert fps[0].update() == fps[1].update()
-            sync_round(cfg, duplex)
-            sync_round(other, duplex)
+            want = fp.update(index.boards, index.agents)
+            assert fp_other.update(index_other.boards, index_other.agents) == want
+            sync_round(cfg, duplex, index)
+            sync_round(other, duplex, index_other)
 
     @given(
         st.sampled_from(["ring:5", "grid:2x3", "random:6:3:1", "random:7:2:3"]),
@@ -369,9 +372,9 @@ class TestKeyCache:
         fp = Fingerprint(cfg)
         index = RoundIndex(cfg)
         for _ in range(60):
-            assert fp.update() == fingerprint(state_key(cfg))
+            assert fp.update(index.boards, index.agents) == fingerprint(state_key(cfg))
             sync_round(cfg, duplex, index)
-        assert fp.update() == fingerprint(state_key(cfg))
+        assert fp.update(index.boards, index.agents) == fingerprint(state_key(cfg))
 
 
 class TestLazyTimers:
@@ -474,8 +477,6 @@ class TestEncodingCoverage:
         "graph": build_grid(2, 2),
         "timer_cap": 99,
         "genuine": {},
-        "dirty": {1},
-        "dirty_agents": {1},
     }
 
     def _cfg(self, board_class):

@@ -206,12 +206,8 @@ class TestRoundIndex:
             assert snapshot_hash(cfg) == snapshot_hash(twin)
             assert index_state(index) == index_state(RoundIndex(cfg))
 
-    def test_parked_round_touches_nobody(self, monkeypatch):
-        # every agent parked for good: the first round merges at every
-        # occupied node where a merge can write (node 2's lone agent only
-        # with an FW store) and writes only the agents of those merges; a
-        # carried round after it steps, merges and writes no agent, and
-        # still records every occupied node
+    @staticmethod
+    def _count_merges(monkeypatch):
         merged = []
         merge = scheduler.merge_gossip
 
@@ -220,20 +216,43 @@ class TestRoundIndex:
             merge(c, node, idxs)
 
         monkeypatch.setattr(scheduler, "merge_gossip", counting)
+        return merged
+
+    def test_met_group_not_merged_again(self, monkeypatch):
+        # agents 1 and 2 meet at node 1 in the fifth round and merge after
+        # the moves; the next round merges them where they arrive together,
+        # node 2, and not again before the steps at node 1
+        for cls in (CW, FW):
+            cfg = dft_cfg([(1, 0), (2, 1)], cls=cls)
+            index = RoundIndex(cfg)
+            for _ in range(5):
+                rec = sync_round(cfg, HALF, index)
+            assert rec.colocated == (1,) and [mv.to for mv in rec.moves] == [1, 1]
+            merged = self._count_merges(monkeypatch)
+            rec = sync_round(cfg, HALF, index)
+            assert merged == [2] and rec.colocated == (2,) and rec.merges == (1,)
+
+    def test_parked_round_touches_nobody(self, monkeypatch):
+        # every agent parked for good: the first round merges at every
+        # occupied node where a merge can write (node 2's lone agent only
+        # with an FW store) and writes only the boards and the agents of
+        # those merges; a carried round after it steps, merges and writes
+        # nothing, and still records every occupied node
+        merged = self._count_merges(monkeypatch)
         stepped = TestSyncRound._count_steps(monkeypatch)
         for cls, first, written in ((CW, [0], {0, 1}), (FW, [0, 2], {0, 1, 2})):
             cfg = dft_cfg([(1, 0), (2, 0), (3, 2)], cls=cls)
             _park_for_good(cfg)
             index = RoundIndex(cfg)
             merged.clear()
-            cfg.dirty_agents.clear()
             sync_round(cfg, HALF, index)
-            assert merged == first and stepped == [] and cfg.dirty_agents == written
+            assert merged == first and stepped == []
+            assert index.boards == set(first) and index.agents == written
             for _ in range(5):
                 merged.clear()
-                cfg.dirty_agents.clear()
                 rec = sync_round(cfg, HALF, index)
-                assert merged == [] and stepped == [] and cfg.dirty_agents == set()
+                assert merged == [] and stepped == []
+                assert index.boards == set() and index.agents == set()
                 assert rec.merges == (0, 2) and rec.colocated == (0,) and rec.acting == (0, 1, 2)
 
     @pytest.mark.parametrize("case", sorted(ROUND_STARTS))
