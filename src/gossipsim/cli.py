@@ -35,7 +35,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import asdict
 from functools import partial
@@ -250,9 +249,11 @@ def cmd_fuzz(args) -> int:
         # open the outputs first, so a bad path fails before any seed runs
         csv_fh = _open_output(outputs, args.out, newline="")
         jsonl_fh = _open_output(outputs, args.out_jsonl)
-        # the pool forks all its workers at its first submit
+        # the pool forks all its workers at its first submit; imported here,
+        # multiprocessing costs a one-process run nothing
         jobs = min(args.jobs, hi - lo, os.cpu_count() or 1)
         if jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 results = list(pool.map(one_seed, range(lo, hi)))
         else:

@@ -30,7 +30,7 @@ from .model import (
     state_key,
     timer,
 )
-from .scheduler import HALF, RoundIndex, SchedulePolicy, StepRecord, SYNC, run, sync_round
+from .scheduler import HALF, RoundIndex, SchedulePolicy, StepRecord, SYNC, _below, run, sync_round
 from .topology import PortLabeledGraph, build_ring, mirror_join, mirror_node
 
 UNIFORM = "uniform"
@@ -93,7 +93,8 @@ def fuzz_config(
     ports in range where the protocol reads them as ports); everything
     else is fair game.  The order and number of the random draws are part
     of the contract, pinned by a test: a fuzz seed names the same start
-    in every version.
+    in every version.  They are defined through ``getrandbits``: the
+    per-board picks draw through :func:`~gossipsim.scheduler._below`.
     """
     rng = random.Random(f"{seed}:{spec.id_low}:{spec.id_high}:{k}")
     n = graph.node_count
@@ -148,34 +149,37 @@ def fuzz_config(
     rows = [i for i in idents if i is not None]  # the live ids, then fake ones
     rows += [i for i in rng.sample(domain, min(len(domain), k + 3)) if i not in rows]
     cap = cfg.timer_cap
-    rand, choice, rate = rng.random, rng.choice, spec.table_garbage_rate
+    rand, bits, rate = rng.random, rng.getrandbits, spec.table_garbage_rate
     for v, board in enumerate(cfg.boards):
         ports = (None, *range(graph.degree(v)))
         if rand() < spec.fake_id_rate:
-            board.min_id = choice(domain)
+            board.min_id = domain[_below(bits, len(domain))]
         if spec.randomize_timers:
             # the round clock of a new configuration is 0, the stamp's default
-            board.timer_base = rng.randint(0, cap)
-            board.wait_t = rng.randint(0, cap)
+            board.timer_base = _below(bits, cap + 1)
+            board.wait_t = _below(bits, cap + 1)
         if rand() < spec.waiting_garbage_rate:
-            board.waiting.update(rng.sample(domain, rng.randint(1, 2)))
+            board.waiting.update(rng.sample(domain, 1 + _below(bits, 2)))
         # a clean board and each id once: a drawn default (True, None) writes no row
         for i in rows:
             if rand() < rate and rand() >= 0.5:
                 board.t_table[i] = False
-            if rand() < rate and (port := choice(ports)) is not None:
+            if rand() < rate and (port := ports[_below(bits, len(ports))]) is not None:
                 board.in_link[i] = port
-            if rand() < rate and (port := choice(ports)) is not None:
+            if rand() < rate and (port := ports[_below(bits, len(ports))]) is not None:
                 board.out_link[i] = port
         if board.cls == FW and rand() < spec.store_garbage_rate:
-            board.store.add(Token(f"ghost{rng.randrange(1000)}", "stale"))
+            board.store.add(Token(f"ghost{_below(bits, 1000)}", "stale"))
     return cfg
 
 
 def gossip_complete(cfg: Configuration) -> bool:
     """True iff every agent knows every agent's genuine token (garbage ignored)."""
     genuine = cfg.genuine.values()
-    return all(agent.known.issuperset(genuine) for agent in cfg.agents)
+    for agent in cfg.agents:
+        if not agent.known.issuperset(genuine):
+            return False
+    return True
 
 
 def default_cycle_budget(cfg: Configuration) -> int:

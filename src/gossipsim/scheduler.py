@@ -9,12 +9,12 @@ moves, post-move gossip merges, and one tick of the round clock
 round writes a timer that only ticks, and a waiting agent's activation,
 which writes nothing, is not called.  The whole round is deterministic.
 
-A run of synchronous rounds carries one :class:`RoundIndex` from round
-to round, so a round pays for the agents that act and the boards that
-can come due, not for every agent and board: the agents grouped by
-node, the waiting agents, the nodes agents arrived at (the only ones
-where a merge can find something new), a queue of the ticks at which
-boards come due and a record of what the last round wrote.
+A run carries one :class:`RoundIndex` from round to round (or step to
+step), so a round pays for the agents that act and the boards that can
+come due, not for every agent and board: the agents grouped by node,
+the waiting agents, the nodes agents arrived at (the only ones where a
+merge can find something new), a queue of the ticks at which boards
+come due and a record of what the last round wrote.
 
 An asynchronous step activates the one agent a policy picks (no duplex
 conflicts can arise) and never advances the round clock: the timer
@@ -130,10 +130,10 @@ def _order_key(ident: int | None, idx: int) -> tuple:
 
 
 class RoundIndex:
-    """What the synchronous rounds of one run carry from round to round,
+    """What the rounds or steps of one run carry from one to the next,
     so that a round touches only the agents that act and the boards that
     can come due.  Built from any configuration; see :func:`sync_round`
-    for how long it stays valid.
+    for how long it stays valid.  Async steps keep only ``groups`` and ``arrivals``.
 
     - ``groups``: occupied node -> indices of the agents there, each
       group in activation order.
@@ -141,8 +141,8 @@ class RoundIndex:
       :func:`~gossipsim.protocol_dft.waits` holds.  Only a timeout
       release takes an agent out (only a release pops its id), and only
       the agent's own step puts it in.
-    - ``arrivals``: the nodes an agent moved into last round and that
-      its post-move merges left unmerged; at build time every occupied
+    - ``arrivals``: the nodes an agent moved into last round (or step)
+      and that no merge since covered; at build time every occupied
       node.  Known sets and stores grow only in
       :func:`~gossipsim.model.merge_gossip`, so the agents of a node that
       nobody joined since its last merge already hold equal sets.
@@ -249,21 +249,14 @@ def resolve_duplex(
     return accepted
 
 
-def _apply_moves(
-    cfg: Configuration,
-    intents: list[tuple[MoveIntent, StepMeta]],
-    accepted: list[bool],
-) -> list[MoveRecord]:
-    records = []
-    for (intent, meta), ok in zip(intents, accepted):
-        to, b = cfg.graph.neighbor(intent.frm, intent.via)
-        agent = cfg.agents[intent.agent]
-        agent.last_move_accepted = ok
-        if ok:
-            agent.pos, agent.arrival_port = to, b
-        records.append(MoveRecord(intent.agent, intent.frm, intent.via, to, ok,
-                                  meta.kind, meta.branch, meta.flipped))
-    return records
+def _apply_move(cfg: Configuration, intent: MoveIntent, meta: StepMeta, ok: bool) -> MoveRecord:
+    to, b = cfg.graph.neighbor(intent.frm, intent.via)
+    agent = cfg.agents[intent.agent]
+    agent.last_move_accepted = ok
+    if ok:
+        agent.pos, agent.arrival_port = to, b
+    return MoveRecord(intent.agent, intent.frm, intent.via, to, ok,
+                      meta.kind, meta.branch, meta.flipped)
 
 
 def sync_round(
@@ -282,9 +275,10 @@ def sync_round(
     valid only while :func:`sync_round` with that index is the only
     writer of ``cfg``: it changes with the agents' positions, the
     waiting agents and the boards' due ticks as the round changes them.
-    The round records in ``index.boards`` the node of every step, merge
-    and due check it runs (each writes its own node's board only), and
-    in ``index.agents`` every agent it steps, moves or merges.  After
+    The round records in ``index.boards`` the node of every step and due
+    check it runs and of every merge it runs on an FW board (each writes
+    its own node's board only, a merge only an FW store), and in
+    ``index.agents`` every agent it steps, moves or merges.  After
     the steps it reschedules the recorded nodes, then checks the nodes
     due at this round clock in ascending order, and reschedules those
     from the next one.
@@ -293,7 +287,6 @@ def sync_round(
         index = RoundIndex(cfg)
     index.boards = boards = set()
     index.agents = written = set()
-    rec = StepRecord(step=cfg.round, acting=())
     intents: list[tuple[MoveIntent, StepMeta]] = []
     acting: list[int] = []
     agents = cfg.agents
@@ -303,8 +296,9 @@ def sync_round(
         here = groups[node]
         if node in arrivals and (len(here) > 1 or cfg.boards[node].cls == FW):
             merge_gossip(cfg, node, here)
-            boards.add(node)
             written.update(here)
+            if cfg.boards[node].cls == FW:
+                boards.add(node)
         acting.extend(here)
         for idx in here:
             if idx in waiting:
@@ -330,13 +324,10 @@ def sync_round(
                 releases.append((node, intent.agent))
                 intents.append((intent, meta))
                 waiting.discard(intent.agent)
-    rec.releases = tuple(releases)
-    rec.merges = tuple(occupied)
     accepted = resolve_duplex(cfg, intents, duplex)
-    rec.moves = _apply_moves(cfg, intents, accepted)
-    rec.acting = tuple(acting)
+    moves = [_apply_move(cfg, intent, meta, ok) for (intent, meta), ok in zip(intents, accepted)]
     arrivals = set()
-    for mv in rec.moves:
+    for mv in moves:
         written.add(mv.agent)  # a move writes its agent, and no step wrote a released one
         if mv.accepted:
             index.move(mv.agent, mv.frm, mv.to)
@@ -345,16 +336,30 @@ def sync_round(
     for node in colocated:
         if node in arrivals:
             merge_gossip(cfg, node, groups[node])
-            boards.add(node)
             written.update(groups[node])
+            if cfg.boards[node].cls == FW:
+                boards.add(node)
     arrivals.difference_update(colocated)  # merged already
     index.arrivals = arrivals
-    rec.colocated = tuple(colocated)
+    rec = StepRecord(cfg.round, tuple(acting), moves, tuple(occupied), tuple(releases),
+                     tuple(colocated))
     cfg.round += 1
     cfg.ticks += 1
     for node in due:
         index.schedule(cfg, node)
     return rec
+
+
+def _below(getrandbits, n: int) -> int:
+    """``random.Random.randrange(n)``, draw for draw: ``getrandbits`` of
+    ``n.bit_length()`` bits until the value is below ``n``."""
+    if n < 1:
+        raise ValueError(f"empty range below {n}")
+    bits = n.bit_length()
+    r = getrandbits(bits)
+    while r >= n:
+        r = getrandbits(bits)
+    return r
 
 
 def _random_fair(k: int, seed: int, window: int) -> Iterator[int]:
@@ -364,12 +369,12 @@ def _random_fair(k: int, seed: int, window: int) -> Iterator[int]:
     no agents it yields nothing."""
     if k == 0:
         return
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     bound = k * window
     last = list(range(1 - k, 1))  # each agent's last-run step
     for step in count(1):
         oldest = min(last)
-        idx = last.index(oldest) if step - oldest >= bound else rng.randrange(k)
+        idx = last.index(oldest) if step - oldest >= bound else _below(getrandbits, k)
         last[idx] = step
         yield idx
 
@@ -395,20 +400,29 @@ def _picks(policy: SchedulePolicy, k: int) -> Iterator[int | None]:
     raise SchedulerError(f"unknown async policy {kind!r}")
 
 
-def async_step(cfg: Configuration, idx: int) -> StepRecord:
-    """Activate agent ``idx`` alone: a merge at its node before its step
-    and, if it moved, at its new node after.  The round clock, and with
-    it every timer, stands still."""
-    rec = StepRecord(step=cfg.round, acting=(idx,))
+def async_step(cfg: Configuration, idx: int, index: RoundIndex | None = None) -> StepRecord:
+    """Activate agent ``idx`` alone: a merge at its node before its step,
+    only if that node is in ``index.arrivals`` (which it then leaves;
+    elsewhere the agents and the store hold equal sets already), and,
+    if it moved, one at its new node after.  Each merge reads its node's
+    group from ``index``; None builds a fresh index.  ``rec.merges``
+    still lists ``(pos,)``, or ``(pos, to)`` after a move, whether a
+    merge ran or not.  The round clock, and every timer, stands still."""
+    if index is None:
+        index = RoundIndex(cfg)
     agent = cfg.agents[idx]
-    merge_gossip(cfg, agent.pos)
-    merged = [agent.pos]
+    pos = agent.pos
+    if pos in index.arrivals:
+        index.arrivals.discard(pos)
+        merge_gossip(cfg, pos, index.groups[pos])
     intent, meta = _STEP_FNS[agent.program](cfg, idx)
-    if not intent.stay:
-        rec.moves = _apply_moves(cfg, [(intent, meta)], [True])
-        merge_gossip(cfg, agent.pos)
-        merged.append(agent.pos)
-    rec.merges = tuple(merged)
+    if intent.stay:
+        rec = StepRecord(cfg.round, (idx,), merges=(pos,))
+    else:
+        move = _apply_move(cfg, intent, meta, True)
+        index.move(idx, pos, move.to)
+        merge_gossip(cfg, move.to, index.groups[move.to])
+        rec = StepRecord(cfg.round, (idx,), [move], (pos, move.to))
     cfg.round += 1
     return rec
 
@@ -430,7 +444,7 @@ def run(
     board class) pair of ``cfg`` it refuses under ``policy``, or that
     :func:`_picks` gives for ``policy``; a run whose script ends first is
     truncated.  Mutates ``cfg`` in place; clone first to keep the start.
-    A synchronous run carries one :class:`RoundIndex` through its rounds.
+    A run carries one :class:`RoundIndex` through its rounds or steps.
     ``observer(cfg, record)`` runs after every step and must not write
     ``cfg``; the trace keeps only the step count, so a caller that wants
     the records collects them there.
@@ -444,10 +458,10 @@ def run(
     picks = _picks(policy, cfg.k)
     if stop is not None and stop(cfg):
         return Trace(0, "met", stop_step=0)
-    index = RoundIndex(cfg) if policy.kind == SYNC else None
+    index = RoundIndex(cfg)
     steps = 0
     for idx in islice(picks, max_steps):
-        rec = sync_round(cfg, duplex, index) if idx is None else async_step(cfg, idx)
+        rec = sync_round(cfg, duplex, index) if idx is None else async_step(cfg, idx, index)
         steps += 1
         if observer is not None:
             observer(cfg, rec)

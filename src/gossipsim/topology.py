@@ -269,23 +269,3 @@ def parse_graph(text: str) -> PortLabeledGraph:
     if violations:
         raise GraphError("; ".join(violations))
     return g
-
-
-def bfs_distances(g: PortLabeledGraph, start: int) -> list[int]:
-    """Hop distances from ``start`` (simulator-side helper, not protocol visible)."""
-    dist = [-1] * g.node_count
-    dist[start] = 0
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u, _ in g.adjacency[v]:
-                if dist[u] < 0:
-                    dist[u] = dist[v] + 1
-                    nxt.append(u)
-        frontier = nxt
-    return dist
-
-
-def diameter(g: PortLabeledGraph) -> int:
-    return max(max(bfs_distances(g, v)) for v in range(g.node_count))

@@ -32,7 +32,7 @@ from gossipsim.scheduler import (
     SchedulePolicy,
     run,
 )
-from gossipsim.topology import build_grid, build_ring, diameter, random_connected_graph
+from gossipsim.topology import build_grid, build_ring, random_connected_graph
 
 CORPUS = [build_ring(6)] + [
     random_connected_graph(6 + s % 3, 2, seed=s) for s in range(10)
@@ -46,6 +46,24 @@ def verdict(num, name, ok, detail=""):
         line += f" ({detail})"
     print(line, flush=True)
     assert ok, line
+
+
+def _diameter(graph) -> int:
+    """The largest hop distance between two nodes: a BFS from every node."""
+    widest = 0
+    for start in range(graph.node_count):
+        dist = {start: 0}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for u, _ in graph.adjacency[v]:
+                    if u not in dist:
+                        dist[u] = dist[v] + 1
+                        nxt.append(u)
+            frontier = nxt
+        widest = max(widest, max(dist.values()))
+    return widest
 
 
 def _cycle_gaps(flips, prefix, period):
@@ -231,7 +249,7 @@ class _CoverageMonitor:
 
     def __init__(self, graph, k):
         self.graph = graph
-        self.diam = diameter(graph)
+        self.diam = _diameter(graph)
         self.state = {
             i: {"home": None, "prev": None, "visited": set(), "ok": None}
             for i in range(k)

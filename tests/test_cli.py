@@ -1,8 +1,12 @@
 """End-to-end command-line checks: exit codes and artifact formats."""
 
+import concurrent.futures
 import csv
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -288,13 +292,23 @@ class TestArtifacts:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
         code = main(["fuzz", "--graph", "ring:4", "--seeds", seeds, "--jobs", jobs])
         assert code == EXIT_OK
         assert started == ([] if workers is None else [workers])
         lo, hi = (int(x) for x in seeds.split(":"))
         assert capsys.readouterr().out == f"{hi - lo}/{hi - lo} seeds satisfied the property set\n"
+
+    def test_import_leaves_out_multiprocessing(self):
+        # only a fuzz campaign with two or more jobs imports the process
+        # pool; a fresh interpreter shows what importing the CLI loads
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        script = ("import sys; sys.path.insert(0, sys.argv[1]); import gossipsim.cli; "
+                  "print('multiprocessing' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", script, src], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout == "False\n"
 
     @pytest.mark.parametrize(
         "argv",

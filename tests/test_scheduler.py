@@ -1,5 +1,6 @@
 import hashlib
 import pytest
+import random
 from itertools import islice
 
 from hypothesis import given, settings, strategies as st
@@ -20,8 +21,10 @@ from gossipsim.model import (
     FW,
     NW,
     PROGRAM_DFT,
+    PROGRAM_FW_DFT,
     PROGRAM_PATH_ENUM,
     make_configuration,
+    merge_gossip,
     set_timer,
     snapshot_hash,
     state_key,
@@ -35,10 +38,14 @@ from gossipsim.scheduler import (
     FULL,
     HALF,
     SYNC,
+    MoveRecord,
     RoundIndex,
     SchedulePolicy,
     SchedulerError,
+    StepRecord,
+    _below,
     _picks,
+    async_step,
     resolve_duplex,
     run,
     sync_round,
@@ -235,25 +242,55 @@ class TestRoundIndex:
     def test_parked_round_touches_nobody(self, monkeypatch):
         # every agent parked for good: the first round merges at every
         # occupied node where a merge can write (node 2's lone agent only
-        # with an FW store) and writes only the boards and the agents of
-        # those merges; a carried round after it steps, merges and writes
-        # nothing, and still records every occupied node
+        # with an FW store) and records only the agents of those merges and
+        # the boards of those on FW boards (a CW merge writes no board); a
+        # carried round after it steps, merges and writes nothing, and
+        # still records every occupied node
         merged = self._count_merges(monkeypatch)
         stepped = TestSyncRound._count_steps(monkeypatch)
-        for cls, first, written in ((CW, [0], {0, 1}), (FW, [0, 2], {0, 1, 2})):
+        for cls, first, boards, written in ((CW, [0], set(), {0, 1}),
+                                            (FW, [0, 2], {0, 2}, {0, 1, 2})):
             cfg = dft_cfg([(1, 0), (2, 0), (3, 2)], cls=cls)
             _park_for_good(cfg)
             index = RoundIndex(cfg)
             merged.clear()
             sync_round(cfg, HALF, index)
             assert merged == first and stepped == []
-            assert index.boards == set(first) and index.agents == written
+            assert index.boards == boards and index.agents == written
             for _ in range(5):
                 merged.clear()
                 rec = sync_round(cfg, HALF, index)
                 assert merged == [] and stepped == []
                 assert index.boards == set() and index.agents == set()
                 assert rec.merges == (0, 2) and rec.colocated == (0,) and rec.acting == (0, 1, 2)
+
+    @pytest.mark.parametrize("case", sorted(ROUND_STARTS))
+    def test_record_names_the_written_boards(self, case, monkeypatch):
+        # a step or a due check writes its own node's board, and a merge
+        # only an FW store: the round records exactly those nodes
+        nodes = []
+        for program, step in list(scheduler._STEP_FNS.items()):
+            def recording(c, idx, step=step):
+                nodes.append(c.agents[idx].pos)
+                return step(c, idx)
+
+            monkeypatch.setitem(scheduler._STEP_FNS, program, recording)
+        check = scheduler.timeout_check_and_execute
+
+        def checking(c, node):
+            nodes.append(node)
+            return check(c, node)
+
+        monkeypatch.setattr(scheduler, "timeout_check_and_execute", checking)
+        merged = self._count_merges(monkeypatch)
+        make, duplex = ROUND_STARTS[case]
+        cfg = make()
+        index = RoundIndex(cfg)
+        for _ in range(120):
+            nodes.clear()
+            merged.clear()
+            sync_round(cfg, duplex, index)
+            assert index.boards == set(nodes) | {v for v in merged if cfg.boards[v].cls == FW}
 
     @pytest.mark.parametrize("case", sorted(ROUND_STARTS))
     def test_carried_equals_fresh(self, case):
@@ -303,6 +340,20 @@ class TestAsyncPolicies:
             assert step - last_seen[idx] <= k * 4
             last_seen[idx] = step
         assert set(range(k)) == {i for i in range(k) if last_seen[i] > 0}
+
+    @given(st.integers(0, 2**64), st.integers(1, 300))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_below_draws_like_randrange(self, seed, n):
+        # the same values from the same bits, and the generators end equal
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(8):
+            assert _below(ours.getrandbits, n) == theirs.randrange(n)
+        assert ours.getstate() == theirs.getstate()
+
+    def test_below_refuses_an_empty_range(self):
+        for n in (0, -3):
+            with pytest.raises(ValueError):
+                _below(random.Random(0).getrandbits, n)
 
     def test_random_fair_bound_holds_for_every_agent(self):
         # every agent runs within k * window steps of its last run (of the
@@ -409,17 +460,22 @@ class TestRun:
         assert trace.status == "met"
 
 
+def _record_line(cfg, rec) -> str:
+    """Every StepRecord field, every field of its MoveRecords and the
+    snapshot hash of ``cfg`` after the step."""
+    moves = tuple((m.agent, m.frm, m.via, m.to, m.accepted, m.kind, m.branch, m.flipped)
+                  for m in rec.moves)
+    return repr((rec.step, rec.acting, moves, rec.merges, rec.releases, rec.colocated,
+                 snapshot_hash(cfg)))
+
+
 def _async_lines(cfg, policy):
     """One line per step of ``policy`` from ``cfg`` until gossip is complete
-    or 200 steps: every StepRecord field, every field of its MoveRecords
-    and the snapshot hash after the step, then the trace's ending."""
+    or 200 steps (see :func:`_record_line`), then the trace's ending."""
     lines = []
 
     def observe(c, rec):
-        moves = tuple((m.agent, m.frm, m.via, m.to, m.accepted, m.kind, m.branch, m.flipped)
-                      for m in rec.moves)
-        lines.append(repr((rec.step, rec.acting, moves, rec.merges, rec.releases,
-                           rec.colocated, snapshot_hash(c))))
+        lines.append(_record_line(c, rec))
 
     trace = run(cfg, policy, stop=gossip_complete, max_steps=200, observer=observe)
     lines.append(repr((trace.steps, trace.status, trace.stop_step)))
@@ -461,3 +517,82 @@ class TestAsyncPinned:
                 for line in _async_lines(cfg, SchedulePolicy(kind=kind, seed=seed)):
                     h.update(line.encode())
         assert h.hexdigest() == self.DIGESTS[program, board_class, kind]
+
+
+def literal_async_step(cfg, idx):
+    """The asynchronous step as stated, with no index: a merge that scans
+    every agent for those at the agent's node before its step and, if it
+    moved, one at its new node after.  The round clock stands still."""
+    agent = cfg.agents[idx]
+    frm = agent.pos
+    merge_gossip(cfg, frm)
+    intent, meta = scheduler._STEP_FNS[agent.program](cfg, idx)
+    rec = StepRecord(cfg.round, (idx,), merges=(frm,))
+    if not intent.stay:
+        to, port = cfg.graph.neighbor(intent.frm, intent.via)
+        agent.pos, agent.arrival_port, agent.last_move_accepted = to, port, True
+        merge_gossip(cfg, to)
+        rec.moves = [MoveRecord(intent.agent, intent.frm, intent.via, to, True,
+                                meta.kind, meta.branch, meta.flipped)]
+        rec.merges = (frm, to)
+    cfg.round += 1
+    return rec
+
+
+class TestLiteralAsyncStep:
+    """``run``'s asynchronous steps, which carry one index through the run,
+    and standalone :func:`async_step` calls, which build a fresh one each,
+    against the literal step: every record and snapshot, step by step."""
+
+    BOARDS = [(PROGRAM_FW_DFT, FW), (PROGRAM_PATH_ENUM, NW), (PROGRAM_PATH_ENUM, CW),
+              (PROGRAM_PATH_ENUM, FW), (PROGRAM_DFT, CW), (PROGRAM_DFT, FW)]
+
+    @staticmethod
+    def _check(cfg, policy, steps):
+        fresh, literal = cfg.clone(), cfg.clone()
+        got = []
+        # dft_kminus1 is timer-dependent, so its async run must be forced
+        run(cfg, policy, max_steps=steps, unsafe_async=True,
+            observer=lambda c, rec: got.append(_record_line(c, rec)))
+        picks = list(islice(_picks(policy, cfg.k), steps))
+        assert got == [_record_line(fresh, async_step(fresh, idx)) for idx in picks]
+        assert got == [_record_line(literal, literal_async_step(literal, idx)) for idx in picks]
+
+    @pytest.mark.parametrize("program, board_class", BOARDS)
+    @pytest.mark.parametrize("kind", [ASYNC_ROUND_ROBIN, ASYNC_RANDOM_FAIR])
+    @pytest.mark.parametrize("placement", [UNIFORM, CLUSTERED])
+    def test_run_equals_literal(self, program, board_class, kind, placement):
+        spec = FuzzSpec(placement=placement)
+        for seed, graph in enumerate(("ring:6", "grid:3x3", "random:8:3:5")):
+            cfg = fuzz_config(load_graph(graph), 2 + seed, spec, seed,
+                              board_class=board_class, program=program)
+            self._check(cfg, SchedulePolicy(kind=kind, seed=seed, fairness_window=2), 150)
+
+    @given(
+        st.sampled_from(["ring:5", "grid:3x4", "random:7:2:3", "random:10:4:3"]),
+        st.integers(1, 5),
+        st.sampled_from(BOARDS),
+        st.sampled_from([ASYNC_ROUND_ROBIN, ASYNC_RANDOM_FAIR]),
+        st.booleans(),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_run_equals_literal_on_drawn_starts(self, graph, k, board, kind, clustered, seed):
+        program, board_class = board
+        spec = FuzzSpec(garbage_token_rate=0.5, store_garbage_rate=0.5,
+                        placement=CLUSTERED if clustered else UNIFORM)
+        cfg = fuzz_config(load_graph(graph), k, spec, seed, board_class=board_class,
+                          program=program)
+        self._check(cfg, SchedulePolicy(kind=kind, seed=seed), 120)
+
+    def test_unjoined_node_not_merged_again(self, monkeypatch):
+        # every agent parked for good stays: the first step at each occupied
+        # node merges there, and no later step merges anywhere
+        merged = TestRoundIndex._count_merges(monkeypatch)
+        cfg = dft_cfg([(1, 0), (2, 0), (3, 2)], cls=FW)
+        _park_for_good(cfg)
+        seen = []
+        run(cfg, SchedulePolicy(kind=ASYNC_ROUND_ROBIN), max_steps=9, unsafe_async=True,
+            observer=lambda c, rec: seen.append((rec.acting, rec.merges, rec.moves)))
+        assert merged == [0, 2]
+        assert seen == [((i % 3,), ((0, 0, 2)[i % 3],), []) for i in range(9)]

@@ -3,10 +3,8 @@ from hypothesis import given, strategies as st
 
 from gossipsim.topology import (
     GraphError,
-    bfs_distances,
     build_grid,
     build_ring,
-    diameter,
     mirror_join,
     mirror_node,
     parse_graph,
@@ -150,14 +148,3 @@ class TestSerialization:
     def test_errors_name_the_problem(self, text, fragment):
         with pytest.raises(GraphError, match=fragment):
             parse_graph(text)
-
-
-class TestDistances:
-    def test_ring_diameter(self):
-        assert diameter(build_ring(6)) == 3
-        assert diameter(build_ring(5)) == 2
-
-    def test_grid_bfs(self):
-        g = build_grid(2, 3)
-        assert bfs_distances(g, 0) == [0, 1, 2, 1, 2, 3]
-        assert diameter(g) == 3
