@@ -155,8 +155,7 @@ def fuzz_config(
         if rand() < spec.fake_id_rate:
             board.min_id = domain[_below(bits, len(domain))]
         if spec.randomize_timers:
-            # the round clock of a new configuration is 0, the stamp's default
-            board.timer_base = _below(bits, cap + 1)
+            set_timer(cfg, board, _below(bits, cap + 1))
             board.wait_t = _below(bits, cap + 1)
         if rand() < spec.waiting_garbage_rate:
             board.waiting.update(rng.sample(domain, 1 + _below(bits, 2)))
@@ -494,15 +493,13 @@ def witness_mirror(graph: PortLabeledGraph, k: int, seed: int = 0) -> MirrorRepo
 
     trace = run(control, SchedulePolicy(kind=SYNC), HALF, stop=gossip_complete,
                 max_steps=default_cycle_budget(control))
-    gossip_step = trace.stop_step if trace.status == "met" else None
-
     return MirrorReport(
         k=k,
         join_node=w,
         frozen_status=frozen_report.status,
         frozen_period=frozen_report.period,
         cross_tokens_exchanged=cross,
-        control_gossip_step=gossip_step,
+        control_gossip_step=trace.stop_step,
     )
 
 
@@ -529,7 +526,9 @@ def witness_symmetry(n: int, k: int, board_class: str) -> SymmetryReport:
 
     Restricted to rings (the construction needs a regular graph).
     """
-    if k < 1 or n % k != 0:
+    if k < 1:
+        raise HarnessError(f"k must be at least 1, got {k}")
+    if n % k != 0:
         raise HarnessError(f"{k} does not divide {n}")
     g = build_ring(n)
     agents = [Agent(ident=None, pos=j * (n // k), program=PROGRAM_PATH_ENUM) for j in range(k)]

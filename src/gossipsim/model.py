@@ -278,23 +278,15 @@ def make_configuration(
     return cfg
 
 
-def merge_gossip(cfg: Configuration, node: int, idxs: list[int] | None = None) -> None:
-    """Union the known sets of all agents at ``node`` (plus the FW store).
-
-    ``idxs`` lists the indices of the agents at ``node`` when the caller
-    has grouped them already; without it the agents are scanned.  A set
-    the union does not grow is left as it is.
-    """
+def merge_gossip(cfg: Configuration, node: int, idxs: list[int]) -> None:
+    """Union the known sets of the agents with indices ``idxs``, all at
+    ``node``, and the node's FW store.  A set the union does not grow is
+    left as it is."""
     agents = cfg.agents
-    if idxs is None:
-        here = [a for a in agents if a.pos == node]
-    else:
-        here = [agents[i] for i in idxs]
-    if not here:
-        return
     board = cfg.boards[node]
-    if len(here) == 1 and (board.cls != FW or here[0].known == board.store):
+    if len(idxs) == 1 and (board.cls != FW or agents[idxs[0]].known == board.store):
         return  # a lone agent and nothing new on either side
+    here = [agents[i] for i in idxs]
     union: set[Token] = set()
     for a in here:
         union |= a.known

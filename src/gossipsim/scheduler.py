@@ -117,7 +117,11 @@ class Trace:
 
     steps: int
     status: str  # "met" | "truncated"
-    stop_step: int | None = None
+
+    @property
+    def stop_step(self) -> int | None:
+        """The step after which the stop predicate held, if it did."""
+        return self.steps if self.status == "met" else None
 
     def __len__(self) -> int:
         return self.steps
@@ -132,8 +136,11 @@ def _order_key(ident: int | None, idx: int) -> tuple:
 class RoundIndex:
     """What the rounds or steps of one run carry from one to the next,
     so that a round touches only the agents that act and the boards that
-    can come due.  Built from any configuration; see :func:`sync_round`
-    for how long it stays valid.  Async steps keep only ``groups`` and ``arrivals``.
+    can come due.  Built from any configuration, it stays valid only while
+    :func:`sync_round` or :func:`async_step` with it is the only writer
+    of ``cfg``.  Gossip moves only in :meth:`merge` and agents only in
+    :meth:`apply`, the one writers of ``groups``, ``arrivals`` and the
+    record's merges and moves.
 
     - ``groups``: occupied node -> indices of the agents there, each
       group in activation order.
@@ -141,11 +148,10 @@ class RoundIndex:
       :func:`~gossipsim.protocol_dft.waits` holds.  Only a timeout
       release takes an agent out (only a release pops its id), and only
       the agent's own step puts it in.
-    - ``arrivals``: the nodes an agent moved into last round (or step)
-      and that no merge since covered; at build time every occupied
-      node.  Known sets and stores grow only in
-      :func:`~gossipsim.model.merge_gossip`, so the agents of a node that
-      nobody joined since its last merge already hold equal sets.
+    - ``arrivals``: the nodes an agent moved into since the last merge
+      there; at build time every occupied node.  Known sets and stores
+      grow only in merges, so the agents of an occupied node outside it
+      hold one known set, equal to the store on FW.
     - ``due_at``: node -> its :func:`~gossipsim.protocol_dft.due_tick`,
       for every board that has one, and ``due``: tick -> the nodes
       scheduled for it, stale entries (the node's ``due_at`` moved since)
@@ -153,8 +159,12 @@ class RoundIndex:
       protocol releases anyone.
     - ``boards`` and ``agents``: the record of the last round, the nodes
       whose boards and the indices of the agents it may have written;
-      empty at build time.  The round reschedules its boards' due ticks
-      from it and a :class:`~gossipsim.model.Fingerprint` re-encodes it.
+      empty at build time.  A round starts it afresh.  A step or a due
+      check records its node and its agent, a merge its group and, on an
+      FW board, its node (it writes only an FW store), and a move its
+      agent.  The round reschedules its boards' due ticks from it and a
+      :class:`~gossipsim.model.Fingerprint` re-encodes it.  An async step
+      starts no record: its merges and moves add to one that nobody reads.
     """
 
     __slots__ = ("groups", "waiting", "arrivals", "due_at", "due", "timed", "boards", "agents",
@@ -194,17 +204,35 @@ class RoundIndex:
         due_at = self.due_at
         return sorted({v for v in self.due.pop(tick, ()) if due_at.get(v) == tick})
 
-    def move(self, idx: int, frm: int, to: int) -> None:
-        """Move agent ``idx`` from ``frm``'s group to ``to``'s."""
-        groups = self.groups
-        group = groups[frm]
-        group.remove(idx)
-        if not group:
-            del groups[frm]
-        group = groups.setdefault(to, [])
-        group.append(idx)
-        if len(group) > 1:
-            group.sort(key=self._rank.__getitem__)
+    def merge(self, cfg: Configuration, node: int) -> None:
+        """Merge the gossip of the agents at occupied ``node``."""
+        here = self.groups[node]
+        merge_gossip(cfg, node, here)
+        self.arrivals.discard(node)
+        self.agents.update(here)
+        if cfg.boards[node].cls == FW:
+            self.boards.add(node)
+
+    def apply(self, cfg: Configuration, intent: MoveIntent, meta: StepMeta, ok: bool) -> MoveRecord:
+        """Apply one move intent, accepted or not, and return its record."""
+        idx, frm = intent.agent, intent.frm
+        to, b = cfg.graph.neighbor(frm, intent.via)
+        agent = cfg.agents[idx]
+        agent.last_move_accepted = ok
+        self.agents.add(idx)
+        if ok:
+            agent.pos, agent.arrival_port = to, b
+            groups = self.groups
+            group = groups[frm]
+            group.remove(idx)
+            if not group:
+                del groups[frm]
+            group = groups.setdefault(to, [])
+            group.append(idx)
+            if len(group) > 1:
+                group.sort(key=self._rank.__getitem__)
+            self.arrivals.add(to)
+        return MoveRecord(idx, frm, intent.via, to, ok, meta.kind, meta.branch, meta.flipped)
 
 
 def resolve_duplex(
@@ -249,16 +277,6 @@ def resolve_duplex(
     return accepted
 
 
-def _apply_move(cfg: Configuration, intent: MoveIntent, meta: StepMeta, ok: bool) -> MoveRecord:
-    to, b = cfg.graph.neighbor(intent.frm, intent.via)
-    agent = cfg.agents[intent.agent]
-    agent.last_move_accepted = ok
-    if ok:
-        agent.pos, agent.arrival_port = to, b
-    return MoveRecord(intent.agent, intent.frm, intent.via, to, ok,
-                      meta.kind, meta.branch, meta.flipped)
-
-
 def sync_round(
     cfg: Configuration, duplex: str = HALF, index: RoundIndex | None = None
 ) -> StepRecord:
@@ -266,22 +284,15 @@ def sync_round(
 
     Every agent at an activated node is listed in ``acting``, a waiting
     agent of the quiescing protocol too, whose step would only stay, and
-    every occupied node in ``merges``, although only a node an agent
-    arrived at last round can have gossip to merge, and a lone agent
-    only with an FW store.
+    every occupied node in ``merges``, although a merge runs only at a
+    node in ``index.arrivals``, and at a lone agent's only with an FW
+    store.
 
-    ``index`` carries what one round leaves for the next; None builds a
-    fresh one, which makes the round start from scratch.  An index stays
-    valid only while :func:`sync_round` with that index is the only
-    writer of ``cfg``: it changes with the agents' positions, the
-    waiting agents and the boards' due ticks as the round changes them.
-    The round records in ``index.boards`` the node of every step and due
-    check it runs and of every merge it runs on an FW board (each writes
-    its own node's board only, a merge only an FW store), and in
-    ``index.agents`` every agent it steps, moves or merges.  After
-    the steps it reschedules the recorded nodes, then checks the nodes
-    due at this round clock in ascending order, and reschedules those
-    from the next one.
+    ``index`` carries what one round leaves for the next (see
+    :class:`RoundIndex`); None builds a fresh one, which makes the round
+    start from scratch.  After the steps the round reschedules the
+    recorded nodes, then checks the nodes due at this round clock in
+    ascending order, and reschedules those from the next one.
     """
     if index is None:
         index = RoundIndex(cfg)
@@ -295,10 +306,7 @@ def sync_round(
     for node in occupied:
         here = groups[node]
         if node in arrivals and (len(here) > 1 or cfg.boards[node].cls == FW):
-            merge_gossip(cfg, node, here)
-            written.update(here)
-            if cfg.boards[node].cls == FW:
-                boards.add(node)
+            index.merge(cfg, node)
         acting.extend(here)
         for idx in here:
             if idx in waiting:
@@ -325,22 +333,11 @@ def sync_round(
                 intents.append((intent, meta))
                 waiting.discard(intent.agent)
     accepted = resolve_duplex(cfg, intents, duplex)
-    moves = [_apply_move(cfg, intent, meta, ok) for (intent, meta), ok in zip(intents, accepted)]
-    arrivals = set()
-    for mv in moves:
-        written.add(mv.agent)  # a move writes its agent, and no step wrote a released one
-        if mv.accepted:
-            index.move(mv.agent, mv.frm, mv.to)
-            arrivals.add(mv.to)
+    moves = [index.apply(cfg, intent, meta, ok) for (intent, meta), ok in zip(intents, accepted)]
     colocated = sorted(node for node, members in groups.items() if len(members) >= 2)
     for node in colocated:
         if node in arrivals:
-            merge_gossip(cfg, node, groups[node])
-            written.update(groups[node])
-            if cfg.boards[node].cls == FW:
-                boards.add(node)
-    arrivals.difference_update(colocated)  # merged already
-    index.arrivals = arrivals
+            index.merge(cfg, node)
     rec = StepRecord(cfg.round, tuple(acting), moves, tuple(occupied), tuple(releases),
                      tuple(colocated))
     cfg.round += 1
@@ -402,26 +399,22 @@ def _picks(policy: SchedulePolicy, k: int) -> Iterator[int | None]:
 
 def async_step(cfg: Configuration, idx: int, index: RoundIndex | None = None) -> StepRecord:
     """Activate agent ``idx`` alone: a merge at its node before its step,
-    only if that node is in ``index.arrivals`` (which it then leaves;
-    elsewhere the agents and the store hold equal sets already), and,
-    if it moved, one at its new node after.  Each merge reads its node's
-    group from ``index``; None builds a fresh index.  ``rec.merges``
-    still lists ``(pos,)``, or ``(pos, to)`` after a move, whether a
-    merge ran or not.  The round clock, and every timer, stands still."""
+    if that node is in ``index.arrivals``, and, if it moved, one at its
+    new node after; None builds a fresh index.  ``rec.merges`` still
+    lists ``(pos,)``, or ``(pos, to)`` after a move, whether a merge ran
+    or not.  The round clock, and every timer, stands still."""
     if index is None:
         index = RoundIndex(cfg)
     agent = cfg.agents[idx]
     pos = agent.pos
     if pos in index.arrivals:
-        index.arrivals.discard(pos)
-        merge_gossip(cfg, pos, index.groups[pos])
+        index.merge(cfg, pos)
     intent, meta = _STEP_FNS[agent.program](cfg, idx)
     if intent.stay:
         rec = StepRecord(cfg.round, (idx,), merges=(pos,))
     else:
-        move = _apply_move(cfg, intent, meta, True)
-        index.move(idx, pos, move.to)
-        merge_gossip(cfg, move.to, index.groups[move.to])
+        move = index.apply(cfg, intent, meta, True)
+        index.merge(cfg, move.to)
         rec = StepRecord(cfg.round, (idx,), [move], (pos, move.to))
     cfg.round += 1
     return rec
@@ -457,7 +450,7 @@ def run(
                 raise SchedulerError(reason)
     picks = _picks(policy, cfg.k)
     if stop is not None and stop(cfg):
-        return Trace(0, "met", stop_step=0)
+        return Trace(0, "met")
     index = RoundIndex(cfg)
     steps = 0
     for idx in islice(picks, max_steps):
@@ -466,5 +459,5 @@ def run(
         if observer is not None:
             observer(cfg, rec)
         if stop is not None and stop(cfg):
-            return Trace(steps, "met", stop_step=steps)
+            return Trace(steps, "met")
     return Trace(steps, "truncated")

@@ -229,6 +229,12 @@ class TestMainExitCodes:
         assert code == EXIT_OK
         assert json.loads(capsys.readouterr().out)["ok"] is True
 
+    @pytest.mark.parametrize("n, k", [(6, 0), (-2, -1)])
+    def test_witness_symmetry_refuses_k_below_one(self, n, k, capsys):
+        assert main(["witness", "symmetry", "--n", str(n), "--k", str(k)]) == EXIT_PARAM
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: k must be at least 1, got {k}\n"
+
     def test_witness_mirror_ok(self, capsys):
         code = main(["witness", "mirror", "--graph", "ring:4", "--k", "2"])
         assert code == EXIT_OK

@@ -125,7 +125,7 @@ class TestGossipMerge:
         g = build_ring(3)
         agents = [Agent(ident=1, pos=0), Agent(ident=2, pos=0), Agent(ident=3, pos=1)]
         cfg = make_configuration(g, agents, CW)
-        merge_gossip(cfg, 0)
+        merge_gossip(cfg, 0, [0, 1])
         assert agents[0].known == agents[1].known
         assert cfg.genuine[2] not in agents[0].known
 
@@ -133,38 +133,41 @@ class TestGossipMerge:
         g = build_ring(3)
         cfg = make_configuration(g, [Agent(ident=1, pos=0)], FW)
         cfg.boards[0].store.add(Token("old", "news"))
-        merge_gossip(cfg, 0)
+        merge_gossip(cfg, 0, [0])
         assert Token("old", "news") in cfg.agents[0].known
         assert cfg.genuine[0] in cfg.boards[0].store
 
     def test_empty_node_noop(self):
         g = build_ring(3)
         cfg = make_configuration(g, [Agent(ident=1, pos=0)], FW)
-        merge_gossip(cfg, 2)
+        merge_gossip(cfg, 2, [])
         assert cfg.boards[2].store == set()
 
     def test_store_kept_when_union_adds_nothing(self):
         g = build_ring(3)
         cfg = make_configuration(g, [Agent(ident=1, pos=0), Agent(ident=2, pos=0)], FW)
-        merge_gossip(cfg, 0)
+        merge_gossip(cfg, 0, [0, 1])
         store = cfg.boards[0].store
         known = [a.known for a in cfg.agents]
-        merge_gossip(cfg, 0)
+        merge_gossip(cfg, 0, [0, 1])
         assert cfg.boards[0].store is store
         assert all(a.known is k for a, k in zip(cfg.agents, known))
 
     @pytest.mark.parametrize("board_class", [CW, FW])
-    def test_grouped_indices_merge_like_a_scan(self, board_class):
+    def test_grouped_indices_merge_the_group_only(self, board_class):
         agents = [Agent(ident=1, pos=0), Agent(ident=2, pos=1), Agent(ident=3, pos=0)]
-        scanned = make_configuration(build_ring(3), agents, board_class)
-        scanned.agents[2].known.add(Token("ghost", "junk"))
+        cfg = make_configuration(build_ring(3), agents, board_class)
+        ghost, news = Token("ghost", "junk"), Token("old", "news")
+        cfg.agents[2].known.add(ghost)
+        want = {cfg.genuine[0], cfg.genuine[2], ghost}
         if board_class == FW:
-            scanned.boards[0].store.add(Token("old", "news"))
-        grouped = scanned.clone()
-        merge_gossip(scanned, 0)
-        merge_gossip(grouped, 0, [0, 2])
-        assert state_key(grouped) == state_key(scanned)
-        assert grouped.agents[0].known == grouped.agents[2].known != grouped.agents[1].known
+            cfg.boards[0].store.add(news)
+            want.add(news)
+        untouched = set(cfg.agents[1].known)
+        merge_gossip(cfg, 0, [0, 2])
+        assert cfg.agents[0].known == cfg.agents[2].known == want
+        assert cfg.boards[0].store == (want if board_class == FW else set())
+        assert cfg.agents[1].known == untouched == {cfg.genuine[1]}
 
 
 class TestStateKey:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from gossipsim import scheduler
 from gossipsim.cli import load_graph
 from gossipsim.harness import (
+    CLEAN_SPEC,
     CLUSTERED,
     UNIFORM,
     FuzzSpec,
@@ -30,7 +31,7 @@ from gossipsim.model import (
     state_key,
     timer,
 )
-from gossipsim.protocol_dft import MoveIntent, StepMeta
+from gossipsim.protocol_dft import MoveIntent, StepMeta, timeout_check_and_execute
 from gossipsim.scheduler import (
     ASYNC_RANDOM_FAIR,
     ASYNC_ROUND_ROBIN,
@@ -199,6 +200,21 @@ def index_state(index: RoundIndex) -> tuple:
     return index.groups, index.waiting, index.due_at
 
 
+def group_at(cfg, node: int) -> list[int]:
+    """The indices of the agents at ``node``, found by scanning positions."""
+    return [i for i, a in enumerate(cfg.agents) if a.pos == node]
+
+
+def check_arrivals(cfg, index: RoundIndex) -> None:
+    """Each occupied node outside ``index.arrivals`` holds one known set
+    across its agents, equal to the store on FW."""
+    for node in {a.pos for a in cfg.agents} - index.arrivals:
+        sets = {frozenset(cfg.agents[i].known) for i in group_at(cfg, node)}
+        if cfg.boards[node].cls == FW:
+            sets.add(frozenset(cfg.boards[node].store))
+        assert len(sets) == 1, (cfg.round, node)
+
+
 class TestRoundIndex:
     """A round with the index carried from the last one does what a round
     from scratch does, and leaves the index a fresh build would make."""
@@ -212,13 +228,14 @@ class TestRoundIndex:
             assert sync_round(cfg, duplex, index) == want
             assert snapshot_hash(cfg) == snapshot_hash(twin)
             assert index_state(index) == index_state(RoundIndex(cfg))
+            check_arrivals(cfg, index)
 
     @staticmethod
     def _count_merges(monkeypatch):
         merged = []
         merge = scheduler.merge_gossip
 
-        def counting(c, node, idxs=None):
+        def counting(c, node, idxs):
             merged.append(node)
             merge(c, node, idxs)
 
@@ -519,19 +536,85 @@ class TestAsyncPinned:
         assert h.hexdigest() == self.DIGESTS[program, board_class, kind]
 
 
+def literal_sync_round(cfg, duplex):
+    """The synchronous round as stated, with no index: a merge at every
+    occupied node and a step of every agent there, waiting ones too, in
+    activation order (groups found by scanning positions); the timeout
+    check at every node, ascending; duplex resolution and the moves; a
+    merge at every node holding two or more agents; one tick.  Returns
+    the accepted moves as (agent, from, port, to)."""
+    agents = cfg.agents
+    order = sorted(range(len(agents)), key=lambda i: scheduler._order_key(agents[i].ident, i))
+    intents = []
+    for node in sorted({a.pos for a in agents}):
+        here = [i for i in order if agents[i].pos == node]
+        merge_gossip(cfg, node, here)
+        for idx in here:
+            intent, meta = scheduler._STEP_FNS[agents[idx].program](cfg, idx)
+            if not intent.stay:
+                intents.append((intent, meta))
+    for node in range(len(cfg.boards)):
+        intents.extend(timeout_check_and_execute(cfg, node))
+    moves = []
+    for (intent, _), ok in zip(intents, resolve_duplex(cfg, intents, duplex)):
+        to, port = cfg.graph.neighbor(intent.frm, intent.via)
+        agent = agents[intent.agent]
+        agent.last_move_accepted = ok
+        if ok:
+            agent.pos, agent.arrival_port = to, port
+            moves.append((intent.agent, intent.frm, intent.via, to))
+    for node in range(len(cfg.boards)):
+        here = group_at(cfg, node)
+        if len(here) >= 2:
+            merge_gossip(cfg, node, here)
+    cfg.round += 1
+    cfg.ticks += 1
+    return moves
+
+
+class TestLiteralSyncRound:
+    """:func:`sync_round` on a carried index against the literal round:
+    the state key and the accepted moves of every round."""
+
+    @given(
+        st.sampled_from(["ring:5", "grid:3x3", "random:7:2:3", "random:8:3:5"]),
+        st.integers(2, 4),
+        st.sampled_from([CW, FW]),
+        st.sampled_from([HALF, FULL]),
+        st.sampled_from(["clean", "fuzzed", "clustered"]),
+        st.sampled_from([None, 3, 7]),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_carried_equals_literal(self, graph, k, board_class, duplex, start, cap, seed):
+        spec = {"clean": CLEAN_SPEC, "fuzzed": FuzzSpec(),
+                "clustered": FuzzSpec(placement=CLUSTERED)}[start]
+        cfg = fuzz_config(load_graph(graph), k, spec, seed, board_class=board_class)
+        if cap is not None:
+            small_cap(cfg, cap)
+        literal = cfg.clone()
+        index = RoundIndex(cfg)
+        for _ in range(150):
+            rec = sync_round(cfg, duplex, index)
+            moves = [(m.agent, m.frm, m.via, m.to) for m in rec.moves if m.accepted]
+            assert literal_sync_round(literal, duplex) == moves
+            assert state_key(literal) == state_key(cfg)
+
+
 def literal_async_step(cfg, idx):
-    """The asynchronous step as stated, with no index: a merge that scans
-    every agent for those at the agent's node before its step and, if it
-    moved, one at its new node after.  The round clock stands still."""
+    """The asynchronous step as stated, with no index: a merge of the
+    agents at the agent's node, found by scanning positions, before its
+    step and, if it moved, one at its new node after.  The round clock
+    stands still."""
     agent = cfg.agents[idx]
     frm = agent.pos
-    merge_gossip(cfg, frm)
+    merge_gossip(cfg, frm, group_at(cfg, frm))
     intent, meta = scheduler._STEP_FNS[agent.program](cfg, idx)
     rec = StepRecord(cfg.round, (idx,), merges=(frm,))
     if not intent.stay:
         to, port = cfg.graph.neighbor(intent.frm, intent.via)
         agent.pos, agent.arrival_port, agent.last_move_accepted = to, port, True
-        merge_gossip(cfg, to)
+        merge_gossip(cfg, to, group_at(cfg, to))
         rec.moves = [MoveRecord(intent.agent, intent.frm, intent.via, to, True,
                                 meta.kind, meta.branch, meta.flipped)]
         rec.merges = (frm, to)
@@ -549,7 +632,7 @@ class TestLiteralAsyncStep:
 
     @staticmethod
     def _check(cfg, policy, steps):
-        fresh, literal = cfg.clone(), cfg.clone()
+        fresh, literal, carried = cfg.clone(), cfg.clone(), cfg.clone()
         got = []
         # dft_kminus1 is timer-dependent, so its async run must be forced
         run(cfg, policy, max_steps=steps, unsafe_async=True,
@@ -557,6 +640,10 @@ class TestLiteralAsyncStep:
         picks = list(islice(_picks(policy, cfg.k), steps))
         assert got == [_record_line(fresh, async_step(fresh, idx)) for idx in picks]
         assert got == [_record_line(literal, literal_async_step(literal, idx)) for idx in picks]
+        index = RoundIndex(carried)
+        for idx, line in zip(picks, got):
+            assert _record_line(carried, async_step(carried, idx, index)) == line
+            check_arrivals(carried, index)
 
     @pytest.mark.parametrize("program, board_class", BOARDS)
     @pytest.mark.parametrize("kind", [ASYNC_ROUND_ROBIN, ASYNC_RANDOM_FAIR])
@@ -584,6 +671,18 @@ class TestLiteralAsyncStep:
         cfg = fuzz_config(load_graph(graph), k, spec, seed, board_class=board_class,
                           program=program)
         self._check(cfg, SchedulePolicy(kind=kind, seed=seed), 120)
+
+    def test_post_move_merge_leaves_arrivals(self, monkeypatch):
+        # walker 0 moves onto walker 1's node and merges there, which covers
+        # that node: walker 1's next step merges only where it moves to
+        merged = TestRoundIndex._count_merges(monkeypatch)
+        cfg = walker_cfg([0, 1])
+        index = RoundIndex(cfg)
+        rec = async_step(cfg, 0, index)
+        assert rec.merges == (0, 1) and merged == [0, 1] and index.arrivals == set()
+        merged.clear()
+        rec = async_step(cfg, 1, index)
+        assert merged == [rec.moves[0].to] == [2]
 
     def test_unjoined_node_not_merged_again(self, monkeypatch):
         # every agent parked for good stays: the first step at each occupied
