@@ -253,12 +253,14 @@ def detect_cycle(
 
     The rounds carry one :class:`~gossipsim.scheduler.RoundIndex`, so a
     round in which k-1 agents wait costs about what its mover does.
-    Each round's state is indexed by its
-    :func:`~gossipsim.model.fingerprint`, which a
+    Each round's state is indexed by the
+    :func:`~gossipsim.model.fingerprint` of its control state, which a
     :class:`~gossipsim.model.Fingerprint` updates from the boards and the
     agents the index records the round wrote (``index.boards`` and
     ``index.agents``) and from the round count, so no round re-encodes
-    the whole state.  A clone of the state is kept at
+    the whole state.  Gossip sets only grow, so no state before a merge
+    that grew one (``index.grown`` moved) recurs after it, and the index
+    of fingerprints then starts afresh.  A clone of the state is kept at
     step 0 and at every power-of-two step.  When a fingerprint recurs,
     each earlier step with that fingerprint is re-simulated from its
     latest checkpoint and its :func:`state_key` is compared in full with a
@@ -280,8 +282,10 @@ def detect_cycle(
     checkpoints: list[Configuration] = []
     records: list[StepRecord] = []
     gossip_step: int | None = None
-    step = 0
+    step = grown = 0
     while True:
+        if index.grown != grown:
+            seen, grown = {}, index.grown
         candidates = seen.setdefault(fingerprint.update(index.boards, index.agents), [])
         if candidates:
             prefix = _first_repeat(state_key(cfg), candidates, checkpoints, duplex)

@@ -19,8 +19,9 @@ last given and the value of the round clock ``Configuration.ticks`` at
 that write, so :func:`timer` derives the current value and no round
 writes a timer that only ticks.  :func:`set_timer` is the one writer.
 
-Cycle detection indexes rounds by the :func:`fingerprint` of their key,
-a sum of one term per agent, one per board and one per timer.
+Cycle detection indexes rounds by the :func:`fingerprint` of their
+control state, the key without its gossip sets: a sum of one term per
+agent, one per board and one per timer.
 :class:`Fingerprint` keeps that sum across synchronous rounds at the cost
 of what a round writes: it re-encodes only the boards and the agents the
 round names as written, and a timer that only ticks is a stamp that the
@@ -278,25 +279,29 @@ def make_configuration(
     return cfg
 
 
-def merge_gossip(cfg: Configuration, node: int, idxs: list[int]) -> None:
+def merge_gossip(cfg: Configuration, node: int, idxs: list[int]) -> bool:
     """Union the known sets of the agents with indices ``idxs``, all at
-    ``node``, and the node's FW store.  A set the union does not grow is
-    left as it is."""
+    ``node``, and the node's FW store; True when a set grew.  A set the
+    union does not grow is left as it is."""
     agents = cfg.agents
     board = cfg.boards[node]
     if len(idxs) == 1 and (board.cls != FW or agents[idxs[0]].known == board.store):
-        return  # a lone agent and nothing new on either side
+        return False  # a lone agent and nothing new on either side
     here = [agents[i] for i in idxs]
     union: set[Token] = set()
     for a in here:
         union |= a.known
+    grew = False
     if board.cls == FW:
         union |= board.store
         if len(union) != len(board.store):
             board.store = set(union)
+            grew = True
     for a in here:
         if len(a.known) != len(union):
             a.known = set(union)
+            grew = True
+    return grew
 
 
 def _agent_key(a: Agent) -> tuple:
@@ -304,7 +309,6 @@ def _agent_key(a: Agent) -> tuple:
         a.ident,
         a.pos,
         a.t_bit,
-        frozenset(a.known),
         a.program,
         a.parked,
         a.bounced,
@@ -317,7 +321,7 @@ def _agent_key(a: Agent) -> tuple:
 def _board_key(b: Whiteboard) -> tuple:
     if b.cls == NW:
         return (NW,)
-    key = (
+    return (
         b.cls,
         frozenset(b.t_table.items()),
         frozenset(b.in_link.items()),
@@ -326,14 +330,12 @@ def _board_key(b: Whiteboard) -> tuple:
         b.wait_t,
         frozenset(b.waiting),
     )
-    if b.cls == FW:
-        key += (frozenset(b.store),)
-    return key
 
 
 def state_key(cfg: Configuration) -> tuple:
     """Exact hashable encoding of the configuration's state: (agent keys,
-    board keys without their timers, every board's :func:`timer`).
+    board keys, every board's :func:`timer`, gossip), where the first
+    three are the control state and gossip is (known sets, stores).
 
     Sets and tables are encoded as frozensets (of members, or of
     ``(id, value)`` rows), which compare exactly like sorted tuples but
@@ -341,11 +343,12 @@ def state_key(cfg: Configuration) -> tuple:
     is encoded, the gossip store only on FW boards (no other store is
     ever written) and only the class and the never-ticking timer on NW
     boards.  Timers tick every round but a round writes few boards'
-    other fields, hence the separate timers tuple.  Agents are listed in
-    hidden-index order: half-duplex ties between anonymous agents are
-    broken by that index, so swapping two indistinguishable agents can
-    change the future.  :func:`fingerprint` maps equal keys to equal
-    values.
+    other fields, hence the separate timers tuple.  No protocol reads
+    gossip and merges only take unions, so gossip sets only grow during
+    a run, hence the separate gossip, which :func:`fingerprint` leaves
+    out.  Agents are listed in hidden-index order: half-duplex ties
+    between anonymous agents are broken by that index, so swapping two
+    indistinguishable agents can change the future.
 
     Left out, because they do not belong to the state:
 
@@ -362,6 +365,8 @@ def state_key(cfg: Configuration) -> tuple:
         tuple(_agent_key(a) for a in cfg.agents),
         tuple(_board_key(b) for b in cfg.boards),
         tuple(timer(cfg, b) for b in cfg.boards),
+        (tuple(frozenset(a.known) for a in cfg.agents),
+         tuple(frozenset(b.store if b.cls == FW else ()) for b in cfg.boards)),
     )
 
 
@@ -376,13 +381,13 @@ def _timer_weights(n: int) -> tuple[int, ...]:
 
 
 def fingerprint(key: tuple) -> int:
-    """The fingerprint of a :func:`state_key`: ``hash((i, agent key))``
-    for every agent index i, plus ``hash((v, board key))`` for every node
-    v, plus every board's timer times its node's fixed weight, modulo a
-    61-bit prime (Zobrist hashing: each part of the state contributes
-    its own term).  Equal keys give equal fingerprints; unequal keys may
-    collide, so a fingerprint match is confirmed by comparing keys."""
-    agents, boards, timers = key
+    """The fingerprint of a :func:`state_key`'s control state:
+    ``hash((i, agent key))`` for every agent index i, plus ``hash((v,
+    board key))`` for every node v, plus every board's timer times its
+    node's fixed weight, modulo a 61-bit prime (Zobrist hashing).  Equal
+    control states give equal fingerprints; unequal states may collide,
+    so a fingerprint match is confirmed by comparing keys."""
+    agents, boards, timers, _ = key
     weights = _timer_weights(len(boards))
     total = sum(hash((i, a)) for i, a in enumerate(agents))
     for v, (board, t) in enumerate(zip(boards, timers)):
@@ -396,10 +401,10 @@ class Fingerprint:
     Make it at any state, which encodes every board, then call
     :meth:`update` at that state and after every round of
     :func:`~gossipsim.scheduler.sync_round` on ``cfg``, handing it the
-    nodes of the boards and the indices of the agents written since the
-    last call (the round's ``index.boards`` and ``index.agents``); each
-    call returns ``fingerprint(state_key(cfg))``.  An update re-encodes
-    only what it is handed.
+    nodes of the boards and the indices of the agents whose control state
+    changed since the last call (the round's ``index.boards`` and
+    ``index.agents``); each call returns ``fingerprint(state_key(cfg))``.
+    An update re-encodes only what it is handed.
 
     A board that is not written keeps its timer's stamp, so while that
     timer ticks, its term is ``w·(T − s)`` for the round clock T
@@ -484,8 +489,11 @@ def _canonical(value):
 
 def snapshot_hash(cfg: Configuration) -> str:
     """SHA-256 hex digest of :func:`state_key`, its sets sorted, in the
-    historical layout that keeps saved trace hashes valid: (agent keys,
-    board keys), each CW and FW board key holding its timer at index 7."""
-    agents, boards, timers = state_key(cfg)
-    boards = tuple(b if b[0] == NW else b[:7] + (t,) + b[7:] for b, t in zip(boards, timers))
+    historical layout that keeps saved trace hashes valid: (agent keys
+    with the known set at index 3, board keys with, on CW and FW, the
+    timer at index 7 and, on FW, the store after it)."""
+    agents, boards, timers, (known, stores) = state_key(cfg)
+    agents = tuple(a[:3] + (k,) + a[3:] for a, k in zip(agents, known))
+    boards = tuple(b if b[0] == NW else b + (t,) + ((s,) if b[0] == FW else ())
+                   for b, t, s in zip(boards, timers, stores))
     return hashlib.sha256(repr(_canonical((agents, boards))).encode()).hexdigest()

@@ -158,17 +158,18 @@ class RoundIndex:
       included.  Kept only if a quiescing agent runs (``timed``): no other
       protocol releases anyone.
     - ``boards`` and ``agents``: the record of the last round, the nodes
-      whose boards and the indices of the agents it may have written;
-      empty at build time.  A round starts it afresh.  A step or a due
-      check records its node and its agent, a merge its group and, on an
-      FW board, its node (it writes only an FW store), and a move its
-      agent.  The round reschedules its boards' due ticks from it and a
+      whose boards and the indices of the agents whose control state it
+      may have written; empty at build time.  A round starts it afresh.
+      A step or a due check records its node and its agent, and a move
+      its agent; a merge, which writes only gossip, records nothing.  The
+      round reschedules its boards' due ticks from it and a
       :class:`~gossipsim.model.Fingerprint` re-encodes it.  An async step
-      starts no record: its merges and moves add to one that nobody reads.
+      starts no record: its moves add to one that nobody reads.
+    - ``grown``: how many of its merges grew a known set or a store.
     """
 
     __slots__ = ("groups", "waiting", "arrivals", "due_at", "due", "timed", "boards", "agents",
-                 "_rank")
+                 "grown", "_rank")
 
     def __init__(self, cfg: Configuration):
         agents = cfg.agents
@@ -186,6 +187,7 @@ class RoundIndex:
         self.timed = any(a.program == PROGRAM_DFT for a in agents)
         self.boards: set[int] = set()
         self.agents: set[int] = set()
+        self.grown = 0
         if self.timed:
             for v in range(len(cfg.boards)):
                 self.schedule(cfg, v)
@@ -206,12 +208,8 @@ class RoundIndex:
 
     def merge(self, cfg: Configuration, node: int) -> None:
         """Merge the gossip of the agents at occupied ``node``."""
-        here = self.groups[node]
-        merge_gossip(cfg, node, here)
+        self.grown += merge_gossip(cfg, node, self.groups[node])
         self.arrivals.discard(node)
-        self.agents.update(here)
-        if cfg.boards[node].cls == FW:
-            self.boards.add(node)
 
     def apply(self, cfg: Configuration, intent: MoveIntent, meta: StepMeta, ok: bool) -> MoveRecord:
         """Apply one move intent, accepted or not, and return its record."""

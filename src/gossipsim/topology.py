@@ -107,11 +107,7 @@ def build_grid(rows: int, cols: int) -> PortLabeledGraph:
 
 
 def _from_neighbor_lists(neigh: list[list[int]]) -> PortLabeledGraph:
-    n = len(neigh)
-    port_of = {}
-    for v, lst in enumerate(neigh):
-        for a, u in enumerate(lst):
-            port_of[(v, u)] = a
+    port_of = {(v, u): a for v, lst in enumerate(neigh) for a, u in enumerate(lst)}
     adjacency = tuple(
         tuple((u, port_of[(u, v)]) for u in lst) for v, lst in enumerate(neigh)
     )
@@ -165,18 +161,10 @@ def mirror_join(g: PortLabeledGraph, join_node: int) -> PortLabeledGraph:
     def b_image(u: int, b: int) -> tuple[int, int]:
         return (mirror_node(g, join_node, u), deg_j + b if u == join_node else b)
 
-    adjacency: list[tuple[tuple[int, int], ...]] = []
-    for v in range(n):
-        if v == join_node:
-            ports = list(g.adjacency[v])
-            ports.extend(b_image(u, b) for u, b in g.adjacency[v])
-            adjacency.append(tuple(ports))
-        else:
-            adjacency.append(g.adjacency[v])
-    for v in range(n):
-        if v == join_node:
-            continue
-        adjacency.append(tuple(b_image(u, b) for u, b in g.adjacency[v]))
+    adjacency = list(g.adjacency)
+    adjacency[join_node] += tuple(b_image(u, b) for u, b in g.adjacency[join_node])
+    adjacency += (tuple(b_image(u, b) for u, b in g.adjacency[v])
+                  for v in range(n) if v != join_node)
     out = PortLabeledGraph(tuple(adjacency))
     violations = validate(out)
     if violations:  # pragma: no cover - construction is total

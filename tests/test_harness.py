@@ -250,6 +250,10 @@ EXACTNESS_CASES = {
     "symmetry witness NW": (lambda: symmetric_walkers(NW), HALF, None),
     # every agent parked for good
     "frozen": (lambda: parked(fuzz_config(build_ring(4), 2, FuzzSpec(), 5)), HALF, None),
+    # control states recur across merges that grow gossip sets
+    "ring:3 k=3 grows": (lambda: fuzz_config(build_ring(3), 3, FuzzSpec(), 0), HALF, None),
+    "ring:3 k=4 FW grows": (
+        lambda: fuzz_config(build_ring(3), 4, FuzzSpec(), 0, board_class=FW), HALF, None),
 }
 
 
@@ -306,6 +310,29 @@ class TestDetectCycleExactness:
         assert reps["symmetry witness NW"].movers == (0, 1)
 
 
+class TestGrowthRestart:
+    """A merge that grows a gossip set starts detect_cycle's fingerprint
+    index afresh: the fingerprint leaves gossip out, so a control state
+    seen before the growth would otherwise be a candidate that only a
+    re-simulation rules out."""
+
+    @pytest.mark.parametrize("case, want", [("ring:3 k=3 grows", (5, 16)),
+                                            ("ring:3 k=4 FW grows", (6, 16))])
+    def test_one_verification(self, case, want, monkeypatch):
+        calls = []
+        first_repeat = harness._first_repeat
+
+        def counting(*args):
+            calls.append(args[1])
+            return first_repeat(*args)
+
+        monkeypatch.setattr(harness, "_first_repeat", counting)
+        make, duplex, budget = EXACTNESS_CASES[case]
+        rep = detect_cycle(make(), duplex, budget=budget)
+        assert (rep.prefix_len, rep.period) == want
+        assert calls == [[want[0]]]
+
+
 class TestKeyCache:
     @pytest.mark.parametrize("case", sorted(EXACTNESS_CASES))
     def test_cached_key_is_state_key_every_round(self, case):
@@ -322,8 +349,9 @@ class TestKeyCache:
         assert fp.update(index.boards, index.agents) == fingerprint(state_key(cfg))
 
 
-# three starts whose reports are compared across string hash seeds
-HASH_SEED_CASES = ("clean random:3:99", "grid:3x3 FW", "random:7:2:3 seed 246 half")
+# four starts whose reports are compared across string hash seeds
+HASH_SEED_CASES = ("clean random:3:99", "grid:3x3 FW", "random:7:2:3 seed 246 half",
+                   "ring:3 k=3 grows")
 HASH_SEED_SCRIPT = """
 import sys
 sys.path[:0] = sys.argv[1:3]

@@ -210,6 +210,17 @@ def _untimed(board: Whiteboard) -> Whiteboard:
     return dataclasses.replace(board.clone(), timer_base=0, timer_stamp=0)
 
 
+def _control(item):
+    """A clone of an agent or a board without its gossip set."""
+    if isinstance(item, Agent):
+        return dataclasses.replace(item.clone(), known=set())
+    return dataclasses.replace(item.clone(), store=set())
+
+
+def _gossip(cfg: Configuration) -> list[frozenset]:
+    return [frozenset(a.known) for a in cfg.agents] + [frozenset(b.store) for b in cfg.boards]
+
+
 WAITERS_AND_STORES = FuzzSpec(waiting_garbage_rate=1.0, store_garbage_rate=1.0)
 
 
@@ -299,39 +310,48 @@ class TestKeyCache:
 
     @pytest.mark.parametrize("case", sorted(ROUND_STARTS))
     def test_round_writes_beyond_timer_only_where_agents_are_or_wait(self, case):
-        # the record holds every board the round wrote beyond its timer,
-        # and no node without an agent or a waiter; a stored timer changes
-        # only where the round wrote the board
+        # the record holds every board whose control state the round wrote
+        # beyond its timer, and no node where no agent stepped and no agent
+        # waits; a stored timer changes only where the round wrote the
+        # board, and a store only in a round that moved index.grown
         make, duplex = ROUND_STARTS[case]
         cfg = make()
         index = RoundIndex(cfg)
         writes = 0
         for _ in range(120):
-            stored = [b.clone() for b in cfg.boards]
-            before = [_untimed(b) for b in cfg.boards]
+            stored = [_control(b) for b in cfg.boards]
+            before = [_untimed(b) for b in stored]
+            gossip, grown = _gossip(cfg), index.grown
             waiters = {v for v, b in enumerate(cfg.boards) if b.waiting}
             rec = sync_round(cfg, duplex, index)
-            changed = {v for v, b in enumerate(cfg.boards) if _untimed(b) != before[v]}
-            assert changed <= index.boards <= set(rec.merges) | set(rec.colocated) | waiters
-            assert {v for v, b in enumerate(cfg.boards) if b != stored[v]} <= index.boards
+            changed = {v for v, b in enumerate(cfg.boards) if _untimed(_control(b)) != before[v]}
+            assert changed <= index.boards <= set(rec.merges) | waiters
+            assert {v for v, b in enumerate(cfg.boards) if _control(b) != stored[v]} <= index.boards
+            assert (index.grown != grown) is (_gossip(cfg) != gossip)
             writes += len(changed)
         assert writes > 0  # the starts do write boards
 
     @pytest.mark.parametrize("case", sorted(ROUND_STARTS))
     def test_round_writes_agents_only_in_barrier(self, case):
-        # every agent a round with a carried index changes is in its
-        # agent record
+        # every agent whose control state a round with a carried index
+        # changes is in its agent record, and a round that grows a known
+        # set moves index.grown
         make, duplex = ROUND_STARTS[case]
         cfg = make()
         index = RoundIndex(cfg)
-        writes = 0
+        writes = grew = 0
         for _ in range(120):
-            before = [a.clone() for a in cfg.agents]
+            before = [_control(a) for a in cfg.agents]
+            gossip, grown = _gossip(cfg), index.grown
             sync_round(cfg, duplex, index)
-            changed = {i for i, a in enumerate(cfg.agents) if a != before[i]}
+            changed = {i for i, a in enumerate(cfg.agents) if _control(a) != before[i]}
             assert changed <= index.agents
+            assert (index.grown != grown) is (_gossip(cfg) != gossip)
             writes += len(changed)
-        assert writes > 0
+            grew += index.grown != grown
+        # every start grows a known set; only the frozen one, where every
+        # agent is parked for good, writes no agent's control state
+        assert grew > 0 and (writes == 0) is (case == "ring:4 FW frozen")
 
     @pytest.mark.parametrize("case", sorted(ROUND_STARTS))
     def test_incremental_equals_from_scratch(self, case):
@@ -443,8 +463,10 @@ class TestLazyTimers:
 
 
 class TestEncodingCoverage:
-    """Every field either changes ``state_key`` or is named as left out, so
-    a field added later without an encoding fails here."""
+    """Every field either changes ``state_key`` or is named as left out,
+    and an encoded field changes either the gossip part only or the
+    control parts only, so a field added later without an encoding, or
+    without a part, fails here."""
 
     AGENT_ALTERNATIVES = {
         "ident": 2,
@@ -473,6 +495,8 @@ class TestEncodingCoverage:
     TIMER_FIELDS = {"timer_base", "timer_stamp"}
     # CW boards reject gossip-store writes, so their store stays empty
     BOARD_UNENCODED = {CW: {"store"}, FW: set()}
+    # the fields of state_key's fourth part; every other one is control state
+    GOSSIP_FIELDS = {"known", "store"}
     # the state_key docstring gives the reason for each
     CONFIG_LEFT_OUT = {
         "round": 7,
@@ -499,15 +523,24 @@ class TestEncodingCoverage:
         assert set(self.AGENT_ALTERNATIVES) == names[Agent]
         assert set(self.BOARD_ALTERNATIVES) == names[Whiteboard] - self.TIMER_FIELDS | {"timer"}
         assert set(self.CONFIG_LEFT_OUT) | {"agents", "boards"} == names[Configuration]
+        assert self.GOSSIP_FIELDS <= set(self.AGENT_ALTERNATIVES) | set(self.BOARD_ALTERNATIVES)
         for name in self.CONFIG_LEFT_OUT:
             assert f"``{name}``" in state_key.__doc__
+
+    def _check_parts(self, name, key, cfg):
+        """The parts of ``state_key(cfg)`` that differ from ``key``: the
+        fourth alone for a gossip field, some of the first three for any
+        other; returns whether any did."""
+        parts = {i for i, (old, new) in enumerate(zip(key, state_key(cfg))) if old != new}
+        assert parts <= ({3} if name in self.GOSSIP_FIELDS else {0, 1, 2})
+        return bool(parts)
 
     @pytest.mark.parametrize("name", sorted(AGENT_ALTERNATIVES))
     def test_agent_field_encoded(self, name):
         cfg = self._cfg(CW)
         key = state_key(cfg)
         setattr(cfg.agents[0], name, self.AGENT_ALTERNATIVES[name])
-        assert state_key(cfg) != key
+        assert self._check_parts(name, key, cfg)
 
     @pytest.mark.parametrize("board_class", [CW, FW])
     @pytest.mark.parametrize("name", sorted(BOARD_ALTERNATIVES))
@@ -515,7 +548,7 @@ class TestEncodingCoverage:
         cfg = self._cfg(board_class)
         key = state_key(cfg)
         self._set_board_field(cfg, cfg.boards[1], name, self.BOARD_ALTERNATIVES[name])
-        changed = state_key(cfg) != key
+        changed = self._check_parts(name, key, cfg)
         assert changed is (name not in self.BOARD_UNENCODED[board_class])
 
     @pytest.mark.parametrize("name", sorted(CONFIG_LEFT_OUT))

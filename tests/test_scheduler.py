@@ -237,7 +237,7 @@ class TestRoundIndex:
 
         def counting(c, node, idxs):
             merged.append(node)
-            merge(c, node, idxs)
+            return merge(c, node, idxs)
 
         monkeypatch.setattr(scheduler, "merge_gossip", counting)
         return merged
@@ -259,32 +259,33 @@ class TestRoundIndex:
     def test_parked_round_touches_nobody(self, monkeypatch):
         # every agent parked for good: the first round merges at every
         # occupied node where a merge can write (node 2's lone agent only
-        # with an FW store) and records only the agents of those merges and
-        # the boards of those on FW boards (a CW merge writes no board); a
-        # carried round after it steps, merges and writes nothing, and
+        # with an FW store), each merge grows a set and none is recorded;
+        # a carried round after it steps, merges and writes nothing, and
         # still records every occupied node
         merged = self._count_merges(monkeypatch)
         stepped = TestSyncRound._count_steps(monkeypatch)
-        for cls, first, boards, written in ((CW, [0], set(), {0, 1}),
-                                            (FW, [0, 2], {0, 2}, {0, 1, 2})):
+        for cls, first in ((CW, [0]), (FW, [0, 2])):
             cfg = dft_cfg([(1, 0), (2, 0), (3, 2)], cls=cls)
             _park_for_good(cfg)
             index = RoundIndex(cfg)
             merged.clear()
             sync_round(cfg, HALF, index)
             assert merged == first and stepped == []
-            assert index.boards == boards and index.agents == written
+            assert index.boards == set() and index.agents == set()
+            assert index.grown == len(first)
             for _ in range(5):
                 merged.clear()
                 rec = sync_round(cfg, HALF, index)
                 assert merged == [] and stepped == []
                 assert index.boards == set() and index.agents == set()
+                assert index.grown == len(first)
                 assert rec.merges == (0, 2) and rec.colocated == (0,) and rec.acting == (0, 1, 2)
 
     @pytest.mark.parametrize("case", sorted(ROUND_STARTS))
     def test_record_names_the_written_boards(self, case, monkeypatch):
         # a step or a due check writes its own node's board, and a merge
-        # only an FW store: the round records exactly those nodes
+        # only gossip: the round records exactly the nodes of the steps
+        # and the checks
         nodes = []
         for program, step in list(scheduler._STEP_FNS.items()):
             def recording(c, idx, step=step):
@@ -299,15 +300,13 @@ class TestRoundIndex:
             return check(c, node)
 
         monkeypatch.setattr(scheduler, "timeout_check_and_execute", checking)
-        merged = self._count_merges(monkeypatch)
         make, duplex = ROUND_STARTS[case]
         cfg = make()
         index = RoundIndex(cfg)
         for _ in range(120):
             nodes.clear()
-            merged.clear()
             sync_round(cfg, duplex, index)
-            assert index.boards == set(nodes) | {v for v in merged if cfg.boards[v].cls == FW}
+            assert index.boards == set(nodes)
 
     @pytest.mark.parametrize("case", sorted(ROUND_STARTS))
     def test_carried_equals_fresh(self, case):
