@@ -10,6 +10,7 @@ impossibility witnesses (mirrored network, symmetric ring).
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from .model import (
@@ -193,7 +194,8 @@ class CycleReport:
     system then repeats forever; all "forever" judgments below are decided
     on that cycle.  A :data:`BUDGET` report ran ``prefix_len`` rounds and
     found no cycle, so its cycle fields keep their empty defaults.
-    ``records`` holds every round's :class:`StepRecord`.
+    ``records`` holds every round's :class:`StepRecord`, of which the
+    cycle fields read only the cycle's.
     """
 
     status: str
@@ -204,7 +206,6 @@ class CycleReport:
     quiescent: tuple[int, ...] = ()
     mover_visits: dict[int, frozenset[int]] = field(default_factory=dict)
     releases_in_cycle: int = 0
-    flip_steps: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
     @property
     def movers(self) -> tuple[int, ...]:
@@ -308,13 +309,11 @@ def detect_cycle(
     # the state at step prefix + period is the one at step prefix, so an
     # agent's cycle positions are its final one and its cycle moves' targets
     visits: dict[int, set[int]] = {i: {a.pos} for i, a in enumerate(cfg.agents)}
-    flip_steps: dict[int, list[int]] = {i: [] for i in visits}
-    for j, rec in enumerate(records):
+    cycle = records[prefix:]
+    for rec in cycle:
         for mv in rec.moves:
-            if mv.accepted and j >= prefix:
+            if mv.accepted:
                 visits[mv.agent].add(mv.to)
-            if mv.accepted and mv.flipped:
-                flip_steps[mv.agent].append(rec.step)
     return CycleReport(
         status=CYCLE,
         prefix_len=prefix,
@@ -323,8 +322,7 @@ def detect_cycle(
         records=records,
         quiescent=tuple(i for i, v in visits.items() if len(v) == 1),
         mover_visits={i: frozenset(v) for i, v in visits.items()},
-        releases_in_cycle=sum(len(r.releases) for r in records[prefix:]),
-        flip_steps={i: tuple(v) for i, v in flip_steps.items()},
+        releases_in_cycle=sum(len(r.releases) for r in cycle),
     )
 
 
@@ -526,7 +524,9 @@ class SymmetryReport:
 def witness_symmetry(n: int, k: int, board_class: str) -> SymmetryReport:
     """Symmetric-ring demonstration: k identical anonymous agents placed
     at regular spacing run the walk enumerator in lock step, so they never
-    meet and gossip never completes.
+    meet and gossip never completes.  ``meetings`` counts, over every
+    round up to the end of the first cycle, the nodes that hold two or
+    more agents after the round.
 
     Restricted to rings (the construction needs a regular graph).
     """
@@ -537,7 +537,12 @@ def witness_symmetry(n: int, k: int, board_class: str) -> SymmetryReport:
     g = build_ring(n)
     agents = [Agent(ident=None, pos=j * (n // k), program=PROGRAM_PATH_ENUM) for j in range(k)]
     cfg = make_configuration(g, agents, board_class)
-    report = detect_cycle(cfg, HALF)
+    crowded = []  # per round: the nodes holding two or more agents after it
+
+    def meet(c: Configuration, _rec: StepRecord) -> None:
+        crowded.append(sum(1 for m in Counter(a.pos for a in c.agents).values() if m > 1))
+
+    report = detect_cycle(cfg, HALF, observer=meet)
     return SymmetryReport(
         n=n,
         k=k,
@@ -545,6 +550,6 @@ def witness_symmetry(n: int, k: int, board_class: str) -> SymmetryReport:
         status=report.status,
         prefix=report.prefix_len,
         period=report.period,
-        meetings=sum(len(rec.colocated) for rec in report.records),
+        meetings=sum(crowded),
         gossip_ever_complete=report.gossip_step is not None and k > 1,
     )

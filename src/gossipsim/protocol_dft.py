@@ -48,13 +48,18 @@ class ProtocolError(ModelError):
 @dataclass(slots=True)
 class MoveIntent:
     """An agent's decision for this activation; ``via is None`` means stay.
-    Built once and never written.  Not frozen: a frozen dataclass sets each
-    field through ``object.__setattr__`` and costs about three times as much
-    to build, once per activation."""
+    The protocol sets a move's ``kind`` and ``flipped`` (it starts a
+    traversal); :meth:`~gossipsim.scheduler.RoundIndex.apply` writes ``to``
+    and ``accepted`` once, and the intent is then the move's record.  Not
+    frozen: a frozen dataclass costs about three times as much to build."""
 
     agent: int
     frm: int
     via: int | None
+    kind: str | None = None
+    flipped: bool = False
+    to: int | None = None
+    accepted: bool = False
 
     @property
     def stay(self) -> bool:
@@ -63,12 +68,11 @@ class MoveIntent:
 
 @dataclass(slots=True)
 class StepMeta:
-    """Classification of one protocol activation.  ``branch``, ``kind`` and
-    ``flipped`` go into the move's record; the flags reach only the caller."""
+    """How one protocol activation went, for its caller only: the
+    ``branch`` it took and the flags that
+    :func:`~gossipsim.scheduler.sync_round` and the bench tracer read."""
 
     branch: str | None = None
-    kind: str | None = None
-    flipped: bool = False
     joined_waiting: bool = False
     released: bool = False
     repaired: bool = False
@@ -104,27 +108,23 @@ def _passes_gate(cfg: Configuration, board, agent, meta: StepMeta, quiesce: bool
     return False
 
 
-def _start_traversal(board, agent, v: int, idx: int, meta: StepMeta) -> MoveIntent:
+def _start_traversal(board, agent, v: int, idx: int) -> MoveIntent:
     """Begin a rooted traversal at ``v``: flip the traversal bit, mark
     ``v`` with it, and leave by port 0."""
     agent.t_bit = not agent.t_bit
-    meta.flipped = True
     assoc_put(board, "t_table", agent.ident, agent.t_bit)
     assoc_put(board, "out_link", agent.ident, 0)
-    meta.kind = FORWARD
-    return MoveIntent(idx, v, 0)
+    return MoveIntent(idx, v, 0, FORWARD, True)
 
 
-def _leave_after(board, i: int, v: int, idx: int, a: int, deg: int, meta: StepMeta) -> MoveIntent:
+def _leave_after(board, i: int, v: int, idx: int, a: int, deg: int) -> MoveIntent:
     """Leave ``v`` by the port after ``a``; at a leaf, back out by ``a``."""
     if deg >= 2:
         out = next_port(a, deg)
         assoc_put(board, "out_link", i, out)
-        meta.kind = FORWARD
-        return MoveIntent(idx, v, out)
+        return MoveIntent(idx, v, out, FORWARD)
     assoc_put(board, "in_link", i, LINK_DEFAULT)
-    meta.kind = BACKTRACK
-    return MoveIntent(idx, v, a)
+    return MoveIntent(idx, v, a, BACKTRACK)
 
 
 def visit(
@@ -160,7 +160,7 @@ def visit(
         assoc_put(board, "in_link", i, a)
         if not _passes_gate(cfg, board, agent, meta, quiesce):
             return MoveIntent(idx, v, None), meta
-        return _leave_after(board, i, v, idx, a, deg, meta), meta
+        return _leave_after(board, i, v, idx, a, deg), meta
 
     if assoc_get(board, "out_link", i) != a:
         # pass-through: i reached an already-marked node off its out-edge
@@ -171,12 +171,11 @@ def visit(
             agent.t_bit = not agent.t_bit
             intent, inner = visit(cfg, v, idx, a, quiesce=quiesce)
             inner.repaired = True
-            inner.flipped = True
+            intent.flipped = True
             return intent, inner
         agent.bounced = True
         meta.branch = "pass_through"
-        meta.kind = BACKTRACK
-        return MoveIntent(idx, v, a), meta
+        return MoveIntent(idx, v, a, BACKTRACK), meta
 
     agent.bounced = False
     nxt = next_port(a, deg)
@@ -186,20 +185,18 @@ def visit(
         meta.branch = "root_complete"
         if not _passes_gate(cfg, board, agent, meta, quiesce):
             return MoveIntent(idx, v, None), meta
-        return _start_traversal(board, agent, v, idx, meta), meta
+        return _start_traversal(board, agent, v, idx), meta
 
     if assoc_get(board, "in_link", i) == nxt:
         # non-root subtree complete: unwind toward the parent
         meta.branch = "subtree_complete"
         assoc_put(board, "in_link", i, LINK_DEFAULT)
         assoc_put(board, "out_link", i, LINK_DEFAULT)
-        meta.kind = BACKTRACK
-        return MoveIntent(idx, v, nxt), meta
+        return MoveIntent(idx, v, nxt, BACKTRACK), meta
 
     meta.branch = "advance"
     assoc_put(board, "out_link", i, nxt)
-    meta.kind = FORWARD
-    return MoveIntent(idx, v, nxt), meta
+    return MoveIntent(idx, v, nxt, FORWARD), meta
 
 
 def due_tick(cfg: Configuration, board: Whiteboard) -> int | None:
@@ -259,10 +256,10 @@ def timeout_check_and_execute(cfg: Configuration, v: int) -> list[tuple[MoveInte
     if inl != LINK_DEFAULT and 0 <= inl < deg:
         # v is not the root of i's traversal: resume mid-traversal
         meta.branch = "timeout_resume"
-        return [(_leave_after(board, i, v, located, inl, deg, meta), meta)]
+        return [(_leave_after(board, i, v, located, inl, deg), meta)]
     # v is the root (or its link row is corrupt): initiate a new traversal
     meta.branch = "timeout_root"
-    return [(_start_traversal(board, agent, v, located, meta), meta)]
+    return [(_start_traversal(board, agent, v, located), meta)]
 
 
 def waits(cfg: Configuration, agent: Agent) -> bool:
@@ -283,8 +280,6 @@ def dft_agent_step(cfg: Configuration, idx: int) -> tuple[MoveIntent, StepMeta]:
     dropped and the agent visits its node.
     """
     agent = cfg.agents[idx]
-    if agent.ident is None:
-        raise ProtocolError("dft_kminus1 requires named agents")
     if waits(cfg, agent):
         return MoveIntent(idx, agent.pos, None), StepMeta(branch="waiting")
     agent.parked = False

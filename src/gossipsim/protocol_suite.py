@@ -85,12 +85,12 @@ def anon_path_enum_step(cfg: Configuration, idx: int) -> tuple[MoveIntent, StepM
         if not 0 <= port < deg:
             return _reset(agent, idx)
         agent.cursor = PathCursor(ell, labels[:-1], trail[:-1], labels[-1] + 1)
-        return MoveIntent(idx, agent.pos, port), StepMeta(branch="retreat", kind=BACKTRACK)
+        return MoveIntent(idx, agent.pos, port, BACKTRACK), StepMeta(branch="retreat")
 
     if nxt < deg:
         # descend along the next label
         agent.cursor = PathCursor(ell, labels + (nxt,), trail, 0, True)
-        return MoveIntent(idx, agent.pos, nxt), StepMeta(branch="descend", kind=FORWARD)
+        return MoveIntent(idx, agent.pos, nxt, FORWARD), StepMeta(branch="descend")
 
     # all sequences of this length exhausted: grow the phase (n wraps to 1)
     wrapped = ell + 1 > cfg.graph.node_count

@@ -44,7 +44,6 @@ from .model import (
 )
 from .protocol_dft import (
     MoveIntent,
-    StepMeta,
     dft_agent_step,
     due_tick,
     timeout_check_and_execute,
@@ -82,33 +81,17 @@ class SchedulePolicy:
 
 
 @dataclass(slots=True)
-class MoveRecord:
-    """One move intent and its fate, built once and never written.  Not
-    frozen: a frozen dataclass sets each field through ``object.__setattr__``
-    and costs about five times as much to build, once per move."""
-
-    agent: int
-    frm: int
-    via: int
-    to: int
-    accepted: bool
-    kind: str | None
-    branch: str | None
-    flipped: bool
-
-
-@dataclass(slots=True)
 class StepRecord:
     """What one round or step did; the trace, the cycle report and the
-    bound audit read its fields.  ``releases`` and ``colocated`` are
-    filled by synchronous rounds only."""
+    bound audit read its fields.  Its moves are the protocol's intents,
+    completed by :meth:`RoundIndex.apply`; ``releases`` is filled by
+    synchronous rounds only."""
 
     step: int
     acting: tuple[int, ...]
-    moves: list[MoveRecord] = field(default_factory=list)
+    moves: list[MoveIntent] = field(default_factory=list)
     merges: tuple[int, ...] = ()
     releases: tuple[tuple[int, int], ...] = ()  # (node, released agent idx)
-    colocated: tuple[int, ...] = ()  # nodes holding >= 2 agents after moves
 
 
 @dataclass(slots=True)
@@ -139,8 +122,8 @@ class RoundIndex:
     can come due.  Built from any configuration, it stays valid only while
     :func:`sync_round` or :func:`async_step` with it is the only writer
     of ``cfg``.  Gossip moves only in :meth:`merge` and agents only in
-    :meth:`apply`, the one writers of ``groups``, ``arrivals`` and the
-    record's merges and moves.
+    :meth:`apply`, the one writers of ``groups`` and ``arrivals``; the
+    intents ``apply`` completes are the step record's moves.
 
     - ``groups``: occupied node -> indices of the agents there, each
       group in activation order.
@@ -211,10 +194,12 @@ class RoundIndex:
         self.grown += merge_gossip(cfg, node, self.groups[node])
         self.arrivals.discard(node)
 
-    def apply(self, cfg: Configuration, intent: MoveIntent, meta: StepMeta, ok: bool) -> MoveRecord:
-        """Apply one move intent, accepted or not, and return its record."""
+    def apply(self, cfg: Configuration, intent: MoveIntent, ok: bool) -> MoveIntent:
+        """Apply one move intent, accepted or not: write its ``to`` and
+        ``accepted`` and return it as the move's record."""
         idx, frm = intent.agent, intent.frm
         to, b = cfg.graph.neighbor(frm, intent.via)
+        intent.to, intent.accepted = to, ok
         agent = cfg.agents[idx]
         agent.last_move_accepted = ok
         self.agents.add(idx)
@@ -230,12 +215,12 @@ class RoundIndex:
             if len(group) > 1:
                 group.sort(key=self._rank.__getitem__)
             self.arrivals.add(to)
-        return MoveRecord(idx, frm, intent.via, to, ok, meta.kind, meta.branch, meta.flipped)
+        return intent
 
 
 def resolve_duplex(
     cfg: Configuration,
-    intents: list[tuple[MoveIntent, StepMeta]],
+    intents: list[MoveIntent],
     duplex: str,
 ) -> list[bool]:
     """Decide which move intents go through.
@@ -254,7 +239,7 @@ def resolve_duplex(
         return accepted  # no two intents to oppose each other
     by_edge: dict[tuple, list[int]] = {}
     darts = []
-    for n, (intent, _) in enumerate(intents):
+    for n, intent in enumerate(intents):
         to, b = cfg.graph.neighbor(intent.frm, intent.via)
         dart = (intent.frm, intent.via)
         edge = min(dart, (to, b))
@@ -266,7 +251,7 @@ def resolve_duplex(
             continue
         winner = min(
             members,
-            key=lambda n: _order_key(cfg.agents[intents[n][0].agent].ident, intents[n][0].agent),
+            key=lambda n: _order_key(cfg.agents[intents[n].agent].ident, intents[n].agent),
         )
         win_dart = darts[winner]
         for n in members:
@@ -290,13 +275,16 @@ def sync_round(
     :class:`RoundIndex`); None builds a fresh one, which makes the round
     start from scratch.  After the steps the round reschedules the
     recorded nodes, then checks the nodes due at this round clock in
-    ascending order, and reschedules those from the next one.
+    ascending order, and reschedules those from the next one.  The moves
+    are the intents :meth:`RoundIndex.apply` completes.  After them a merge
+    runs at each node in ``index.arrivals`` holding two or more agents, in
+    no set order: merges at different nodes commute.
     """
     if index is None:
         index = RoundIndex(cfg)
     index.boards = boards = set()
     index.agents = written = set()
-    intents: list[tuple[MoveIntent, StepMeta]] = []
+    intents: list[MoveIntent] = []
     acting: list[int] = []
     agents = cfg.agents
     groups, waiting, arrivals, timed = index.groups, index.waiting, index.arrivals, index.timed
@@ -315,7 +303,7 @@ def sync_round(
             if meta.joined_waiting:
                 waiting.add(idx)
             if not intent.stay:
-                intents.append((intent, meta))
+                intents.append(intent)
     releases = []
     due: list[int] = []
     if timed:
@@ -326,18 +314,16 @@ def sync_round(
         due = index.pop_due(cfg.ticks)
         boards.update(due)
         for node in due:
-            for intent, meta in timeout_check_and_execute(cfg, node):
+            for intent, _ in timeout_check_and_execute(cfg, node):
                 releases.append((node, intent.agent))
-                intents.append((intent, meta))
+                intents.append(intent)
                 waiting.discard(intent.agent)
     accepted = resolve_duplex(cfg, intents, duplex)
-    moves = [index.apply(cfg, intent, meta, ok) for (intent, meta), ok in zip(intents, accepted)]
-    colocated = sorted(node for node, members in groups.items() if len(members) >= 2)
-    for node in colocated:
-        if node in arrivals:
+    moves = [index.apply(cfg, intent, ok) for intent, ok in zip(intents, accepted)]
+    for node, members in groups.items():
+        if len(members) > 1 and node in arrivals:
             index.merge(cfg, node)
-    rec = StepRecord(cfg.round, tuple(acting), moves, tuple(occupied), tuple(releases),
-                     tuple(colocated))
+    rec = StepRecord(cfg.round, tuple(acting), moves, tuple(occupied), tuple(releases))
     cfg.round += 1
     cfg.ticks += 1
     for node in due:
@@ -407,13 +393,13 @@ def async_step(cfg: Configuration, idx: int, index: RoundIndex | None = None) ->
     pos = agent.pos
     if pos in index.arrivals:
         index.merge(cfg, pos)
-    intent, meta = _STEP_FNS[agent.program](cfg, idx)
+    intent, _ = _STEP_FNS[agent.program](cfg, idx)
     if intent.stay:
         rec = StepRecord(cfg.round, (idx,), merges=(pos,))
     else:
-        move = index.apply(cfg, intent, meta, True)
-        index.merge(cfg, move.to)
-        rec = StepRecord(cfg.round, (idx,), [move], (pos, move.to))
+        index.apply(cfg, intent, True)
+        index.merge(cfg, intent.to)
+        rec = StepRecord(cfg.round, (idx,), [intent], (pos, intent.to))
     cfg.round += 1
     return rec
 

@@ -24,7 +24,8 @@ from gossipsim.harness import (
     witness_symmetry,
     CLEAN_SPEC,
 )
-from gossipsim.model import CW, FW, NW, snapshot_hash, state_key
+from gossipsim import scheduler
+from gossipsim.model import CW, FW, NW, PROGRAM_DFT, snapshot_hash, state_key
 from gossipsim.scheduler import (
     ASYNC_RANDOM_FAIR,
     FULL,
@@ -33,6 +34,7 @@ from gossipsim.scheduler import (
     run,
 )
 from gossipsim.topology import build_grid, build_ring, random_connected_graph
+from test_harness import flip_steps
 
 CORPUS = [build_ring(6)] + [
     random_connected_graph(6 + s % 3, 2, seed=s) for s in range(10)
@@ -93,7 +95,7 @@ def _run_corpus(board_class):
                     and idents[movers[0]] == min(idents)
                 )
                 gaps = (
-                    _cycle_gaps(rep.flip_steps[movers[0]], rep.prefix_len, rep.period)
+                    _cycle_gaps(flip_steps(rep.records, cfg.k)[movers[0]], rep.prefix_len, rep.period)
                     if len(movers) == 1
                     else None
                 )
@@ -325,12 +327,23 @@ def test_criterion_09_mirror_witness():
     )
 
 
-def test_criterion_10_determinism(tmp_path):
+def test_criterion_10_determinism(tmp_path, monkeypatch):
     ok = True
     notes = []
 
     # hand-executed two-node trace, frozen from the step rules: two first
-    # visits, a bounce, and a repair flip every third round thereafter
+    # visits, a bounce, and a repair flip every third round thereafter;
+    # the lone agent moves every round, so its steps' branches line up
+    # with its moves
+    branches = []
+    step = scheduler._STEP_FNS[PROGRAM_DFT]
+
+    def branching(c, idx):
+        intent, meta = step(c, idx)
+        branches.append(meta.branch)
+        return intent, meta
+
+    monkeypatch.setitem(scheduler._STEP_FNS, PROGRAM_DFT, branching)
     cfg = fuzz_config(build_ring(2), 1, CLEAN_SPEC, seed=0)
     rep = detect_cycle(cfg)
     moves = [mv for rec in rep.records for mv in rec.moves]
@@ -341,7 +354,7 @@ def test_criterion_10_determinism(tmp_path):
     ]
     trace_ok = (
         (rep.prefix_len, rep.period) == (8, 6)
-        and [(mv.branch, mv.flipped) for mv in moves[:8]] == expected
+        and [(b, mv.flipped) for b, mv in zip(branches[:8], moves[:8])] == expected
         and [mv.to for mv in moves[:4]] == [1, 0, 1, 0]
     )
     ok &= trace_ok

@@ -229,6 +229,13 @@ class TestMainExitCodes:
         assert code == EXIT_OK
         assert json.loads(capsys.readouterr().out)["ok"] is True
 
+    def test_witness_symmetry_walkers_meet(self, capsys):
+        # on a 2-ring the two walkers meet: the witness fails, exit 2
+        code = main(["witness", "symmetry", "--n", "2", "--k", "2", "--board", "NW"])
+        assert code == EXIT_TRUNCATED == 2
+        report = json.loads(capsys.readouterr().out)
+        assert (report["ok"], report["meetings"]) == (False, 8)
+
     @pytest.mark.parametrize("n, k", [(6, 0), (-2, -1)])
     def test_witness_symmetry_refuses_k_below_one(self, n, k, capsys):
         assert main(["witness", "symmetry", "--n", str(n), "--k", str(k)]) == EXIT_PARAM

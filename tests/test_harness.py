@@ -35,8 +35,8 @@ from gossipsim.model import (
     state_key,
     timer,
 )
-from gossipsim.protocol_dft import BACKTRACK, FORWARD
-from gossipsim.scheduler import FULL, HALF, MoveRecord, RoundIndex, StepRecord, sync_round
+from gossipsim.protocol_dft import BACKTRACK, FORWARD, MoveIntent
+from gossipsim.scheduler import FULL, HALF, RoundIndex, StepRecord, sync_round
 from gossipsim.topology import build_grid, build_ring, random_connected_graph
 
 
@@ -193,7 +193,7 @@ def reference_detect(cfg, duplex=HALF, *, budget=None):
         if gossip_step is None and gossip_complete(cfg):
             gossip_step = step
         if step >= limit:
-            return (BUDGET, step, 0, (), (), {}, gossip_step, 0, {})
+            return (BUDGET, step, 0, (), (), {}, gossip_step, 0, flip_steps(records, cfg.k))
         records.append(sync_round(cfg, duplex))
         step += 1
     prefix = seen[key]
@@ -202,19 +202,22 @@ def reference_detect(cfg, duplex=HALF, *, budget=None):
     quiescent = tuple(i for i in range(cfg.k) if len(visits[i]) == 1)
     movers = tuple(i for i in range(cfg.k) if len(visits[i]) > 1)
     cycle = records[prefix:]
-    flips = {
-        i: tuple(r.step for r in records for mv in r.moves
-                 if mv.agent == i and mv.flipped and mv.accepted)
-        for i in range(cfg.k)
-    }
     return (CYCLE, prefix, period, quiescent, movers,
             {i: frozenset(v) for i, v in enumerate(visits)}, gossip_step,
-            sum(len(r.releases) for r in cycle), flips)
+            sum(len(r.releases) for r in cycle), flip_steps(records, cfg.k))
 
 
-def summary(rep):
+def flip_steps(records, k):
+    """Per agent index below ``k``: the steps of its accepted moves that
+    flip its traversal bit."""
+    return {i: tuple(r.step for r in records for mv in r.moves
+                     if mv.agent == i and mv.flipped and mv.accepted)
+            for i in range(k)}
+
+
+def summary(rep, k):
     return (rep.status, rep.prefix_len, rep.period, rep.quiescent, rep.movers,
-            rep.mover_visits, rep.gossip_step, rep.releases_in_cycle, rep.flip_steps)
+            rep.mover_visits, rep.gossip_step, rep.releases_in_cycle, flip_steps(rep.records, k))
 
 
 def symmetric_walkers(board_class=CW):
@@ -291,7 +294,7 @@ class TestDetectCycleExactness:
         cfg = make()
         rep = detect_cycle(cfg, duplex, budget=budget,
                            observer=lambda c, rec: observed.append((rec.step, state_key(c))))
-        assert summary(rep) == want
+        assert summary(rep, cfg.k) == want
         # the observer sees each round once, in order, and the run ends
         # on the state it first reached at step prefix_len
         assert [step for step, _ in observed] == list(range(len(rep.records)))
@@ -355,14 +358,15 @@ HASH_SEED_CASES = ("clean random:3:99", "grid:3x3 FW", "random:7:2:3 seed 246 ha
 HASH_SEED_SCRIPT = """
 import sys
 sys.path[:0] = sys.argv[1:3]
-from test_harness import EXACTNESS_CASES, HASH_SEED_CASES
+from test_harness import EXACTNESS_CASES, HASH_SEED_CASES, flip_steps
 from gossipsim.harness import detect_cycle
 for name in HASH_SEED_CASES:
     make, duplex, budget = EXACTNESS_CASES[name]
-    rep = detect_cycle(make(), duplex, budget=budget)
+    cfg = make()
+    rep = detect_cycle(cfg, duplex, budget=budget)
     print(repr((rep.status, rep.prefix_len, rep.period, rep.gossip_step, rep.quiescent,
                 sorted((i, sorted(v)) for i, v in rep.mover_visits.items()),
-                rep.releases_in_cycle, sorted(rep.flip_steps.items()))))
+                rep.releases_in_cycle, sorted(flip_steps(rep.records, cfg.k).items()))))
 """
 
 
@@ -410,7 +414,7 @@ def bound_records(segments_by_agent, lead=0):
         for fwd, back in segments:
             kinds += [(kind, j == 0) for j, kind in enumerate([FORWARD] * fwd + [BACKTRACK] * back)]
         kinds.append((FORWARD, True))
-        moves += [MoveRecord(agent, 0, 0, 1, True, kind, None, flip) for kind, flip in kinds]
+        moves += [MoveIntent(agent, 0, 0, kind, flip, to=1, accepted=True) for kind, flip in kinds]
     return [StepRecord(step=j, acting=(mv.agent,), moves=[mv]) for j, mv in enumerate(moves)]
 
 
@@ -424,7 +428,7 @@ class TestAuditMoveBounds:
         records = bound_records({0: [(7, 6), (3, 2)], 1: [(0, 6)]}, lead=20)
         # a rejected move neither counts nor flips, even inside a segment
         records.insert(len(records) - 2, StepRecord(
-            step=99, acting=(1,), moves=[MoveRecord(1, 0, 0, 1, False, FORWARD, None, True)]))
+            step=99, acting=(1,), moves=[MoveIntent(1, 0, 0, FORWARD, True, to=1, accepted=False)]))
         report = audit_move_bounds(records, g)
         assert report.ok and report.segments_checked == 3
         assert (report.fwd_max, report.back_max) == (7, 6)
@@ -462,6 +466,16 @@ class TestWitnesses:
         assert report.ok
         assert report.meetings == 0
         assert not report.gossip_ever_complete
+
+    @pytest.mark.parametrize("cls, meetings, prefix", [(NW, 8, 2), (CW, 19, 17), (FW, 19, 17)])
+    def test_symmetry_walkers_meet_on_ring2(self, cls, meetings, prefix):
+        # on a 2-ring the two walkers share a node in some rounds; rings up
+        # to 10 hold no other witness start where they do, so the meeting
+        # count is pinned here
+        report = witness_symmetry(2, 2, cls)
+        assert report.status == CYCLE
+        assert (report.meetings, report.prefix, report.period) == (meetings, prefix, 8)
+        assert not report.ok and report.gossip_ever_complete
 
     def test_symmetry_k1_has_no_claim(self):
         # degenerate single walker: no meetings by definition

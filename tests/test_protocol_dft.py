@@ -52,7 +52,7 @@ class TestFirstVisit:
         assert board.wait_t == 5
         assert timer(cfg, board) == 0
         assert (intent.frm, intent.via) == (0, 0)
-        assert meta.kind == "backtrack"
+        assert intent.kind == "backtrack"
 
     def test_degree_two_writes_out_link(self):
         g = build_ring(4)
@@ -61,7 +61,7 @@ class TestFirstVisit:
         assert meta.branch == "first_visit"
         assert cfg.boards[0].out_link == {1: 0}  # next(1) on degree 2
         assert intent.via == 0
-        assert meta.kind == "forward"
+        assert intent.kind == "forward"
 
     def test_larger_id_joins_waiting(self):
         cfg = two_node_cfg(ident=9)
@@ -96,8 +96,8 @@ class TestPassThrough:
             cfg.boards[v].out_link[1] = out
         _, meta1 = visit(cfg, 0, 0, 0)
         assert meta1.branch == "pass_through"
-        _, meta2 = visit(cfg, 1, 0, 1)
-        assert meta2.repaired and meta2.flipped
+        intent2, meta2 = visit(cfg, 1, 0, 1)
+        assert meta2.repaired and intent2.flipped
         assert cfg.agents[0].t_bit is True
         assert meta2.branch == "first_visit"
 
@@ -112,7 +112,7 @@ class TestCompletion:
         set_timer(cfg, board, 9)
         intent, meta = visit(cfg, 0, 0, 1)
         assert meta.branch == "root_complete"
-        assert meta.flipped
+        assert intent.flipped
         assert cfg.agents[0].t_bit is True
         # the new mark equals the table default, so the row disappears
         assert assoc_get(board, "t_table", 1) is True and board.t_table == {}
@@ -131,7 +131,7 @@ class TestCompletion:
         assert meta.branch == "subtree_complete"
         assert board.in_link == {} and board.out_link == {}
         assert intent.via == 0
-        assert meta.kind == "backtrack"
+        assert intent.kind == "backtrack"
 
     def test_advance_moves_to_next_port(self):
         g = build_ring(4)
@@ -144,7 +144,7 @@ class TestCompletion:
         assert meta.branch == "advance"
         assert board.out_link == {1: 0}
         assert intent.via == 0
-        assert meta.kind == "forward"
+        assert intent.kind == "forward"
 
 
 class TestTimeout:
@@ -166,7 +166,7 @@ class TestTimeout:
         assert len(actions) == 1
         intent, meta = actions[0]
         assert intent.agent == 0 and intent.via == 0
-        assert meta.branch == "timeout_root" and meta.flipped
+        assert meta.branch == "timeout_root" and intent.flipped
         assert board.min_id == 3
         assert board.waiting == {8}
         assert timer(cfg, board) == 0

@@ -116,6 +116,18 @@ class TestCursorReset:
         assert intent.stay and meta.reset
         assert cfg.agents[0].cursor == PathCursor()
 
+    def test_retreat_port_beyond_degree_resets(self):
+        # node 0 of a 2x3 grid has degree 2 while the graph's max degree is
+        # 3, so a trail port of 2 passes the cursor check but cannot be taken
+        g = build_grid(2, 3)
+        assert (g.degree(0), g.max_degree) == (2, 3)
+        cfg = make_configuration(
+            g, [Agent(ident=None, pos=0, program="anon_path_enum")], FW)
+        cfg.agents[0].cursor = PathCursor(1, (0,), (2,), 0, False)
+        intent, meta = anon_path_enum_step(cfg, 0)
+        assert intent.stay and meta.branch == "cursor_reset"
+        assert cfg.agents[0].cursor == PathCursor()
+
     def test_rejected_move_retries_same_label(self):
         g = build_ring(4)
         cfg = make_configuration(
@@ -132,6 +144,12 @@ class TestFwDft:
     def test_requires_fw_board(self):
         g = build_ring(3)
         cfg = make_configuration(g, [Agent(ident=1, pos=0, program="fw_async_dft")], CW)
+        with pytest.raises(ProtocolError):
+            fw_dft_step(cfg, 0)
+
+    def test_anonymous_rejected(self):
+        g = build_ring(3)
+        cfg = make_configuration(g, [Agent(ident=None, pos=0, program="fw_async_dft")], FW)
         with pytest.raises(ProtocolError):
             fw_dft_step(cfg, 0)
 

@@ -31,7 +31,7 @@ from gossipsim.model import (
     state_key,
     timer,
 )
-from gossipsim.protocol_dft import MoveIntent, StepMeta, timeout_check_and_execute
+from gossipsim.protocol_dft import MoveIntent, timeout_check_and_execute
 from gossipsim.scheduler import (
     ASYNC_RANDOM_FAIR,
     ASYNC_ROUND_ROBIN,
@@ -39,7 +39,6 @@ from gossipsim.scheduler import (
     FULL,
     HALF,
     SYNC,
-    MoveRecord,
     RoundIndex,
     SchedulePolicy,
     SchedulerError,
@@ -72,8 +71,8 @@ class TestDuplex:
         # agents 3 and 7 cross the same edge in opposite directions
         cfg = dft_cfg([(7, 0), (3, 1)])
         intents = [
-            (MoveIntent(0, 0, 0), StepMeta()),  # node 0 -> node 1
-            (MoveIntent(1, 1, 1), StepMeta()),  # node 1 -> node 0
+            MoveIntent(0, 0, 0),  # node 0 -> node 1
+            MoveIntent(1, 1, 1),  # node 1 -> node 0
         ]
         return cfg, intents
 
@@ -87,18 +86,12 @@ class TestDuplex:
 
     def test_same_direction_all_pass(self):
         cfg = dft_cfg([(7, 0), (3, 0)])
-        intents = [
-            (MoveIntent(0, 0, 0), StepMeta()),
-            (MoveIntent(1, 0, 0), StepMeta()),
-        ]
+        intents = [MoveIntent(0, 0, 0), MoveIntent(1, 0, 0)]
         assert resolve_duplex(cfg, intents, HALF) == [True, True]
 
     def test_distinct_edges_independent(self):
         cfg = dft_cfg([(7, 0), (3, 2)])
-        intents = [
-            (MoveIntent(0, 0, 0), StepMeta()),
-            (MoveIntent(1, 2, 0), StepMeta()),
-        ]
+        intents = [MoveIntent(0, 0, 0), MoveIntent(1, 2, 0)]
         assert resolve_duplex(cfg, intents, HALF) == [True, True]
 
     def test_unknown_mode_rejected(self):
@@ -137,7 +130,7 @@ class TestSyncRound:
         t0 = timer(cfg, cfg.boards[0])
         rec = sync_round(cfg)
         assert rec.acting == (0, 1) and rec.moves == [] and rec.releases == ()
-        assert rec.colocated == (0,)
+        assert crowded({a.pos: group_at(cfg, a.pos) for a in cfg.agents}) == (0,)
         assert cfg.agents[0].pos == cfg.agents[1].pos == 0
         assert timer(cfg, cfg.boards[0]) == t0 + 1
         # parked co-location still exchanges gossip
@@ -205,6 +198,12 @@ def group_at(cfg, node: int) -> list[int]:
     return [i for i, a in enumerate(cfg.agents) if a.pos == node]
 
 
+def crowded(groups: dict[int, list[int]]) -> tuple[int, ...]:
+    """The nodes of ``groups`` (node -> agent indices) that hold two or
+    more agents, ascending."""
+    return tuple(sorted(v for v, here in groups.items() if len(here) > 1))
+
+
 def check_arrivals(cfg, index: RoundIndex) -> None:
     """Each occupied node outside ``index.arrivals`` holds one known set
     across its agents, equal to the store on FW."""
@@ -251,10 +250,10 @@ class TestRoundIndex:
             index = RoundIndex(cfg)
             for _ in range(5):
                 rec = sync_round(cfg, HALF, index)
-            assert rec.colocated == (1,) and [mv.to for mv in rec.moves] == [1, 1]
+            assert crowded(index.groups) == (1,) and [mv.to for mv in rec.moves] == [1, 1]
             merged = self._count_merges(monkeypatch)
             rec = sync_round(cfg, HALF, index)
-            assert merged == [2] and rec.colocated == (2,) and rec.merges == (1,)
+            assert merged == [2] and crowded(index.groups) == (2,) and rec.merges == (1,)
 
     def test_parked_round_touches_nobody(self, monkeypatch):
         # every agent parked for good: the first round merges at every
@@ -279,7 +278,8 @@ class TestRoundIndex:
                 assert merged == [] and stepped == []
                 assert index.boards == set() and index.agents == set()
                 assert index.grown == len(first)
-                assert rec.merges == (0, 2) and rec.colocated == (0,) and rec.acting == (0, 1, 2)
+                assert rec.merges == (0, 2) and crowded(index.groups) == (0,)
+                assert rec.acting == (0, 1, 2)
 
     @pytest.mark.parametrize("case", sorted(ROUND_STARTS))
     def test_record_names_the_written_boards(self, case, monkeypatch):
@@ -332,6 +332,93 @@ class TestRoundIndex:
         if cap is not None:
             small_cap(cfg, cap)
         self._check_rounds(cfg, duplex, 60)
+
+
+def _follow_ports(g, image: int) -> tuple[int, ...] | None:
+    """The port-preserving automorphism of connected ``g`` that takes
+    node 0 to ``image``, as a node map, or None if there is none."""
+    sigma = {0: image}
+    todo = [0]
+    while todo:
+        v = todo.pop()
+        w = sigma[v]
+        if g.degree(v) != g.degree(w):
+            return None
+        for port in range(g.degree(v)):
+            (u, back), (x, x_back) = g.neighbor(v, port), g.neighbor(w, port)
+            if back != x_back:
+                return None
+            if u not in sigma:
+                sigma[u] = x
+                todo.append(u)
+            elif sigma[u] != x:
+                return None
+    return tuple(sigma[v] for v in range(g.node_count))
+
+
+def automorphisms(g) -> list[tuple[int, ...]]:
+    """Every port-preserving automorphism of connected ``g``, identity
+    included.  One is fixed by the image of node 0, so following the
+    ports from each of the n images finds them all in O(n·m)."""
+    return [sigma for image in range(g.node_count)
+            if (sigma := _follow_ports(g, image)) is not None]
+
+
+def permute(cfg, sigma):
+    """A clone of ``cfg`` with every agent and board moved by the node map
+    ``sigma``; ports, agent indices and gossip are unchanged."""
+    image = cfg.clone()
+    for agent in image.agents:
+        agent.pos = sigma[agent.pos]
+    boards = image.boards[:]
+    for v, board in enumerate(boards):
+        image.boards[sigma[v]] = board
+    return image
+
+
+def relabel(cfg, f):
+    """A clone of ``cfg`` with every agent id mapped by ``f``: the agents'
+    ids, the boards' table rows, MinID and waiting sets."""
+    image = cfg.clone()
+    for agent in image.agents:
+        agent.ident = f(agent.ident)
+    for board in image.boards:
+        for table in ("t_table", "in_link", "out_link"):
+            setattr(board, table, {f(i): x for i, x in getattr(board, table).items()})
+        board.min_id = f(board.min_id)
+        board.waiting = {f(i) for i in board.waiting}
+    return image
+
+
+class TestRoundSymmetry:
+    """The synchronous round commutes with the ring's rotations and with
+    a monotone id relabeling: 60 carried rounds from a start's image end
+    in the image of the start's end state.  Nodes are anonymous to the
+    agents, and the DFT compares ids but never reads their size."""
+
+    @staticmethod
+    def _rounds(cfg, duplex):
+        index = RoundIndex(cfg)
+        for _ in range(60):
+            sync_round(cfg, duplex, index)
+        return cfg
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("board_class", [CW, FW])
+    @pytest.mark.parametrize("duplex", [HALF, FULL])
+    def test_round_commutes_with_images(self, n, board_class, duplex):
+        g = build_ring(n)
+        sigmas = automorphisms(g)
+        assert sigmas == [tuple((v + r) % n for v in range(n)) for r in range(n)]
+        images = [lambda c, s=s: permute(c, s) for s in sigmas[1:]]
+        images.append(lambda c: relabel(c, lambda i: 3 * i + 7))
+        for k in (2, 3):
+            for spec, seed in ((CLEAN_SPEC, 0), (FuzzSpec(), 0), (FuzzSpec(), 1)):
+                start = fuzz_config(g, k, spec, seed, board_class=board_class)
+                end = self._rounds(start.clone(), duplex)
+                for image in images:
+                    got = self._rounds(image(start), duplex)
+                    assert state_key(got) == state_key(image(end))
 
 
 class TestAsyncPolicies:
@@ -476,24 +563,40 @@ class TestRun:
         assert trace.status == "met"
 
 
-def _record_line(cfg, rec) -> str:
-    """Every StepRecord field, every field of its MoveRecords and the
-    snapshot hash of ``cfg`` after the step."""
-    moves = tuple((m.agent, m.frm, m.via, m.to, m.accepted, m.kind, m.branch, m.flipped)
+def _record_line(cfg, rec, branch=None) -> str:
+    """Every StepRecord field, every field of its moves with ``branch``,
+    the branch of the step that made them, and the snapshot hash of
+    ``cfg`` after the step.  The pinned layout has a sixth field that
+    asynchronous steps leave empty: ``()``."""
+    moves = tuple((m.agent, m.frm, m.via, m.to, m.accepted, m.kind, branch, m.flipped)
                   for m in rec.moves)
-    return repr((rec.step, rec.acting, moves, rec.merges, rec.releases, rec.colocated,
+    return repr((rec.step, rec.acting, moves, rec.merges, rec.releases, (),
                  snapshot_hash(cfg)))
 
 
 def _async_lines(cfg, policy):
     """One line per step of ``policy`` from ``cfg`` until gossip is complete
-    or 200 steps (see :func:`_record_line`), then the trace's ending."""
-    lines = []
+    or 200 steps (see :func:`_record_line`), then the trace's ending.  An
+    asynchronous step calls one step function, whose branch the wrapped
+    step table catches."""
+    lines, branches = [], []
+    saved = dict(scheduler._STEP_FNS)
+
+    def catching(step):
+        def caught(c, idx):
+            intent, meta = step(c, idx)
+            branches.append(meta.branch)
+            return intent, meta
+        return caught
 
     def observe(c, rec):
-        lines.append(_record_line(c, rec))
+        lines.append(_record_line(c, rec, branches.pop()))
 
-    trace = run(cfg, policy, stop=gossip_complete, max_steps=200, observer=observe)
+    scheduler._STEP_FNS.update((program, catching(step)) for program, step in saved.items())
+    try:
+        trace = run(cfg, policy, stop=gossip_complete, max_steps=200, observer=observe)
+    finally:
+        scheduler._STEP_FNS.update(saved)
     lines.append(repr((trace.steps, trace.status, trace.stop_step)))
     return lines
 
@@ -549,13 +652,13 @@ def literal_sync_round(cfg, duplex):
         here = [i for i in order if agents[i].pos == node]
         merge_gossip(cfg, node, here)
         for idx in here:
-            intent, meta = scheduler._STEP_FNS[agents[idx].program](cfg, idx)
+            intent, _ = scheduler._STEP_FNS[agents[idx].program](cfg, idx)
             if not intent.stay:
-                intents.append((intent, meta))
+                intents.append(intent)
     for node in range(len(cfg.boards)):
-        intents.extend(timeout_check_and_execute(cfg, node))
+        intents.extend(intent for intent, _ in timeout_check_and_execute(cfg, node))
     moves = []
-    for (intent, _), ok in zip(intents, resolve_duplex(cfg, intents, duplex)):
+    for intent, ok in zip(intents, resolve_duplex(cfg, intents, duplex)):
         to, port = cfg.graph.neighbor(intent.frm, intent.via)
         agent = agents[intent.agent]
         agent.last_move_accepted = ok
@@ -608,14 +711,14 @@ def literal_async_step(cfg, idx):
     agent = cfg.agents[idx]
     frm = agent.pos
     merge_gossip(cfg, frm, group_at(cfg, frm))
-    intent, meta = scheduler._STEP_FNS[agent.program](cfg, idx)
+    intent, _ = scheduler._STEP_FNS[agent.program](cfg, idx)
     rec = StepRecord(cfg.round, (idx,), merges=(frm,))
     if not intent.stay:
         to, port = cfg.graph.neighbor(intent.frm, intent.via)
         agent.pos, agent.arrival_port, agent.last_move_accepted = to, port, True
         merge_gossip(cfg, to, group_at(cfg, to))
-        rec.moves = [MoveRecord(intent.agent, intent.frm, intent.via, to, True,
-                                meta.kind, meta.branch, meta.flipped)]
+        intent.to, intent.accepted = to, True
+        rec.moves = [intent]
         rec.merges = (frm, to)
     cfg.round += 1
     return rec
