@@ -37,7 +37,7 @@ import os
 import sys
 from contextlib import ExitStack
 from dataclasses import asdict
-from functools import partial
+from functools import cache, partial
 
 from .harness import (
     CLEAN_SPEC,
@@ -350,9 +350,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: parsing leaves it as it was, and the commands it
+# names look up the simulation functions when they run
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -142,7 +142,7 @@ def fuzz_config(
 
     for j, agent in enumerate(cfg.agents):
         if rng.random() < spec.garbage_token_rate:
-            agent.known.add(Token(f"ghost{rng.randrange(1000)}", "junk"))
+            agent.known = agent.known | {Token(f"ghost{rng.randrange(1000)}", "junk")}
 
     if board_class == NW:
         return cfg
@@ -159,7 +159,7 @@ def fuzz_config(
             set_timer(cfg, board, _below(bits, cap + 1))
             board.wait_t = _below(bits, cap + 1)
         if rand() < spec.waiting_garbage_rate:
-            board.waiting.update(rng.sample(domain, 1 + _below(bits, 2)))
+            board.waiting = board.waiting.union(rng.sample(domain, 1 + _below(bits, 2)))
         # a clean board and each id once: a drawn default (True, None) writes no row
         for i in rows:
             if rand() < rate and rand() >= 0.5:
@@ -169,7 +169,7 @@ def fuzz_config(
             if rand() < rate and (port := ports[_below(bits, len(ports))]) is not None:
                 board.out_link[i] = port
         if board.cls == FW and rand() < spec.store_garbage_rate:
-            board.store.add(Token(f"ghost{_below(bits, 1000)}", "stale"))
+            board.store = board.store | {Token(f"ghost{_below(bits, 1000)}", "stale")}
     return cfg
 
 
@@ -216,24 +216,25 @@ class CycleReport:
 def _first_repeat(
     key: tuple,
     candidates: list[int],
-    checkpoints: list[Configuration],
+    checkpoints: list[tuple[int, Configuration]],
     duplex: str,
 ) -> int | None:
     """The candidate step whose state has ``key``, or None.
 
-    ``checkpoints[j]`` holds the state at step 0 for j = 0 and at step
-    2**(j-1) after that, so step c's latest checkpoint is
-    ``checkpoints[c.bit_length()]``.  One probe walks forward through the
-    ascending candidates, jumping to a later checkpoint when that is
-    closer; it calls no observer.
+    ``checkpoints`` holds (step, state) pairs in ascending step order, the
+    first at or before every candidate.  One probe walks forward through
+    the ascending candidates from each one's latest checkpoint, jumping to
+    a later checkpoint when that is closer; it calls no observer.
     """
     probe = index = None
     probe_step = -1
+    j = 0
     for c in candidates:
-        j = c.bit_length()
-        start = (1 << j) >> 1
+        while j + 1 < len(checkpoints) and checkpoints[j + 1][0] <= c:
+            j += 1
+        start, state = checkpoints[j]
         if start > probe_step:
-            probe, probe_step = checkpoints[j].clone(), start
+            probe, probe_step = state.clone(), start
             index = RoundIndex(probe)
         while probe_step < c:
             sync_round(probe, duplex, index)
@@ -259,18 +260,22 @@ def detect_cycle(
     :class:`~gossipsim.model.Fingerprint` updates from the boards and the
     agents the index records the round wrote (``index.boards`` and
     ``index.agents``) and from the round count, so no round re-encodes
-    the whole state.  Gossip sets only grow, so no state before a merge
-    that grew one (``index.grown`` moved) recurs after it, and the index
-    of fingerprints then starts afresh.  A clone of the state is kept at
-    step 0 and at every power-of-two step.  When a fingerprint recurs,
-    each earlier step with that fingerprint is re-simulated from its
-    latest checkpoint and its :func:`state_key` is compared in full with a
-    fresh :func:`state_key` of the current state, so the returned (prefix,
-    period) pair is exact, not a fingerprint coincidence; a false hit (a
-    collision) only lets the run go on.  Without a false hit the
-    re-simulation, which carries a fresh index from the checkpoint,
-    costs at most half the prefix in rounds.  Memory is
-    O(log rounds) clones plus the per-round records.
+    the whole state.  A fingerprint maps to its step, or to a list of
+    steps once it recurs.  A clone of the state is kept at step 0 and at
+    every power-of-two step.  Gossip sets only grow, so no state before a
+    merge that grew one (``index.grown`` moved) recurs after it: the index
+    of fingerprints then starts afresh and every checkpoint but the latest
+    one at or before that step is dropped.  Only then, and at step 0, can
+    gossip have completed, so only then is it checked.  When a
+    fingerprint recurs, each earlier step with that fingerprint is
+    re-simulated from its latest checkpoint and its :func:`state_key` is
+    compared in full with a fresh :func:`state_key` of the current state,
+    so the returned (prefix, period) pair is exact, not a fingerprint
+    coincidence; a false hit (a collision) only lets the run go on.
+    Without a false hit the re-simulation, which carries a fresh index
+    from the checkpoint, costs at most half the prefix in rounds.  Memory
+    is O(log rounds) clones, which share their gossip sets, plus the
+    per-round records.
 
     ``cfg`` is mutated and ends at step prefix + period, a state on the
     cycle; clone first to keep the start state.  ``observer(cfg, record)``
@@ -279,25 +284,32 @@ def detect_cycle(
     limit = budget if budget is not None else default_cycle_budget(cfg)
     fingerprint = Fingerprint(cfg)
     index = RoundIndex(cfg)
-    seen: dict[int, list[int]] = {}
-    checkpoints: list[Configuration] = []
+    seen: dict[int, int | list[int]] = {}
+    checkpoints: list[tuple[int, Configuration]] = []
     records: list[StepRecord] = []
     gossip_step: int | None = None
-    step = grown = 0
+    step = 0
+    grown = -1  # step 0 starts afresh like a growth
     while True:
+        if step & (step - 1) == 0:  # 0 or a power of two
+            checkpoints.append((step, cfg.clone()))
         if index.grown != grown:
             seen, grown = {}, index.grown
-        candidates = seen.setdefault(fingerprint.update(index.boards, index.agents), [])
-        if candidates:
-            prefix = _first_repeat(state_key(cfg), candidates, checkpoints, duplex)
+            del checkpoints[:-1]
+            if gossip_step is None and gossip_complete(cfg):
+                gossip_step = step
+        fp = fingerprint.update(index.boards, index.agents)
+        earlier = seen.get(fp)
+        if earlier is None:
+            seen[fp] = step
+        else:
+            if type(earlier) is int:
+                earlier = seen[fp] = [earlier]
+            prefix = _first_repeat(state_key(cfg), earlier, checkpoints, duplex)
             if prefix is not None:
                 period = step - prefix
                 break
-        candidates.append(step)
-        if step & (step - 1) == 0:  # 0 or a power of two
-            checkpoints.append(cfg.clone())
-        if gossip_step is None and gossip_complete(cfg):
-            gossip_step = step
+            earlier.append(step)
         if step >= limit:
             return CycleReport(BUDGET, step, 0, gossip_step, records)
         rec = sync_round(cfg, duplex, index)
@@ -419,7 +431,7 @@ def _translate_board(board: Whiteboard, offset: int, max_live: int) -> Whiteboar
     out = board.clone()
     for table in ("t_table", "in_link", "out_link"):
         setattr(out, table, {twin(i): v for i, v in getattr(board, table).items()})
-    out.waiting = {twin(i) for i in board.waiting}
+    out.waiting = frozenset(twin(i) for i in board.waiting)
     out.min_id = twin(board.min_id)
     return out
 
@@ -433,7 +445,7 @@ def _park_for_good(cfg: Configuration) -> None:
     for agent in cfg.agents:
         board = cfg.boards[agent.pos]
         agent.parked = True
-        board.waiting.add(agent.ident)
+        board.waiting = board.waiting | {agent.ident}
         board.wait_t = cfg.timer_cap + 1
 
 
@@ -469,9 +481,9 @@ def witness_mirror(graph: PortLabeledGraph, k: int, seed: int = 0) -> MirrorRepo
 
     offset = k
     # fresh gossip: make_configuration gives each agent its own token only
-    agents = [replace(a, known=set()) for a in base.agents]
+    agents = [replace(a, known=frozenset()) for a in base.agents]
     agents += [
-        replace(a, ident=a.ident + offset, pos=mirror_node(graph, w, a.pos), known=set())
+        replace(a, ident=a.ident + offset, pos=mirror_node(graph, w, a.pos), known=frozenset())
         for a in base.agents
     ]
     joined = make_configuration(mirror_join(graph, w), agents, CW)

@@ -119,14 +119,15 @@ class Agent:
     """One mobile agent.  ``ident`` is None for anonymous agents.
 
     ``parked`` and ``bounced`` are the DFT agent's registers, ``cursor``
-    the walk enumerator's.  Every field but ``known`` holds an immutable
-    value, so a clone copies only that set.
+    the walk enumerator's.  Every field holds an immutable value:
+    ``known`` is a frozenset that a write replaces, never mutates, so a
+    clone shares it.
     """
 
     ident: int | None
     pos: int
     t_bit: bool = False
-    known: set[Token] = field(default_factory=set)
+    known: frozenset[Token] = frozenset()
     program: str = PROGRAM_DFT
     parked: bool = False
     bounced: bool = False
@@ -135,7 +136,7 @@ class Agent:
     last_move_accepted: bool = True
 
     def clone(self) -> "Agent":
-        return Agent(self.ident, self.pos, self.t_bit, set(self.known), self.program,
+        return Agent(self.ident, self.pos, self.t_bit, self.known, self.program,
                      self.parked, self.bounced, self.cursor, self.arrival_port,
                      self.last_move_accepted)
 
@@ -144,7 +145,11 @@ class Agent:
 class Whiteboard:
     """One node's whiteboard.  Its timer is not a field: ``timer_base`` is
     the value last given by :func:`set_timer` and ``timer_stamp`` the
-    round clock at that write; read it with :func:`timer`."""
+    round clock at that write; read it with :func:`timer`.
+
+    Only the three row tables are mutable.  ``waiting`` and ``store`` are
+    frozensets that a write replaces, never mutates, so a clone copies the
+    tables and shares the sets."""
 
     cls: str = CW
     t_table: dict[int, bool] = field(default_factory=dict)
@@ -152,15 +157,15 @@ class Whiteboard:
     out_link: dict[int, int] = field(default_factory=dict)
     min_id: int = 0
     wait_t: int = 0
-    waiting: set[int] = field(default_factory=set)
+    waiting: frozenset[int] = frozenset()
     timer_base: int = 0
     timer_stamp: int = 0
-    store: set[Token] = field(default_factory=set)
+    store: frozenset[Token] = frozenset()
 
     def clone(self) -> "Whiteboard":
         return Whiteboard(self.cls, dict(self.t_table), dict(self.in_link),
-                          dict(self.out_link), self.min_id, self.wait_t, set(self.waiting),
-                          self.timer_base, self.timer_stamp, set(self.store))
+                          dict(self.out_link), self.min_id, self.wait_t, self.waiting,
+                          self.timer_base, self.timer_stamp, self.store)
 
 
 _TABLES = {
@@ -213,9 +218,13 @@ class Configuration:
         return len(self.agents)
 
     def clone(self) -> "Configuration":
+        """A copy that writes to neither side reach the other: it copies the
+        boards' row tables and shares every other value, the gossip sets
+        and ``genuine`` (never written after :func:`make_configuration`)
+        included."""
         return Configuration(self.graph, [a.clone() for a in self.agents],
                              [b.clone() for b in self.boards], self.round, self.ticks,
-                             self.timer_cap, dict(self.genuine))
+                             self.timer_cap, self.genuine)
 
 
 def timer(cfg: Configuration, board: Whiteboard) -> int:
@@ -275,32 +284,52 @@ def make_configuration(
     for idx, agent in enumerate(agents):
         token = Token(origin=f"agent{idx}", payload=f"gossip-{idx}")
         cfg.genuine[idx] = token
-        agent.known.add(token)
+        agent.known = frozenset((*agent.known, token))
     return cfg
 
 
 def merge_gossip(cfg: Configuration, node: int, idxs: list[int]) -> bool:
     """Union the known sets of the agents with indices ``idxs``, all at
-    ``node``, and the node's FW store; True when a set grew.  A set the
-    union does not grow is left as it is."""
+    ``node``, and the node's FW store; True when a set grew.
+
+    The sets are frozensets, which a merge replaces and never mutates.
+    Every set the union grows becomes one shared object, a participant's
+    set where one already equals the union; a set the union does not grow
+    is left as it is, so a merge that grows nothing changes no object."""
     agents = cfg.agents
     board = cfg.boards[node]
-    if len(idxs) == 1 and (board.cls != FW or agents[idxs[0]].known == board.store):
-        return False  # a lone agent and nothing new on either side
+    fw = board.cls == FW
+    if len(idxs) == 1:
+        if not fw:
+            return False
+        agent = agents[idxs[0]]
+        known, store = agent.known, board.store
+        if known is store or known == store:
+            return False  # a lone agent and nothing new on either side
+        if known >= store:
+            board.store = known
+        elif known <= store:
+            agent.known = store
+        else:
+            agent.known = board.store = known | store
+        return True
     here = [agents[i] for i in idxs]
-    union: set[Token] = set()
-    for a in here:
-        union |= a.known
+    sets = [a.known for a in here]
+    if fw:
+        sets.append(board.store)
+    union = max(sets, key=len)
+    grown = union.union(*sets)
+    if len(grown) != len(union):
+        union = grown
+    size = len(union)
     grew = False
-    if board.cls == FW:
-        union |= board.store
-        if len(union) != len(board.store):
-            board.store = set(union)
-            grew = True
     for a in here:
-        if len(a.known) != len(union):
-            a.known = set(union)
+        if len(a.known) != size:
+            a.known = union
             grew = True
+    if fw and len(board.store) != size:
+        board.store = union
+        grew = True
     return grew
 
 

@@ -102,7 +102,7 @@ def _passes_gate(cfg: Configuration, board, agent, meta: StepMeta, quiesce: bool
         board.wait_t = max(board.wait_t, timer(cfg, board))
         set_timer(cfg, board, 0)
         return True
-    board.waiting.add(i)
+    board.waiting = board.waiting | {i}
     agent.parked = True
     meta.joined_waiting = True
     return False
@@ -235,7 +235,7 @@ def timeout_check_and_execute(cfg: Configuration, v: int) -> list[tuple[MoveInte
     if not release_due(cfg, board):
         return []
     i = min(board.waiting)
-    board.waiting.discard(i)
+    board.waiting = board.waiting - {i}
     located = None
     for idx, agent in enumerate(cfg.agents):
         if agent.ident == i and agent.pos == v and agent.parked:

@@ -185,8 +185,9 @@ def validate(g: PortLabeledGraph) -> list[str]:
     """Return all invariant violations (empty list means the graph is valid)."""
     violations: list[str] = []
     n = g.node_count
-    if n == 0:
-        return ["graph has no nodes"]
+    if n < 2:
+        # a single node has no port to leave by, and no builder makes one
+        return ["a network needs at least two nodes"]
     for v, ports in enumerate(g.adjacency):
         for a, (u, b) in enumerate(ports):
             if not 0 <= u < n:

@@ -96,6 +96,17 @@ class TestLegality:
 
 
 class TestMainExitCodes:
+    def test_one_parser_per_process(self, monkeypatch):
+        # main reuses one parser, and a parse leaves nothing for the next
+        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+        parser = cli._parser()
+        assert cli._parser() is parser
+        first = parser.parse_args(["run", "--graph", "ring:4", "--seed", "5", "--fuzz"])
+        again = parser.parse_args(["run", "--graph", "ring:4"])
+        assert (first.seed, first.fuzz) == (5, True)
+        assert (again.seed, again.fuzz) == (0, False)
+        assert main(["run", "--graph", "ring:one"]) == EXIT_PARAM
+
     def test_illegal_combo(self, capsys):
         code = main(["run", "--graph", "ring:4", "--board", "NW"])
         assert code == EXIT_ILLEGAL

@@ -114,7 +114,7 @@ class TestGossipComplete:
     def test_garbage_tokens_ignored(self):
         g = build_ring(3)
         cfg = make_configuration(g, [Agent(ident=1, pos=0)], CW)
-        cfg.agents[0].known.add(("not", "genuine"))
+        cfg.agents[0].known = cfg.agents[0].known | {("not", "genuine")}
         assert gossip_complete(cfg)
 
     @given(st.data(), st.integers(0, 4))
@@ -334,6 +334,68 @@ class TestGrowthRestart:
         rep = detect_cycle(make(), duplex, budget=budget)
         assert (rep.prefix_len, rep.period) == want
         assert calls == [[want[0]]]
+
+    @pytest.mark.parametrize("case", ["ring:3 k=4 FW grows", "clean random:3:99"])
+    @pytest.mark.parametrize("fingerprints", ["hash", "constant"])
+    def test_checkpoints_from_last_growth(self, case, fingerprints, monkeypatch):
+        # a re-simulation receives the latest checkpoint at or before the
+        # last growth and none before it
+        if fingerprints == "constant":
+            monkeypatch.setattr(harness, "Fingerprint", ConstantFingerprint)
+        make, duplex, budget = EXACTNESS_CASES[case]
+        want = reference_detect(make(), duplex, budget=budget)
+        cfg = make()
+        growths, watch = growth_watch(cfg)
+        received = []
+        first_repeat = harness._first_repeat
+
+        def checking(key, candidates, checkpoints, duplex):
+            received.append((growths[-1], [step for step, _ in checkpoints]))
+            return first_repeat(key, candidates, checkpoints, duplex)
+
+        monkeypatch.setattr(harness, "_first_repeat", checking)
+        rep = detect_cycle(cfg, duplex, budget=budget, observer=watch)
+        assert (rep.prefix_len, rep.period) == want[1:3]
+        assert received and len(growths) > 1
+        for last, steps in received:
+            assert steps[0] <= last and all(step >= last for step in steps[1:])
+
+    @pytest.mark.parametrize("case", sorted(EXACTNESS_CASES))
+    def test_gossip_checked_at_growths_only(self, case, monkeypatch):
+        # gossip can complete only in a merge that grows a set, so it is
+        # checked at step 0 and after each growth until it holds
+        make, duplex, budget = EXACTNESS_CASES[case]
+        cfg = make()
+        growths, watch = growth_watch(cfg)
+        checked = []
+        complete = harness.gossip_complete
+
+        def counting(c):
+            checked.append(c.round)
+            return complete(c)
+
+        monkeypatch.setattr(harness, "gossip_complete", counting)
+        rep = detect_cycle(cfg, duplex, budget=budget, observer=watch)
+        done = rep.gossip_step
+        assert checked == [g for g in growths if done is None or g <= done]
+
+
+def gossip_size(cfg):
+    return sum(len(a.known) for a in cfg.agents) + sum(len(b.store) for b in cfg.boards)
+
+
+def growth_watch(cfg):
+    """A detect_cycle observer for a run from ``cfg``, and the steps it
+    finds reached by a round that grew a gossip set, step 0 first: sets
+    only grow, so a set grew exactly when their total size did."""
+    growths, sizes = [0], [gossip_size(cfg)]
+
+    def watch(c, rec):
+        sizes.append(gossip_size(c))
+        if sizes[-1] != sizes[-2]:
+            growths.append(rec.step + 1)
+
+    return growths, watch
 
 
 class TestKeyCache:

@@ -31,6 +31,7 @@ from gossipsim.model import (
     state_key,
     timer,
 )
+from gossipsim.protocol_dft import dft_agent_step, timeout_check_and_execute
 from gossipsim.scheduler import (
     ASYNC_ROUND_ROBIN,
     FULL,
@@ -114,10 +115,36 @@ class TestConfiguration:
         copy = cfg.clone()
         copy.agents[0].pos = 2
         copy.boards[0].t_table[1] = False
-        copy.boards[1].store.add(Token("x", "y"))
+        copy.boards[1].store = copy.boards[1].store | {Token("x", "y")}
         assert cfg.agents[0].pos == 0
         assert cfg.boards[0].t_table == {}
         assert cfg.boards[1].store == set()
+
+    def test_clone_shares_gossip_and_waiting_sets(self):
+        # agents 0 and 1 share node 0, whose MinID makes agent 1 (id 2) park
+        agents = [Agent(ident=1, pos=0), Agent(ident=2, pos=0), Agent(ident=3, pos=1)]
+        cfg = make_configuration(build_ring(4), agents, FW)
+        cfg.boards[0].min_id = 1
+        copy = cfg.clone()
+        assert copy.genuine is cfg.genuine
+        for a, b in zip(copy.agents, cfg.agents):
+            assert a.known is b.known
+        for a, b in zip(copy.boards, cfg.boards):
+            assert a.store is b.store and a.waiting is b.waiting
+            assert a.t_table is not b.t_table
+        before = ([set(a.known) for a in cfg.agents],
+                  [(set(b.store), set(b.waiting)) for b in cfg.boards])
+
+        assert merge_gossip(copy, 0, [0, 1])
+        _, meta = dft_agent_step(copy, 1)
+        assert meta.joined_waiting and copy.boards[0].waiting == {2}
+        copy.boards[0].wait_t = 0  # the timer has reached it: release due
+        assert [i.agent for i, _ in timeout_check_and_execute(copy, 0)] == [1]
+        assert copy.boards[0].waiting == set()
+
+        assert before == ([set(a.known) for a in cfg.agents],
+                          [(set(b.store), set(b.waiting)) for b in cfg.boards])
+        assert cfg.boards[0].waiting == set() and not cfg.agents[1].parked
 
 
 class TestGossipMerge:
@@ -132,7 +159,7 @@ class TestGossipMerge:
     def test_fw_store_participates(self):
         g = build_ring(3)
         cfg = make_configuration(g, [Agent(ident=1, pos=0)], FW)
-        cfg.boards[0].store.add(Token("old", "news"))
+        cfg.boards[0].store = cfg.boards[0].store | {Token("old", "news")}
         merge_gossip(cfg, 0, [0])
         assert Token("old", "news") in cfg.agents[0].known
         assert cfg.genuine[0] in cfg.boards[0].store
@@ -158,16 +185,53 @@ class TestGossipMerge:
         agents = [Agent(ident=1, pos=0), Agent(ident=2, pos=1), Agent(ident=3, pos=0)]
         cfg = make_configuration(build_ring(3), agents, board_class)
         ghost, news = Token("ghost", "junk"), Token("old", "news")
-        cfg.agents[2].known.add(ghost)
+        cfg.agents[2].known = cfg.agents[2].known | {ghost}
         want = {cfg.genuine[0], cfg.genuine[2], ghost}
         if board_class == FW:
-            cfg.boards[0].store.add(news)
+            cfg.boards[0].store = cfg.boards[0].store | {news}
             want.add(news)
         untouched = set(cfg.agents[1].known)
         merge_gossip(cfg, 0, [0, 2])
         assert cfg.agents[0].known == cfg.agents[2].known == want
         assert cfg.boards[0].store == (want if board_class == FW else set())
         assert cfg.agents[1].known == untouched == {cfg.genuine[1]}
+
+    @pytest.mark.parametrize("board_class", [CW, FW])
+    def test_grown_participants_share_one_union(self, board_class):
+        agents = [Agent(ident=i, pos=0) for i in (1, 2, 3)]
+        cfg = make_configuration(build_ring(3), agents, board_class)
+        assert merge_gossip(cfg, 0, [0, 1, 2])
+        union = cfg.agents[0].known
+        assert union == set(cfg.genuine.values())
+        assert all(a.known is union for a in cfg.agents)
+        if board_class == FW:
+            assert cfg.boards[0].store is union
+        else:
+            assert cfg.boards[0].store == set()
+
+    def test_union_reuses_a_participant_set(self):
+        # agent 2 already knows everything the others and the store hold
+        agents = [Agent(ident=i, pos=0) for i in (1, 2, 3)]
+        cfg = make_configuration(build_ring(3), agents, FW)
+        full = cfg.agents[2].known = frozenset(cfg.genuine.values()) | {Token("ghost", "junk")}
+        assert merge_gossip(cfg, 0, [0, 1, 2])
+        assert all(a.known is full for a in cfg.agents)
+        assert cfg.boards[0].store is full
+
+    def test_lone_agent_and_store_share_one_set(self):
+        cfg = make_configuration(build_ring(3), [Agent(ident=1, pos=0)], FW)
+        agent, board = cfg.agents[0], cfg.boards[0]
+        known = agent.known
+        assert merge_gossip(cfg, 0, [0])  # the store grows to the known set
+        assert board.store is known is agent.known
+        assert not merge_gossip(cfg, 0, [0])
+        news = board.store = board.store | {Token("old", "news")}
+        assert merge_gossip(cfg, 0, [0])  # the known set grows to the store
+        assert agent.known is news is board.store
+        agent.known = agent.known | {Token("ghost", "junk")}
+        board.store = board.store | {Token("more", "news")}
+        assert merge_gossip(cfg, 0, [0])  # both grow: one new union
+        assert agent.known is board.store and len(board.store) == 4
 
 
 class TestStateKey:

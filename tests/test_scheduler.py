@@ -154,7 +154,7 @@ class TestSyncRound:
         cfg = dft_cfg([(1, 0), (2, 0), (3, 2)])
         for idx in (0, 1):
             cfg.agents[idx].parked = True
-            cfg.boards[0].waiting.add(cfg.agents[idx].ident)
+            cfg.boards[0].waiting = cfg.boards[0].waiting | {cfg.agents[idx].ident}
         cfg.boards[0].wait_t = cfg.timer_cap + 1
         stepped = self._count_steps(monkeypatch)
         rec = sync_round(cfg)

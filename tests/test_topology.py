@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from gossipsim.topology import (
     GraphError,
+    PortLabeledGraph,
     build_grid,
     build_ring,
     mirror_join,
@@ -148,3 +149,11 @@ class TestSerialization:
     def test_errors_name_the_problem(self, text, fragment):
         with pytest.raises(GraphError, match=fragment):
             parse_graph(text)
+
+    @pytest.mark.parametrize("g", [PortLabeledGraph(()), PortLabeledGraph(((),))])
+    def test_fewer_than_two_nodes_refused(self, g):
+        # such a graph has no round trip: one node serializes as "1" and no
+        # adjacency line, which the parser rejects
+        assert validate(g) == ["a network needs at least two nodes"]
+        with pytest.raises(GraphError):
+            parse_graph(serialize_graph(g))
