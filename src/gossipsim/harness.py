@@ -103,7 +103,8 @@ def fuzz_config(
     domain = range(spec.id_low, spec.id_high + 1)
     if not anonymous:
         if len(domain) < k:
-            raise HarnessError("id domain smaller than k")
+            raise HarnessError(f"k={k} needs {k} distinct ids, but ids run from "
+                               f"{spec.id_low} to {spec.id_high}")
         idents = sorted(rng.sample(domain, k))
     else:
         idents = [None] * k

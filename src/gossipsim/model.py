@@ -2,9 +2,8 @@
 
 Whiteboards come in three classes: NW (no storage at all), CW (control
 data: traversal tables, link records, timer machinery) and FW (CW plus a
-gossip store).  NW boards reject every table write.  Only
-:func:`merge_gossip` writes a store, and only on FW boards; the fuzzer
-seeds garbage into FW stores only.
+gossip store).  Only :func:`merge_gossip` writes a store, and only on
+FW boards; the fuzzer seeds garbage into FW stores only.
 
 A :class:`Configuration` is a value and cloning is cheap.
 :func:`state_key` is the one place that lists which fields make up a
@@ -44,11 +43,6 @@ CW = "CW"
 FW = "FW"
 BOARD_CLASSES = (NW, CW, FW)
 
-# associative table defaults: a missing t_table row reads as True, a
-# missing link row reads as None (the paper's "bottom")
-T_TABLE_DEFAULT = True
-LINK_DEFAULT = None
-
 PROGRAM_DFT = "dft_kminus1"
 PROGRAM_FW_DFT = "fw_async_dft"
 PROGRAM_PATH_ENUM = "anon_path_enum"
@@ -84,10 +78,6 @@ def refusal(protocol: str, board: str, synchronous: bool, unsafe_async: bool) ->
 
 class ModelError(ValueError):
     pass
-
-
-class BoardClassError(ModelError):
-    """A write was attempted that the board's class forbids."""
 
 
 class Token(NamedTuple):
@@ -147,6 +137,14 @@ class Whiteboard:
     the value last given by :func:`set_timer` and ``timer_stamp`` the
     round clock at that write; read it with :func:`timer`.
 
+    ``t_table``, ``in_link`` and ``out_link`` map an agent id to its row.
+    A missing row reads as its table's default, True for the traversal
+    bit and None (the paper's ⊥) for a link, and no row ever stores it:
+    :func:`state_key` compares tables as sets of rows, so a stored default
+    would make equal states unequal.  The DFT protocols refuse NW boards
+    in ``visit``, and their timeout check never reaches one (``due_tick``
+    is None for it), so no NW board holds a row.
+
     Only the three row tables are mutable.  ``waiting`` and ``store`` are
     frozensets that a write replaces, never mutates, so a clone copies the
     tables and shares the sets."""
@@ -166,35 +164,6 @@ class Whiteboard:
         return Whiteboard(self.cls, dict(self.t_table), dict(self.in_link),
                           dict(self.out_link), self.min_id, self.wait_t, self.waiting,
                           self.timer_base, self.timer_stamp, self.store)
-
-
-_TABLES = {
-    "t_table": T_TABLE_DEFAULT,
-    "in_link": LINK_DEFAULT,
-    "out_link": LINK_DEFAULT,
-}
-
-
-def assoc_put(board: Whiteboard, table: str, ident: int, value) -> None:
-    """Store (ident, value), keeping at most one row per id.
-
-    Storing the table's default value removes the row (the default is
-    "considered to be stored" whenever no row is present).
-    """
-    if board.cls == NW:
-        raise BoardClassError("NW whiteboards reject all writes")
-    default = _TABLES[table]
-    mapping: dict = getattr(board, table)
-    if value == default:
-        mapping.pop(ident, None)
-    else:
-        mapping[ident] = value
-
-
-def assoc_get(board: Whiteboard, table: str, ident: int):
-    """Read a row; a missing row reads as the table's default."""
-    default = _TABLES[table]
-    return getattr(board, table).get(ident, default)
 
 
 @dataclass(slots=True)

@@ -25,14 +25,11 @@ from dataclasses import dataclass
 from .model import (
     CW,
     FW,
-    LINK_DEFAULT,
     NW,
     Agent,
     Configuration,
     ModelError,
     Whiteboard,
-    assoc_get,
-    assoc_put,
     set_timer,
     timer,
 )
@@ -108,12 +105,21 @@ def _passes_gate(cfg: Configuration, board, agent, meta: StepMeta, quiesce: bool
     return False
 
 
+def _mark(board: Whiteboard, i: int, bit: bool) -> None:
+    """Give id ``i``'s traversal-bit row ``bit``; True, the default, is
+    stored as no row."""
+    if bit:
+        board.t_table.pop(i, None)
+    else:
+        board.t_table[i] = False
+
+
 def _start_traversal(board, agent, v: int, idx: int) -> MoveIntent:
     """Begin a rooted traversal at ``v``: flip the traversal bit, mark
     ``v`` with it, and leave by port 0."""
     agent.t_bit = not agent.t_bit
-    assoc_put(board, "t_table", agent.ident, agent.t_bit)
-    assoc_put(board, "out_link", agent.ident, 0)
+    _mark(board, agent.ident, agent.t_bit)
+    board.out_link[agent.ident] = 0
     return MoveIntent(idx, v, 0, FORWARD, True)
 
 
@@ -121,9 +127,9 @@ def _leave_after(board, i: int, v: int, idx: int, a: int, deg: int) -> MoveInten
     """Leave ``v`` by the port after ``a``; at a leaf, back out by ``a``."""
     if deg >= 2:
         out = next_port(a, deg)
-        assoc_put(board, "out_link", i, out)
+        board.out_link[i] = out
         return MoveIntent(idx, v, out, FORWARD)
-    assoc_put(board, "in_link", i, LINK_DEFAULT)
+    board.in_link.pop(i, None)
     return MoveIntent(idx, v, a, BACKTRACK)
 
 
@@ -152,17 +158,17 @@ def visit(
     a = in_port
     meta = StepMeta()
 
-    if assoc_get(board, "t_table", i) != agent.t_bit:
+    if board.t_table.get(i, True) != agent.t_bit:
         # first visit of i at v in the current traversal
         agent.bounced = False
         meta.branch = "first_visit"
-        assoc_put(board, "t_table", i, agent.t_bit)
-        assoc_put(board, "in_link", i, a)
+        _mark(board, i, agent.t_bit)
+        board.in_link[i] = a
         if not _passes_gate(cfg, board, agent, meta, quiesce):
             return MoveIntent(idx, v, None), meta
         return _leave_after(board, i, v, idx, a, deg), meta
 
-    if assoc_get(board, "out_link", i) != a:
+    if board.out_link.get(i) != a:
         # pass-through: i reached an already-marked node off its out-edge
         if agent.bounced:
             # two pass-through backtracks in a row never happen in
@@ -180,22 +186,22 @@ def visit(
     agent.bounced = False
     nxt = next_port(a, deg)
 
-    if nxt == 0 and assoc_get(board, "in_link", i) == LINK_DEFAULT:
+    inl = board.in_link.get(i)
+    if nxt == 0 and inl is None:
         # v is the root of i's traversal and the traversal is complete
         meta.branch = "root_complete"
         if not _passes_gate(cfg, board, agent, meta, quiesce):
             return MoveIntent(idx, v, None), meta
         return _start_traversal(board, agent, v, idx), meta
 
-    if assoc_get(board, "in_link", i) == nxt:
+    if inl == nxt:
         # non-root subtree complete: unwind toward the parent
         meta.branch = "subtree_complete"
-        assoc_put(board, "in_link", i, LINK_DEFAULT)
-        assoc_put(board, "out_link", i, LINK_DEFAULT)
+        del board.in_link[i], board.out_link[i]  # both rows matched above
         return MoveIntent(idx, v, nxt, BACKTRACK), meta
 
     meta.branch = "advance"
-    assoc_put(board, "out_link", i, nxt)
+    board.out_link[i] = nxt
     return MoveIntent(idx, v, nxt, FORWARD), meta
 
 
@@ -252,8 +258,8 @@ def timeout_check_and_execute(cfg: Configuration, v: int) -> list[tuple[MoveInte
     agent.bounced = False
     deg = cfg.graph.degree(v)
     meta = StepMeta(released=True)
-    inl = assoc_get(board, "in_link", i)
-    if inl != LINK_DEFAULT and 0 <= inl < deg:
+    inl = board.in_link.get(i)
+    if inl is not None and 0 <= inl < deg:
         # v is not the root of i's traversal: resume mid-traversal
         meta.branch = "timeout_resume"
         return [(_leave_after(board, i, v, located, inl, deg), meta)]

@@ -59,7 +59,7 @@ ASYNC_SCRIPTED = "async_scripted"
 HALF = "half"
 FULL = "full"
 
-DEFAULT_FAIRNESS_WINDOW = 16
+FAIRNESS_WINDOW = 16
 
 _STEP_FNS = {
     PROGRAM_DFT: dft_agent_step,
@@ -77,7 +77,6 @@ class SchedulePolicy:
     kind: str = SYNC
     seed: int = 0
     script: tuple[int, ...] = ()
-    fairness_window: int = DEFAULT_FAIRNESS_WINDOW
 
 
 @dataclass(slots=True)
@@ -363,7 +362,7 @@ def _random_fair(k: int, seed: int, window: int) -> Iterator[int]:
 def _picks(policy: SchedulePolicy, k: int) -> Iterator[int | None]:
     """What each step under ``policy`` activates: None (a synchronous
     round) or one agent's index.  Raises :class:`SchedulerError` for an
-    unknown kind, a script index outside 0..k-1 or a window below 1."""
+    unknown kind or a script index outside 0..k-1."""
     kind = policy.kind
     if kind == SYNC:
         return repeat(None)
@@ -375,9 +374,7 @@ def _picks(policy: SchedulePolicy, k: int) -> Iterator[int | None]:
                 raise SchedulerError(f"script selects nonexistent agent {idx}")
         return iter(policy.script)
     if kind == ASYNC_RANDOM_FAIR:
-        if policy.fairness_window < 1:
-            raise SchedulerError(f"fairness window must be at least 1, got {policy.fairness_window}")
-        return _random_fair(k, policy.seed, policy.fairness_window)
+        return _random_fair(k, policy.seed, FAIRNESS_WINDOW)
     raise SchedulerError(f"unknown async policy {kind!r}")
 
 

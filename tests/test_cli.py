@@ -114,6 +114,12 @@ class TestMainExitCodes:
     def test_param_error(self, capsys):
         assert main(["run", "--graph", "ring:one"]) == EXIT_PARAM
 
+    def test_too_many_agents_for_the_id_domain(self, capsys):
+        assert main(["run", "--graph", "ring:3", "--k", "200"]) == EXIT_PARAM
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: k=200 needs 200 distinct ids, but ids run from 1 to 99\n"
+
     def test_scripted_without_script(self, capsys):
         code = main(["run", "--graph", "ring:4", "--protocol", "anon_path_enum",
                      "--board", "FW", "--schedule", "async_scripted"])

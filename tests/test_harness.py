@@ -38,6 +38,7 @@ from gossipsim.model import (
 from gossipsim.protocol_dft import BACKTRACK, FORWARD, MoveIntent
 from gossipsim.scheduler import FULL, HALF, RoundIndex, StepRecord, sync_round
 from gossipsim.topology import build_grid, build_ring, random_connected_graph
+from test_model import check_rows
 
 
 class TestFuzzConfig:
@@ -86,6 +87,14 @@ class TestFuzzConfig:
         g = build_ring(4)
         cfg = fuzz_config(g, 2, FuzzSpec(), seed=3, board_class=NW)
         assert all(b.t_table == {} and b.waiting == set() for b in cfg.boards)
+
+    def test_id_domain_smaller_than_k_refused(self):
+        spec = FuzzSpec(id_low=5, id_high=9)
+        with pytest.raises(HarnessError) as err:
+            fuzz_config(build_ring(4), 6, spec, seed=0)
+        assert str(err.value) == "k=6 needs 6 distinct ids, but ids run from 5 to 9"
+        # anonymous walkers draw no ids
+        assert fuzz_config(build_ring(4), 6, spec, seed=0, program=PROGRAM_PATH_ENUM).k == 6
 
     def test_anonymous_walkers(self):
         g = build_ring(4)
@@ -575,6 +584,7 @@ def test_mirror_start_holds_base_timers(monkeypatch):
     graph = build_grid(3, 3)
     w = witness_mirror(graph, 3, seed=4).join_node
     (_, base), (joined, _) = runs
+    check_rows(joined)
     assert base.ticks > 0 and joined.ticks == 0
     sources = base.boards + [b for v, b in enumerate(base.boards) if v != w]
     assert len(sources) == len(joined.boards)

@@ -8,7 +8,6 @@ from gossipsim.cli import load_graph
 from gossipsim.harness import CLEAN_SPEC, FuzzSpec, _park_for_good, fuzz_config
 from gossipsim.model import (
     Agent,
-    BoardClassError,
     CW,
     FW,
     PROGRAM_PATH_ENUM,
@@ -19,8 +18,6 @@ from gossipsim.model import (
     PathCursor,
     Token,
     Whiteboard,
-    assoc_get,
-    assoc_put,
     clean_board,
     default_timer_cap,
     fingerprint,
@@ -44,46 +41,27 @@ from gossipsim.scheduler import (
 from gossipsim.topology import build_grid, build_ring, random_connected_graph
 
 
-class TestAssocTables:
-    def test_missing_row_reads_default(self):
-        b = Whiteboard(cls=CW)
-        assert assoc_get(b, "t_table", 7) is True
-        assert assoc_get(b, "in_link", 7) is None
-        assert assoc_get(b, "out_link", 7) is None
+def check_rows(cfg: Configuration) -> None:
+    """Every row table is canonical: no row holds its table's default (a
+    True traversal bit, a None link), and NW boards hold no rows."""
+    for v, b in enumerate(cfg.boards):
+        assert True not in b.t_table.values(), (cfg.round, v, b.t_table)
+        assert None not in b.in_link.values(), (cfg.round, v, b.in_link)
+        assert None not in b.out_link.values(), (cfg.round, v, b.out_link)
+        assert b.cls != NW or not (b.t_table or b.in_link or b.out_link), (cfg.round, v)
 
-    def test_put_then_get(self):
-        b = Whiteboard(cls=CW)
-        assoc_put(b, "t_table", 3, False)
-        assoc_put(b, "out_link", 3, 2)
-        assert assoc_get(b, "t_table", 3) is False
-        assert assoc_get(b, "out_link", 3) == 2
 
-    def test_storing_default_removes_row(self):
-        b = Whiteboard(cls=CW)
-        assoc_put(b, "in_link", 5, 1)
-        assoc_put(b, "in_link", 5, None)
-        assert b.in_link == {}
-
-    def test_one_row_per_id(self):
-        b = Whiteboard(cls=CW)
-        assoc_put(b, "out_link", 4, 0)
-        assoc_put(b, "out_link", 4, 3)
-        assert b.out_link == {4: 3}
-
-    def test_nw_rejects_writes(self):
-        b = Whiteboard(cls=NW)
-        with pytest.raises(BoardClassError):
-            assoc_put(b, "t_table", 1, False)
-
-    @given(st.lists(st.tuples(st.integers(0, 9), st.booleans()), max_size=30))
-    def test_last_write_wins(self, writes):
-        b = Whiteboard(cls=CW)
-        shadow = {}
-        for ident, value in writes:
-            assoc_put(b, "t_table", ident, value)
-            shadow[ident] = value
-        for ident, value in shadow.items():
-            assert assoc_get(b, "t_table", ident) is value
+class TestCheckRows:
+    @pytest.mark.parametrize("cls, table, row", [
+        (CW, "t_table", True), (FW, "in_link", None), (CW, "out_link", None),
+        (NW, "t_table", False),
+    ])
+    def test_refuses_a_noncanonical_row(self, cls, table, row):
+        cfg = make_configuration(build_ring(3), [Agent(ident=1, pos=0)], cls)
+        check_rows(cfg)
+        getattr(cfg.boards[2], table)[1] = row
+        with pytest.raises(AssertionError):
+            check_rows(cfg)
 
 
 class TestConfiguration:
@@ -248,7 +226,7 @@ class TestStateKey:
     def test_board_change_detected(self):
         cfg = self._cfg()
         key = state_key(cfg)
-        assoc_put(cfg.boards[3], "t_table", 1, False)
+        cfg.boards[3].t_table[1] = False
         assert state_key(cfg) != key
 
     def test_clone_same_key(self):

@@ -3,9 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gossipsim.model import Agent, CW, FW, NW, assoc_get, make_configuration, set_timer, timer
+from gossipsim.model import Agent, CW, FW, NW, Whiteboard, make_configuration, set_timer, timer
 from gossipsim.protocol_dft import (
     ProtocolError,
+    _mark,
     dft_agent_step,
     due_tick,
     next_port,
@@ -37,6 +38,19 @@ class TestNextPort:
             next_port(3, 3)
 
 
+class TestMark:
+    @given(st.lists(st.tuples(st.integers(0, 9), st.booleans()), max_size=30))
+    def test_last_write_wins_and_true_is_no_row(self, writes):
+        board = Whiteboard(cls=CW)
+        shadow = {}
+        for ident, bit in writes:
+            _mark(board, ident, bit)
+            shadow[ident] = bit
+        assert board.t_table == {i: False for i, bit in shadow.items() if not bit}
+        for ident, bit in shadow.items():
+            assert board.t_table.get(ident, True) is bit
+
+
 class TestFirstVisit:
     def test_degree_one_fixture(self):
         # clean 2-node graph, agent 1 with t_bit false arrives at node 0
@@ -47,7 +61,7 @@ class TestFirstVisit:
         intent, meta = visit(cfg, 0, 0, 0)
         assert meta.branch == "first_visit"
         assert board.t_table == {1: False}
-        assert assoc_get(board, "in_link", 1) is None  # deg 1 resets it to bottom
+        assert board.in_link.get(1) is None  # deg 1 resets it to bottom
         assert board.min_id == 1
         assert board.wait_t == 5
         assert timer(cfg, board) == 0
@@ -115,7 +129,7 @@ class TestCompletion:
         assert intent.flipped
         assert cfg.agents[0].t_bit is True
         # the new mark equals the table default, so the row disappears
-        assert assoc_get(board, "t_table", 1) is True and board.t_table == {}
+        assert board.t_table.get(1, True) is True and board.t_table == {}
         assert board.out_link == {1: 0}
         assert board.wait_t == 9 and timer(cfg, board) == 0
         assert intent.via == 0

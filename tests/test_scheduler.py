@@ -45,13 +45,14 @@ from gossipsim.scheduler import (
     StepRecord,
     _below,
     _picks,
+    _random_fair,
     async_step,
     resolve_duplex,
     run,
     sync_round,
 )
 from gossipsim.topology import build_ring
-from test_model import ROUND_STARTS, small_cap
+from test_model import ROUND_STARTS, check_rows, small_cap
 
 
 def dft_cfg(positions_ids, n=4, cls=CW):
@@ -437,9 +438,8 @@ class TestAsyncPolicies:
     @given(st.integers(0, 2**31), st.integers(2, 5))
     @settings(max_examples=25, deadline=None)
     def test_random_fair_bounds_starvation(self, seed, k):
-        policy = SchedulePolicy(kind=ASYNC_RANDOM_FAIR, seed=seed, fairness_window=4)
         last_seen = [0] * k
-        for step, idx in enumerate(islice(_picks(policy, k), 399), start=1):
+        for step, idx in enumerate(islice(_random_fair(k, seed, 4), 399), start=1):
             assert step - last_seen[idx] <= k * 4
             last_seen[idx] = step
         assert set(range(k)) == {i for i in range(k) if last_seen[i] > 0}
@@ -458,6 +458,16 @@ class TestAsyncPolicies:
             with pytest.raises(ValueError):
                 _below(random.Random(0).getrandbits, n)
 
+    def test_random_fair_reads_the_window_constant(self, monkeypatch):
+        assert scheduler.FAIRNESS_WINDOW == 16  # the README's k·16
+        # at window 1 the bound binds within a few steps, so picks tell windows apart
+        monkeypatch.setattr(scheduler, "FAIRNESS_WINDOW", 1)
+        for seed in range(20):
+            policy = SchedulePolicy(kind=ASYNC_RANDOM_FAIR, seed=seed)
+            assert (list(islice(_picks(policy, 3), 60))
+                    == list(islice(_random_fair(3, seed, 1), 60))
+                    != list(islice(_random_fair(3, seed, 16), 60)))
+
     def test_random_fair_bound_holds_for_every_agent(self):
         # every agent runs within k * window steps of its last run (of the
         # start, before its first), also while agents that never ran tie
@@ -465,10 +475,9 @@ class TestAsyncPolicies:
             for window in range(1, 5):
                 bound = k * window
                 for seed in range(300):
-                    policy = SchedulePolicy(kind=ASYNC_RANDOM_FAIR, seed=seed,
-                                            fairness_window=window)
                     last_seen = [0] * k
-                    for step, idx in enumerate(islice(_picks(policy, k), 80), start=1):
+                    for step, idx in enumerate(islice(_random_fair(k, seed, window), 80),
+                                               start=1):
                         last_seen[idx] = step
                         assert step - min(last_seen) < bound, (k, window, seed, step)
 
@@ -504,8 +513,6 @@ class TestRun:
     @pytest.mark.parametrize("policy, message", [
         (SchedulePolicy(kind="bogus"), "unknown async policy 'bogus'"),
         (SchedulePolicy(kind=ASYNC_SCRIPTED, script=(0, 9)), "script selects nonexistent agent 9"),
-        (SchedulePolicy(kind=ASYNC_RANDOM_FAIR, fairness_window=0),
-         "fairness window must be at least 1, got 0"),
     ])
     def test_bad_policies_refused_before_the_first_step(self, policy, message, max_steps):
         cfg = walker_cfg([0, 3])
@@ -698,6 +705,7 @@ class TestLiteralSyncRound:
         index = RoundIndex(cfg)
         for _ in range(150):
             rec = sync_round(cfg, duplex, index)
+            check_rows(cfg)
             moves = [(m.agent, m.frm, m.via, m.to) for m in rec.moves if m.accepted]
             assert literal_sync_round(literal, duplex) == moves
             assert state_key(literal) == state_key(cfg)
@@ -734,6 +742,7 @@ class TestLiteralAsyncStep:
 
     @staticmethod
     def _check(cfg, policy, steps):
+        check_rows(cfg)
         fresh, literal, carried = cfg.clone(), cfg.clone(), cfg.clone()
         got = []
         # dft_kminus1 is timer-dependent, so its async run must be forced
@@ -746,6 +755,7 @@ class TestLiteralAsyncStep:
         for idx, line in zip(picks, got):
             assert _record_line(carried, async_step(carried, idx, index)) == line
             check_arrivals(carried, index)
+            check_rows(carried)
 
     @pytest.mark.parametrize("program, board_class", BOARDS)
     @pytest.mark.parametrize("kind", [ASYNC_ROUND_ROBIN, ASYNC_RANDOM_FAIR])
@@ -755,7 +765,7 @@ class TestLiteralAsyncStep:
         for seed, graph in enumerate(("ring:6", "grid:3x3", "random:8:3:5")):
             cfg = fuzz_config(load_graph(graph), 2 + seed, spec, seed,
                               board_class=board_class, program=program)
-            self._check(cfg, SchedulePolicy(kind=kind, seed=seed, fairness_window=2), 150)
+            self._check(cfg, SchedulePolicy(kind=kind, seed=seed), 150)
 
     @given(
         st.sampled_from(["ring:5", "grid:3x4", "random:7:2:3", "random:10:4:3"]),
