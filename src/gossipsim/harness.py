@@ -225,7 +225,9 @@ def _first_repeat(
     ``checkpoints`` holds (step, state) pairs in ascending step order, the
     first at or before every candidate.  One probe walks forward through
     the ascending candidates from each one's latest checkpoint, jumping to
-    a later checkpoint when that is closer; it calls no observer.
+    a later checkpoint when that is closer; it calls no observer.  With
+    :func:`detect_cycle`'s ladder a candidate c at step s lies fewer than
+    max(128, 2·(s - c)/3) rounds past its latest checkpoint.
     """
     probe = index = None
     probe_step = -1
@@ -262,21 +264,34 @@ def detect_cycle(
     agents the index records the round wrote (``index.boards`` and
     ``index.agents``) and from the round count, so no round re-encodes
     the whole state.  A fingerprint maps to its step, or to a list of
-    steps once it recurs.  A clone of the state is kept at step 0 and at
-    every power-of-two step.  Gossip sets only grow, so no state before a
-    merge that grew one (``index.grown`` moved) recurs after it: the index
-    of fingerprints then starts afresh and every checkpoint but the latest
-    one at or before that step is dropped.  Only then, and at step 0, can
-    gossip have completed, so only then is it checked.  When a
-    fingerprint recurs, each earlier step with that fingerprint is
+    steps once it recurs.
+
+    A clone of the state (a checkpoint) is taken at step 0, at every
+    power of two and at every multiple of 128.  The checkpoints form a
+    ladder relative to the current step: after each new one, a later
+    checkpoint t is dropped once the step is 4·lowbit(t) past it, where
+    lowbit(t) is the largest power of two dividing t.  The first
+    checkpoint, the anchor, is never dropped.  Gossip sets only grow, so
+    no state before a merge that grew one (``index.grown`` moved) recurs
+    after it: the index of fingerprints then starts afresh and every
+    checkpoint but the latest one at or before that step, the new
+    anchor, is dropped.  Only then, and at step 0, can gossip have
+    completed or settled, so only then are :func:`gossip_complete` and
+    :meth:`~gossipsim.scheduler.RoundIndex.settle` checked; once every
+    known set and FW store hold one value, no merge runs again.
+
+    When a fingerprint recurs, each earlier step with that fingerprint is
     re-simulated from its latest checkpoint and its :func:`state_key` is
     compared in full with a fresh :func:`state_key` of the current state,
     so the returned (prefix, period) pair is exact, not a fingerprint
     coincidence; a false hit (a collision) only lets the run go on.
     Without a false hit the re-simulation, which carries a fresh index
-    from the checkpoint, costs at most half the prefix in rounds.  Memory
-    is O(log rounds) clones, which share their gossip sets, plus the
-    per-round records.
+    from the checkpoint, costs fewer than max(128, 2·period/3) rounds: a
+    multiple t of the smallest power of two L >= max(128, period/3) lies
+    within L below the prefix, and the ladder keeps it (or an anchor after
+    it), since the step is less than period + L <= 4·L past it.  Memory
+    is at most 2·step.bit_length() + 2 clones (each lowbit keeps at most
+    two), which share their gossip sets, plus the per-round records.
 
     ``cfg`` is mutated and ends at step prefix + period, a state on the
     cycle; clone first to keep the start state.  ``observer(cfg, record)``
@@ -292,11 +307,14 @@ def detect_cycle(
     step = 0
     grown = -1  # step 0 starts afresh like a growth
     while True:
-        if step & (step - 1) == 0:  # 0 or a power of two
+        if step & (step - 1) == 0 or step % 128 == 0:  # 0, a power of two or 128·j
+            # the ladder: drop each checkpoint but the anchor once 4·lowbit old
+            checkpoints[1:] = [(t, c) for t, c in checkpoints[1:] if step - t < 4 * (t & -t)]
             checkpoints.append((step, cfg.clone()))
         if index.grown != grown:
             seen, grown = {}, index.grown
             del checkpoints[:-1]
+            index.settle(cfg)
             if gossip_step is None and gossip_complete(cfg):
                 gossip_step = step
         fp = fingerprint.update(index.boards, index.agents)

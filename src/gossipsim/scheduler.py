@@ -133,7 +133,11 @@ class RoundIndex:
     - ``arrivals``: the nodes an agent moved into since the last merge
       there; at build time every occupied node.  Known sets and stores
       grow only in merges, so the agents of an occupied node outside it
-      hold one known set, equal to the store on FW.
+      hold one known set, equal to the store on FW.  Empty for good once
+      ``settled``.
+    - ``settled``: set by :meth:`settle` once every known set and every
+      FW store hold one value.  No merge can then grow anything, so none
+      runs again: ``apply`` stops recording arrivals.
     - ``due_at``: node -> its :func:`~gossipsim.protocol_dft.due_tick`,
       for every board that has one, and ``due``: tick -> the nodes
       scheduled for it, stale entries (the node's ``due_at`` moved since)
@@ -150,8 +154,8 @@ class RoundIndex:
     - ``grown``: how many of its merges grew a known set or a store.
     """
 
-    __slots__ = ("groups", "waiting", "arrivals", "due_at", "due", "timed", "boards", "agents",
-                 "grown", "_rank")
+    __slots__ = ("groups", "waiting", "arrivals", "settled", "due_at", "due", "timed", "boards",
+                 "agents", "grown", "_rank")
 
     def __init__(self, cfg: Configuration):
         agents = cfg.agents
@@ -164,6 +168,7 @@ class RoundIndex:
         self.waiting = {idx for idx, a in enumerate(agents)
                         if a.program == PROGRAM_DFT and waits(cfg, a)}
         self.arrivals = set(self.groups)
+        self.settled = False
         self.due_at: dict[int, int] = {}
         self.due: dict[int, list[int]] = {}
         self.timed = any(a.program == PROGRAM_DFT for a in agents)
@@ -185,8 +190,24 @@ class RoundIndex:
 
     def pop_due(self, tick: int) -> list[int]:
         """The nodes due at ``tick``, ascending; forgets the tick's entries."""
+        nodes = self.due.pop(tick, None)
+        if nodes is None:
+            return []
         due_at = self.due_at
-        return sorted({v for v in self.due.pop(tick, ()) if due_at.get(v) == tick})
+        return sorted({v for v in nodes if due_at.get(v) == tick})
+
+    def settle(self, cfg: Configuration) -> bool:
+        """Set ``settled`` and clear ``arrivals`` if every agent's known
+        set and every FW store hold one value; return ``settled``.  Sets
+        change only in merges, and a merge of equal sets changes nothing,
+        so a settled run stays settled."""
+        if not self.settled:
+            sets = [a.known for a in cfg.agents]
+            sets += [b.store for b in cfg.boards if b.cls == FW]
+            if all(s == sets[0] for s in sets):
+                self.settled = True
+                self.arrivals.clear()
+        return self.settled
 
     def merge(self, cfg: Configuration, node: int) -> None:
         """Merge the gossip of the agents at occupied ``node``."""
@@ -213,7 +234,8 @@ class RoundIndex:
             group.append(idx)
             if len(group) > 1:
                 group.sort(key=self._rank.__getitem__)
-            self.arrivals.add(to)
+            if not self.settled:
+                self.arrivals.add(to)
         return intent
 
 
@@ -276,8 +298,12 @@ def sync_round(
     recorded nodes, then checks the nodes due at this round clock in
     ascending order, and reschedules those from the next one.  The moves
     are the intents :meth:`RoundIndex.apply` completes.  After them a merge
-    runs at each node in ``index.arrivals`` holding two or more agents, in
-    no set order: merges at different nodes commute.
+    runs at each accepted move's destination that is in ``index.arrivals``
+    and holds two or more agents, in move order: merges at different
+    nodes commute.  The steps' merges leave no group of two or more in
+    ``index.arrivals``, so no other node can need one.  A settled index
+    (:meth:`RoundIndex.settle`) records no arrival, so its rounds merge
+    nothing.
     """
     if index is None:
         index = RoundIndex(cfg)
@@ -319,9 +345,9 @@ def sync_round(
                 waiting.discard(intent.agent)
     accepted = resolve_duplex(cfg, intents, duplex)
     moves = [index.apply(cfg, intent, ok) for intent, ok in zip(intents, accepted)]
-    for node, members in groups.items():
-        if len(members) > 1 and node in arrivals:
-            index.merge(cfg, node)
+    for mv in moves:
+        if mv.accepted and mv.to in arrivals and len(groups[mv.to]) > 1:
+            index.merge(cfg, mv.to)
     rec = StepRecord(cfg.round, tuple(acting), moves, tuple(occupied), tuple(releases))
     cfg.round += 1
     cfg.ticks += 1

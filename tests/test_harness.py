@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gossipsim import harness, model
+from gossipsim import harness, model, scheduler
 from gossipsim.harness import (
     BUDGET,
     CLEAN_SPEC,
@@ -27,6 +27,7 @@ from gossipsim.model import (
     FW,
     NW,
     Fingerprint,
+    PROGRAM_FW_DFT,
     PROGRAM_PATH_ENUM,
     PathCursor,
     Token,
@@ -36,7 +37,15 @@ from gossipsim.model import (
     timer,
 )
 from gossipsim.protocol_dft import BACKTRACK, FORWARD, MoveIntent
-from gossipsim.scheduler import FULL, HALF, RoundIndex, StepRecord, sync_round
+from gossipsim.scheduler import (
+    ASYNC_RANDOM_FAIR,
+    FULL,
+    HALF,
+    RoundIndex,
+    SchedulePolicy,
+    StepRecord,
+    sync_round,
+)
 from gossipsim.topology import build_grid, build_ring, random_connected_graph
 from test_model import check_rows
 
@@ -320,6 +329,182 @@ class TestDetectCycleExactness:
         assert reps["clean random:3:99"].releases_in_cycle > 0
         assert reps["symmetry witness"].movers == (0, 1)
         assert reps["symmetry witness NW"].movers == (0, 1)
+
+    @pytest.mark.parametrize("case", ["grid:3x3 FW", "ring:3 k=4 FW grows"])
+    def test_no_merge_once_settled(self, case, collide, monkeypatch):
+        # once every known set and FW store hold one value, no merge of
+        # the run's own rounds runs again (a re-simulation's probe is a
+        # clone with an index of its own), and the report is unchanged
+        make, duplex, budget = EXACTNESS_CASES[case]
+        want = reference_detect(make(), duplex, budget=budget)
+        cfg = make()
+        merged = []
+        merge = scheduler.merge_gossip
+
+        def counting(c, node, idxs):
+            if c is cfg:
+                merged.append(c.round)
+            return merge(c, node, idxs)
+
+        monkeypatch.setattr(scheduler, "merge_gossip", counting)
+        uniform = [0] if one_gossip_value(cfg) else []
+
+        def watch(c, rec):
+            if not uniform and one_gossip_value(c):
+                uniform.append(rec.step + 1)
+
+        rep = detect_cycle(cfg, duplex, budget=budget, observer=watch)
+        assert summary(rep, cfg.k) == want
+        assert uniform and uniform[0] < len(rep.records)
+        assert merged and max(merged) < uniform[0]
+
+    def test_settle_never_fires_where_agents_never_meet(self, monkeypatch):
+        verdicts = []
+        settle = RoundIndex.settle
+
+        def recording(index, c):
+            verdicts.append(settle(index, c))
+            return verdicts[-1]
+
+        monkeypatch.setattr(RoundIndex, "settle", recording)
+        make, duplex, budget = EXACTNESS_CASES["symmetry witness NW"]
+        rep = detect_cycle(make(), duplex, budget=budget)
+        assert rep.status == CYCLE and verdicts == [False]
+
+
+def one_gossip_value(cfg):
+    """True iff every known set and every FW store of ``cfg`` are equal."""
+    sets = {a.known for a in cfg.agents} | {b.store for b in cfg.boards if b.cls == FW}
+    return len(sets) <= 1
+
+
+# grid:6x6 k=6 from a clean start: a run long enough for the ladder's
+# multiples of 128 to matter (pinned; the reference takes seconds here)
+LONG_CASE = (lambda: fuzz_config(build_grid(6, 6), 6, CLEAN_SPEC, 1), HALF, None)
+
+
+class TestCheckpointLadder:
+    """detect_cycle keeps a checkpoint at step 0, at every power of two
+    and at every multiple of 128, and drops a later one ``t`` once the
+    step is 4·lowbit(t) past it.  Confirming a repeat then re-simulates
+    fewer than max(128, 2·period/3) rounds from at most
+    2·step.bit_length() + 2 checkpoints."""
+
+    @staticmethod
+    def confirmations(make, duplex, budget, monkeypatch):
+        """detect_cycle's report from ``make()`` and, per ``_first_repeat``
+        call, (step, checkpoint steps, candidates, rounds re-simulated)."""
+        rounds, steps, calls = [0], [0], []
+        step_round = harness.sync_round
+        first_repeat = harness._first_repeat
+
+        def counting_round(*args):
+            rounds[0] += 1
+            return step_round(*args)
+
+        def counting(key, candidates, checkpoints, duplex):
+            before = rounds[0]
+            found = first_repeat(key, candidates, checkpoints, duplex)
+            calls.append((steps[0], [t for t, _ in checkpoints], list(candidates),
+                          rounds[0] - before))
+            return found
+
+        def watch(c, rec):
+            steps[0] += 1
+
+        monkeypatch.setattr(harness, "sync_round", counting_round)
+        monkeypatch.setattr(harness, "_first_repeat", counting)
+        return detect_cycle(make(), duplex, budget=budget, observer=watch), calls
+
+    @staticmethod
+    def check_bounds(rep, calls):
+        assert sum(rounds for *_, rounds in calls) < max(128, 2 * rep.period / 3)
+        for step, checkpoints, _, _ in calls:
+            assert len(checkpoints) <= 2 * step.bit_length() + 2
+
+    @pytest.mark.parametrize("case", sorted(EXACTNESS_CASES))
+    def test_bound(self, case, monkeypatch):
+        rep, calls = self.confirmations(*EXACTNESS_CASES[case], monkeypatch)
+        assert len(calls) == (rep.status == CYCLE)
+        self.check_bounds(rep, calls)
+
+    def test_bound_on_a_long_run(self, monkeypatch):
+        rep, calls = self.confirmations(*LONG_CASE, monkeypatch)
+        assert (rep.status, rep.prefix_len, rep.period) == (CYCLE, 985, 340)
+        self.check_bounds(rep, calls)
+        # the anchor at the last growth, then the ladder: 640 (lowbit 128)
+        # went at step 1152, 896 holds until step 1408; checkpoints at the
+        # powers of two alone would re-simulate 473 rounds from 512
+        (step, checkpoints, candidates, rounds), = calls
+        assert (step, candidates, rounds) == (1325, [985], 89)
+        assert checkpoints == [32, 512, 768, 896, 1024, 1152, 1280]
+
+    @pytest.mark.parametrize("case", sorted(EXACTNESS_CASES))
+    def test_every_candidate_near_a_checkpoint(self, case, monkeypatch):
+        # a fingerprint that never changes hands over every earlier step
+        # since the last growth, at every step but a growth's
+        monkeypatch.setattr(harness, "Fingerprint", ConstantFingerprint)
+        rep, calls = self.confirmations(*EXACTNESS_CASES[case], monkeypatch)
+        assert calls
+        for step, checkpoints, candidates, _ in calls:
+            assert candidates == list(range(candidates[0], step))
+            check_ladder(step, checkpoints, candidates[0])
+
+    def test_every_candidate_near_a_checkpoint_on_a_long_run(self, monkeypatch):
+        # as above, with a stand-in that answers from the pinned report
+        # instead of re-simulating every earlier step at every step
+        monkeypatch.setattr(harness, "Fingerprint", ConstantFingerprint)
+        handed = []
+
+        def pinned(key, candidates, checkpoints, duplex):
+            step = candidates[-1] + 1
+            handed.append(step)
+            check_ladder(step, [t for t, _ in checkpoints], candidates[0])
+            return 985 if step == 1325 else None
+
+        monkeypatch.setattr(harness, "_first_repeat", pinned)
+        make, duplex, budget = LONG_CASE
+        rep = detect_cycle(make(), duplex, budget=budget)
+        assert (rep.prefix_len, rep.period) == (985, 340)
+        # every step after the last growth hands over
+        assert handed[-1000:] == list(range(326, 1326))
+
+
+def check_ladder(step, checkpoints, first):
+    """``checkpoints`` (their steps) handed over at ``step`` number at most
+    2·step.bit_length() + 2, and every step c from ``first`` on lies fewer
+    than max(128, 2·(step - c)/3) steps past its latest checkpoint."""
+    assert len(checkpoints) <= 2 * step.bit_length() + 2
+    assert checkpoints == sorted(checkpoints) and checkpoints[0] <= first
+    # within a gap between checkpoints the last step is the farthest
+    for t, c in zip(checkpoints, [u - 1 for u in checkpoints[1:]] + [step - 1]):
+        if c >= first:
+            assert c - t < max(128, 2 * (step - c) / 3), (step, t, c)
+
+
+class TestHookPoints:
+    """The benchmark hooks a run's rounds through module globals: the
+    cycle detector's through ``harness.sync_round`` and an asynchronous
+    run's through ``scheduler.async_step``.  A loop that bound either
+    locally would run unobserved."""
+
+    class Hooked(Exception):
+        pass
+
+    def hooked(self, *args):
+        raise self.Hooked
+
+    def test_detect_cycle_rounds_through_harness_global(self, monkeypatch):
+        monkeypatch.setattr(harness, "sync_round", self.hooked)
+        with pytest.raises(self.Hooked):
+            detect_cycle(fuzz_config(build_ring(4), 2, CLEAN_SPEC, 0))
+
+    def test_run_steps_through_scheduler_global(self, monkeypatch):
+        monkeypatch.setattr(scheduler, "async_step", self.hooked)
+        cfg = fuzz_config(build_ring(4), 2, FuzzSpec(), 0, board_class=FW,
+                          program=PROGRAM_FW_DFT)
+        with pytest.raises(self.Hooked):
+            scheduler.run(cfg, SchedulePolicy(kind=ASYNC_RANDOM_FAIR), stop=gossip_complete)
 
 
 class TestGrowthRestart:

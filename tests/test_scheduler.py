@@ -31,7 +31,7 @@ from gossipsim.model import (
     state_key,
     timer,
 )
-from gossipsim.protocol_dft import MoveIntent, timeout_check_and_execute
+from gossipsim.protocol_dft import FORWARD, MoveIntent, timeout_check_and_execute
 from gossipsim.scheduler import (
     ASYNC_RANDOM_FAIR,
     ASYNC_ROUND_ROBIN,
@@ -281,6 +281,57 @@ class TestRoundIndex:
                 assert index.grown == len(first)
                 assert rec.merges == (0, 2) and crowded(index.groups) == (0,)
                 assert rec.acting == (0, 1, 2)
+
+    def test_settle_refuses_while_any_set_differs(self):
+        # two FW agents merged at node 0: their known sets and node 0's
+        # store are equal, the stores of the empty nodes 1-3 are not
+        cfg = dft_cfg([(1, 0), (2, 0)], cls=FW)
+        index = RoundIndex(cfg)
+        merge_gossip(cfg, 0, [0, 1])
+        union = cfg.agents[0].known
+        assert cfg.agents[1].known == cfg.boards[0].store == union
+        assert not index.settle(cfg)
+        for board in cfg.boards[1:3]:
+            board.store = union
+        assert not index.settle(cfg) and not index.settled
+        cfg.boards[3].store = frozenset(union)  # equal, another object
+        assert index.settle(cfg) and index.settled and index.arrivals == set()
+        # on CW only the agents' sets count
+        cfg = dft_cfg([(1, 0), (2, 2)])
+        index = RoundIndex(cfg)
+        assert not index.settle(cfg) and index.arrivals == {0, 2}
+        cfg.agents[0].known = cfg.agents[1].known = cfg.agents[0].known | cfg.agents[1].known
+        assert index.settle(cfg)
+
+    def test_settled_apply_adds_no_arrival(self, monkeypatch):
+        merged = self._count_merges(monkeypatch)
+        cfg = dft_cfg([(1, 0), (2, 1)])
+        cfg.agents[0].known = cfg.agents[1].known = frozenset(cfg.genuine.values())
+        index = RoundIndex(cfg)
+        assert index.settle(cfg)
+        for _ in range(5):
+            rec = sync_round(cfg, HALF, index)
+        # they meet at node 1 in the fifth round, as in test_met_group_not_merged_again
+        assert crowded(index.groups) == (1,) and [mv.to for mv in rec.moves] == [1, 1]
+        assert index.arrivals == set() and merged == []
+        intent = MoveIntent(0, 1, 0, FORWARD)
+        index.apply(cfg, intent, True)
+        assert intent.accepted and index.arrivals == set() and merged == []
+
+    def test_pop_due_of_an_empty_tick(self):
+        index = RoundIndex(dft_cfg([(1, 0), (2, 0)]))
+        index.due, index.due_at = {5: [1]}, {1: 5}
+        assert index.pop_due(3) == []
+        assert index.due == {5: [1]} and index.due_at == {1: 5}
+
+    def test_pop_due_of_stale_entries_only(self):
+        cfg = dft_cfg([(1, 0), (2, 0)])
+        index = RoundIndex(cfg)
+        index.due = {7: [0, 2], 9: [1]}
+        index.due_at = {0: 9, 1: 9}  # node 0 moved to tick 9, node 2 is due never
+        assert index.pop_due(7) == []
+        assert index.due == {9: [1]} and index.due_at == {0: 9, 1: 9}
+        assert index.pop_due(9) == [1]
 
     @pytest.mark.parametrize("case", sorted(ROUND_STARTS))
     def test_record_names_the_written_boards(self, case, monkeypatch):
