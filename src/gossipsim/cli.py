@@ -38,6 +38,7 @@ import sys
 from contextlib import ExitStack
 from dataclasses import asdict
 from functools import cache, partial
+from itertools import count
 
 from .harness import (
     CLEAN_SPEC,
@@ -141,9 +142,11 @@ def check_params(args) -> None:
 
 
 def _trace_observer(fh):
+    steps = count()  # a CLI run starts from a fresh configuration
+
     def observer(cfg, rec):
         line = {
-            "step": rec.step,
+            "step": next(steps),
             "acting": list(rec.acting),
             "moves": [
                 {

@@ -225,7 +225,8 @@ def _first_repeat(
     ``checkpoints`` holds (step, state) pairs in ascending step order, the
     first at or before every candidate.  One probe walks forward through
     the ascending candidates from each one's latest checkpoint, jumping to
-    a later checkpoint when that is closer; it calls no observer.  With
+    a later checkpoint when that is closer, with a fresh index, settled
+    when the checkpoint's gossip is; it calls no observer.  With
     :func:`detect_cycle`'s ladder a candidate c at step s lies fewer than
     max(128, 2·(s - c)/3) rounds past its latest checkpoint.
     """
@@ -277,8 +278,8 @@ def detect_cycle(
     checkpoint but the latest one at or before that step, the new
     anchor, is dropped.  Only then, and at step 0, can gossip have
     completed or settled, so only then are :func:`gossip_complete` and
-    :meth:`~gossipsim.scheduler.RoundIndex.settle` checked; once every
-    known set and FW store hold one value, no merge runs again.
+    :meth:`~gossipsim.scheduler.RoundIndex.settle` (also run by the
+    index's build) checked; once gossip has settled, no merge runs again.
 
     When a fingerprint recurs, each earlier step with that fingerprint is
     re-simulated from its latest checkpoint and its :func:`state_key` is

@@ -7,7 +7,7 @@ FW boards; the fuzzer seeds garbage into FW stores only.
 
 A :class:`Configuration` is a value and cloning is cheap.
 :func:`state_key` is the one place that lists which fields make up a
-configuration's state.  It leaves out the round counter and the run
+configuration's state.  It leaves out the round clock and the run
 constants, so two configurations of one run hold the same state exactly
 when their keys are equal.  :func:`snapshot_hash` is a digest of the key
 that does not depend on ``PYTHONHASHSEED``.
@@ -168,16 +168,13 @@ class Whiteboard:
 
 @dataclass(slots=True)
 class Configuration:
-    """Graph + all agents + all whiteboards + run parameters.
-
-    ``round`` counts steps of either kind; ``ticks`` counts synchronous
-    rounds only, and is the clock the board timers are read against.
-    """
+    """Graph, agents and whiteboards, the round clock ``ticks`` (the
+    synchronous rounds, which board timers are read against) and run
+    constants."""
 
     graph: PortLabeledGraph
     agents: list[Agent]
     boards: list[Whiteboard]
-    round: int = 0
     ticks: int = 0
     timer_cap: int = 0
     genuine: dict[int, Token] = field(default_factory=dict)
@@ -192,7 +189,7 @@ class Configuration:
         and ``genuine`` (never written after :func:`make_configuration`)
         included."""
         return Configuration(self.graph, [a.clone() for a in self.agents],
-                             [b.clone() for b in self.boards], self.round, self.ticks,
+                             [b.clone() for b in self.boards], self.ticks,
                              self.timer_cap, self.genuine)
 
 
@@ -350,9 +347,9 @@ def state_key(cfg: Configuration) -> tuple:
 
     Left out, because they do not belong to the state:
 
-    - ``round`` advances every round; with it no state could repeat.
-    - ``ticks`` advances every synchronous round for the same reason; it
-      enters the key only through the timer values read against it.
+    - ``ticks`` advances every synchronous round, so with it no state
+      could repeat; it enters the key only through the timer values read
+      against it.
     - ``graph`` is immutable and shared by every configuration of a run.
     - ``timer_cap`` is a run constant, set when the configuration is made
       and never written by a step.

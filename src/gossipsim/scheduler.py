@@ -81,12 +81,11 @@ class SchedulePolicy:
 
 @dataclass(slots=True)
 class StepRecord:
-    """What one round or step did; the trace, the cycle report and the
-    bound audit read its fields.  Its moves are the protocol's intents,
-    completed by :meth:`RoundIndex.apply`; ``releases`` is filled by
-    synchronous rounds only."""
+    """What one round or step did, its step being its position in its run;
+    the trace, the cycle report and the bound audit read its fields.  Its
+    moves are the protocol's intents, completed by :meth:`RoundIndex.apply`;
+    ``releases`` is filled by synchronous rounds only."""
 
-    step: int
     acting: tuple[int, ...]
     moves: list[MoveIntent] = field(default_factory=list)
     merges: tuple[int, ...] = ()
@@ -135,9 +134,10 @@ class RoundIndex:
       grow only in merges, so the agents of an occupied node outside it
       hold one known set, equal to the store on FW.  Empty for good once
       ``settled``.
-    - ``settled``: set by :meth:`settle` once every known set and every
-      FW store hold one value.  No merge can then grow anything, so none
-      runs again: ``apply`` stops recording arrivals.
+    - ``settled``: set by :meth:`settle`, which the build calls, once
+      every known set and every FW store hold one value.  No merge can
+      then grow anything, so none runs again: ``apply`` stops recording
+      arrivals.
     - ``due_at``: node -> its :func:`~gossipsim.protocol_dft.due_tick`,
       for every board that has one, and ``due``: tick -> the nodes
       scheduled for it, stale entries (the node's ``due_at`` moved since)
@@ -178,6 +178,7 @@ class RoundIndex:
         if self.timed:
             for v in range(len(cfg.boards)):
                 self.schedule(cfg, v)
+        self.settle(cfg)
 
     def schedule(self, cfg: Configuration, v: int) -> None:
         """Record node ``v``'s due tick, read at the current round clock."""
@@ -348,12 +349,10 @@ def sync_round(
     for mv in moves:
         if mv.accepted and mv.to in arrivals and len(groups[mv.to]) > 1:
             index.merge(cfg, mv.to)
-    rec = StepRecord(cfg.round, tuple(acting), moves, tuple(occupied), tuple(releases))
-    cfg.round += 1
     cfg.ticks += 1
     for node in due:
         index.schedule(cfg, node)
-    return rec
+    return StepRecord(tuple(acting), moves, tuple(occupied), tuple(releases))
 
 
 def _below(getrandbits, n: int) -> int:
@@ -418,13 +417,10 @@ def async_step(cfg: Configuration, idx: int, index: RoundIndex | None = None) ->
         index.merge(cfg, pos)
     intent, _ = _STEP_FNS[agent.program](cfg, idx)
     if intent.stay:
-        rec = StepRecord(cfg.round, (idx,), merges=(pos,))
-    else:
-        index.apply(cfg, intent, True)
-        index.merge(cfg, intent.to)
-        rec = StepRecord(cfg.round, (idx,), [intent], (pos, intent.to))
-    cfg.round += 1
-    return rec
+        return StepRecord((idx,), merges=(pos,))
+    index.apply(cfg, intent, True)
+    index.merge(cfg, intent.to)
+    return StepRecord((idx,), [intent], (pos, intent.to))
 
 
 def run(

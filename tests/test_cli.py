@@ -159,6 +159,8 @@ class TestMainExitCodes:
             ["fuzz", "--graph", "ring:4", "--seeds", "5:2"],
             ["fuzz", "--graph", "ring:4", "--seeds", "2:2"],
             ["fuzz", "--graph", "ring:4", "--seeds", "0:2", "--jobs", "0"],
+            ["fuzz", "--graph", "ring:4", "--seeds", "a:b"],
+            ["run", "--graph", "random:1"],
             # usage errors: exit 5, not argparse's 2
             ["run", "--graph", "ring:4", "--duplex", "weird"],
             ["run", "--graph", "ring:4", "--k", "x"],
@@ -205,6 +207,10 @@ class TestMainExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")
         assert not any(tmp_path.iterdir())
+
+    def test_unparsable_seeds_named(self, capsys):
+        assert main(["fuzz", "--graph", "ring:4", "--seeds", "a:b"]) == EXIT_PARAM
+        assert capsys.readouterr().err.startswith("error: bad --seeds 'a:b'")
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as stop:

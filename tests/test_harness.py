@@ -92,6 +92,10 @@ class TestFuzzConfig:
         cfg = fuzz_config(g, 3, replace(FuzzSpec(), placement=CLUSTERED), seed=4)
         assert len({a.pos for a in cfg.agents}) == 1
 
+    def test_unknown_placement_refused(self):
+        with pytest.raises(HarnessError, match="unknown placement 'ring'"):
+            fuzz_config(build_ring(4), 2, FuzzSpec(placement="ring"), seed=0)
+
     def test_nw_boards_stay_empty(self):
         g = build_ring(4)
         cfg = fuzz_config(g, 2, FuzzSpec(), seed=3, board_class=NW)
@@ -228,7 +232,7 @@ def reference_detect(cfg, duplex=HALF, *, budget=None):
 def flip_steps(records, k):
     """Per agent index below ``k``: the steps of its accepted moves that
     flip its traversal bit."""
-    return {i: tuple(r.step for r in records for mv in r.moves
+    return {i: tuple(step for step, r in enumerate(records) for mv in r.moves
                      if mv.agent == i and mv.flipped and mv.accepted)
             for i in range(k)}
 
@@ -311,11 +315,12 @@ class TestDetectCycleExactness:
         observed = []
         cfg = make()
         rep = detect_cycle(cfg, duplex, budget=budget,
-                           observer=lambda c, rec: observed.append((rec.step, state_key(c))))
+                           observer=lambda c, rec: observed.append((rec, state_key(c))))
         assert summary(rep, cfg.k) == want
-        # the observer sees each round once, in order, and the run ends
-        # on the state it first reached at step prefix_len
-        assert [step for step, _ in observed] == list(range(len(rep.records)))
+        # the observer sees each round's record once, in order, and the
+        # run ends on the state it first reached at step prefix_len
+        assert len(observed) == len(rep.records)
+        assert all(rec is kept for (rec, _), kept in zip(observed, rep.records))
         assert len(observed) == rep.prefix_len + rep.period
         assert observed[-1][1] == state_key(cfg)
         if rep.status == CYCLE and rep.prefix_len:
@@ -339,19 +344,21 @@ class TestDetectCycleExactness:
         want = reference_detect(make(), duplex, budget=budget)
         cfg = make()
         merged = []
+        steps = [0]  # rounds completed
         merge = scheduler.merge_gossip
 
         def counting(c, node, idxs):
             if c is cfg:
-                merged.append(c.round)
+                merged.append(steps[0])
             return merge(c, node, idxs)
 
         monkeypatch.setattr(scheduler, "merge_gossip", counting)
         uniform = [0] if one_gossip_value(cfg) else []
 
         def watch(c, rec):
+            steps[0] += 1
             if not uniform and one_gossip_value(c):
-                uniform.append(rec.step + 1)
+                uniform.append(steps[0])
 
         rep = detect_cycle(cfg, duplex, budget=budget, observer=watch)
         assert summary(rep, cfg.k) == want
@@ -369,7 +376,38 @@ class TestDetectCycleExactness:
         monkeypatch.setattr(RoundIndex, "settle", recording)
         make, duplex, budget = EXACTNESS_CASES["symmetry witness NW"]
         rep = detect_cycle(make(), duplex, budget=budget)
-        assert rep.status == CYCLE and verdicts == [False]
+        # the detector's index build, its check at step 0 (no set grows
+        # later) and the build of the one re-simulation's index
+        assert rep.status == CYCLE and verdicts == [False, False, False]
+
+    @pytest.mark.parametrize("case, want", [
+        ("grid:3x3 FW", 0), ("clean random:3:99", 0),
+        # these probes start from a checkpoint taken before gossip settled
+        ("ring:3 k=3 grows", 1), ("ring:3 k=4 FW grows", 4),
+    ])
+    def test_probe_merges_only_unsettled_gossip(self, case, want, monkeypatch):
+        # a re-simulation's index is built settled from settled gossip, so
+        # its rounds merge nothing the detector's own would not
+        probing, merged = [False], []
+        first_repeat, merge = harness._first_repeat, scheduler.merge_gossip
+
+        def probe(*args):
+            probing[0] = True
+            try:
+                return first_repeat(*args)
+            finally:
+                probing[0] = False
+
+        def counting(c, node, idxs):
+            if probing[0]:
+                merged.append(node)
+            return merge(c, node, idxs)
+
+        monkeypatch.setattr(harness, "_first_repeat", probe)
+        monkeypatch.setattr(scheduler, "merge_gossip", counting)
+        make, duplex, budget = EXACTNESS_CASES[case]
+        rep = detect_cycle(make(), duplex, budget=budget)
+        assert rep.status == CYCLE and len(merged) == want
 
 
 def one_gossip_value(cfg):
@@ -562,14 +600,19 @@ class TestGrowthRestart:
         cfg = make()
         growths, watch = growth_watch(cfg)
         checked = []
+        steps = [0]  # rounds completed
         complete = harness.gossip_complete
 
         def counting(c):
-            checked.append(c.round)
+            checked.append(steps[0])
             return complete(c)
 
+        def counting_rounds(c, rec):
+            steps[0] += 1
+            watch(c, rec)
+
         monkeypatch.setattr(harness, "gossip_complete", counting)
-        rep = detect_cycle(cfg, duplex, budget=budget, observer=watch)
+        rep = detect_cycle(cfg, duplex, budget=budget, observer=counting_rounds)
         done = rep.gossip_step
         assert checked == [g for g in growths if done is None or g <= done]
 
@@ -587,7 +630,7 @@ def growth_watch(cfg):
     def watch(c, rec):
         sizes.append(gossip_size(c))
         if sizes[-1] != sizes[-2]:
-            growths.append(rec.step + 1)
+            growths.append(len(sizes) - 1)
 
     return growths, watch
 
@@ -671,7 +714,7 @@ def bound_records(segments_by_agent, lead=0):
             kinds += [(kind, j == 0) for j, kind in enumerate([FORWARD] * fwd + [BACKTRACK] * back)]
         kinds.append((FORWARD, True))
         moves += [MoveIntent(agent, 0, 0, kind, flip, to=1, accepted=True) for kind, flip in kinds]
-    return [StepRecord(step=j, acting=(mv.agent,), moves=[mv]) for j, mv in enumerate(moves)]
+    return [StepRecord(acting=(mv.agent,), moves=[mv]) for mv in moves]
 
 
 class TestAuditMoveBounds:
@@ -684,7 +727,7 @@ class TestAuditMoveBounds:
         records = bound_records({0: [(7, 6), (3, 2)], 1: [(0, 6)]}, lead=20)
         # a rejected move neither counts nor flips, even inside a segment
         records.insert(len(records) - 2, StepRecord(
-            step=99, acting=(1,), moves=[MoveIntent(1, 0, 0, FORWARD, True, to=1, accepted=False)]))
+            acting=(1,), moves=[MoveIntent(1, 0, 0, FORWARD, True, to=1, accepted=False)]))
         report = audit_move_bounds(records, g)
         assert report.ok and report.segments_checked == 3
         assert (report.fwd_max, report.back_max) == (7, 6)

@@ -106,7 +106,7 @@ class TestSyncRound:
         g = build_ring(3)
         cfg = make_configuration(g, [], CW)
         rec = sync_round(cfg)
-        assert cfg.round == 1
+        assert cfg.ticks == 1
         assert all(timer(cfg, b) == 1 for b in cfg.boards)
         assert rec.moves == [] and rec.acting == ()
 
@@ -212,7 +212,7 @@ def check_arrivals(cfg, index: RoundIndex) -> None:
         sets = {frozenset(cfg.agents[i].known) for i in group_at(cfg, node)}
         if cfg.boards[node].cls == FW:
             sets.add(frozenset(cfg.boards[node].store))
-        assert len(sets) == 1, (cfg.round, node)
+        assert len(sets) == 1, node
 
 
 class TestRoundIndex:
@@ -302,6 +302,20 @@ class TestRoundIndex:
         assert not index.settle(cfg) and index.arrivals == {0, 2}
         cfg.agents[0].known = cfg.agents[1].known = cfg.agents[0].known | cfg.agents[1].known
         assert index.settle(cfg)
+
+    def test_build_settles(self):
+        # a start whose known sets and FW stores hold one value builds a
+        # settled index with no arrivals; one whose sets differ does not
+        cfg = dft_cfg([(1, 0), (2, 2)], cls=FW)
+        union = frozenset(cfg.genuine.values())
+        cfg.agents[0].known = cfg.agents[1].known = union
+        for board in cfg.boards:
+            board.store = union
+        index = RoundIndex(cfg)
+        assert index.settled and index.arrivals == set()
+        cfg.boards[3].store = frozenset()
+        index = RoundIndex(cfg)
+        assert not index.settled and index.arrivals == {0, 2}
 
     def test_settled_apply_adds_no_arrival(self, monkeypatch):
         merged = self._count_merges(monkeypatch)
@@ -609,8 +623,8 @@ class TestRun:
         cfg = walker_cfg([0, 3])
         seen = []
         run(cfg, SchedulePolicy(kind=ASYNC_ROUND_ROBIN), max_steps=9,
-            observer=lambda c, rec: seen.append(rec.step))
-        assert seen == list(range(9))
+            observer=lambda c, rec: seen.append(rec.acting))
+        assert seen == [(0,), (1,)] * 4 + [(0,)]
 
     def test_async_gossip_eventually_meets(self):
         cfg = walker_cfg([0, 3])
@@ -621,14 +635,15 @@ class TestRun:
         assert trace.status == "met"
 
 
-def _record_line(cfg, rec, branch=None) -> str:
-    """Every StepRecord field, every field of its moves with ``branch``,
-    the branch of the step that made them, and the snapshot hash of
-    ``cfg`` after the step.  The pinned layout has a sixth field that
-    asynchronous steps leave empty: ``()``."""
+def _record_line(step, cfg, rec, branch=None) -> str:
+    """The record's position ``step`` in its run, every StepRecord field,
+    every field of its moves with ``branch``, the branch of the step that
+    made them, and the snapshot hash of ``cfg`` after the step.  The
+    pinned layout has a sixth field that asynchronous steps leave empty:
+    ``()``."""
     moves = tuple((m.agent, m.frm, m.via, m.to, m.accepted, m.kind, branch, m.flipped)
                   for m in rec.moves)
-    return repr((rec.step, rec.acting, moves, rec.merges, rec.releases, (),
+    return repr((step, rec.acting, moves, rec.merges, rec.releases, (),
                  snapshot_hash(cfg)))
 
 
@@ -648,7 +663,7 @@ def _async_lines(cfg, policy):
         return caught
 
     def observe(c, rec):
-        lines.append(_record_line(c, rec, branches.pop()))
+        lines.append(_record_line(len(lines), c, rec, branches.pop()))
 
     scheduler._STEP_FNS.update((program, catching(step)) for program, step in saved.items())
     try:
@@ -727,7 +742,6 @@ def literal_sync_round(cfg, duplex):
         here = group_at(cfg, node)
         if len(here) >= 2:
             merge_gossip(cfg, node, here)
-    cfg.round += 1
     cfg.ticks += 1
     return moves
 
@@ -771,7 +785,7 @@ def literal_async_step(cfg, idx):
     frm = agent.pos
     merge_gossip(cfg, frm, group_at(cfg, frm))
     intent, _ = scheduler._STEP_FNS[agent.program](cfg, idx)
-    rec = StepRecord(cfg.round, (idx,), merges=(frm,))
+    rec = StepRecord((idx,), merges=(frm,))
     if not intent.stay:
         to, port = cfg.graph.neighbor(intent.frm, intent.via)
         agent.pos, agent.arrival_port, agent.last_move_accepted = to, port, True
@@ -779,7 +793,6 @@ def literal_async_step(cfg, idx):
         intent.to, intent.accepted = to, True
         rec.moves = [intent]
         rec.merges = (frm, to)
-    cfg.round += 1
     return rec
 
 
@@ -798,13 +811,15 @@ class TestLiteralAsyncStep:
         got = []
         # dft_kminus1 is timer-dependent, so its async run must be forced
         run(cfg, policy, max_steps=steps, unsafe_async=True,
-            observer=lambda c, rec: got.append(_record_line(c, rec)))
+            observer=lambda c, rec: got.append(_record_line(len(got), c, rec)))
         picks = list(islice(_picks(policy, cfg.k), steps))
-        assert got == [_record_line(fresh, async_step(fresh, idx)) for idx in picks]
-        assert got == [_record_line(literal, literal_async_step(literal, idx)) for idx in picks]
+        assert got == [_record_line(j, fresh, async_step(fresh, idx))
+                       for j, idx in enumerate(picks)]
+        assert got == [_record_line(j, literal, literal_async_step(literal, idx))
+                       for j, idx in enumerate(picks)]
         index = RoundIndex(carried)
-        for idx, line in zip(picks, got):
-            assert _record_line(carried, async_step(carried, idx, index)) == line
+        for j, (idx, line) in enumerate(zip(picks, got)):
+            assert _record_line(j, carried, async_step(carried, idx, index)) == line
             check_arrivals(carried, index)
             check_rows(carried)
 

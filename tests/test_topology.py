@@ -142,6 +142,9 @@ class TestSerialization:
             ("2\n0:1:0 0:1:0\n0:0:0\n", "duplicate port 0 at node 0"),
             ("2\n1:1:0\n0:0:1\n", "port gap at node 0: missing port 0"),
             ("2\nnope\n0:0:0\n", "malformed triple"),
+            ("2\n0:x:1\n0:0:0\n", "node 0: malformed triple '0:x:1'"),
+            ("2\n0:5:0\n0:0:0\n", "node 0 port 0 points at missing node 5"),
+            ("2\n0:1:3\n0:0:0\n", "node 0 port 0: peer node 1 has no port 3"),
             ("2\n0:1:0\n0:1:0\n", "involution broken"),
             ("4\n0:1:0\n0:0:0\n0:3:0\n0:2:0\n", "disconnected"),
         ],
