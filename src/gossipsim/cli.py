@@ -368,7 +368,7 @@ def main(argv=None) -> int:
     except (HarnessError, ModelError, GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAM
-    except AssertionError as exc:  # pragma: no cover - internal bug surface
+    except AssertionError as exc:
         print(f"internal assertion failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -494,10 +494,7 @@ def witness_mirror(graph: PortLabeledGraph, k: int, seed: int = 0) -> MirrorRepo
         raise HarnessError("base system failed to converge")
 
     occupied = {a.pos for a in base.agents}
-    free = [v for v in range(n) if v not in occupied]
-    if not free:
-        raise HarnessError("no agent-free node to join at")
-    w = free[0]
+    w = next(v for v in range(n) if v not in occupied)  # k < n agents leave one free
 
     offset = k
     # fresh gossip: make_configuration gives each agent its own token only

@@ -206,12 +206,13 @@ def visit(
 
 
 def due_tick(cfg: Configuration, board: Whiteboard) -> int | None:
-    """The first round clock value, from ``cfg.ticks`` on, at which
-    :func:`release_due` holds if nobody writes the board, or None if it
-    never will.  NW boards hold no timer machinery and are never due; a
-    board without a waiter is not due; a timer that has reached the
-    recorded traversal time is due now, and one still ticking toward a
-    traversal time within the cap is due when it gets there."""
+    """The first round clock value, from ``cfg.ticks`` on, at which the
+    timeout release is due if nobody writes the board, or None if it
+    never will; the release is due now exactly when this is ``cfg.ticks``.
+    NW boards hold no timer machinery and are never due; a board without
+    a waiter is not due; a timer that has reached the recorded traversal
+    time is due now, and one still ticking toward a traversal time within
+    the cap is due when it gets there."""
     if board.cls == NW or not board.waiting:
         return None
     t = timer(cfg, board)
@@ -222,15 +223,10 @@ def due_tick(cfg: Configuration, board: Whiteboard) -> int | None:
     return None
 
 
-def release_due(cfg: Configuration, board: Whiteboard) -> bool:
-    """The timeout release condition: the board has a waiter and its
-    count-up timer has reached the recorded traversal time."""
-    return due_tick(cfg, board) == cfg.ticks
-
-
 def timeout_check_and_execute(cfg: Configuration, v: int) -> list[tuple[MoveIntent, StepMeta]]:
-    """Per-round node behavior after visits: when :func:`release_due`
-    holds at ``v``, release its smallest waiting id and restart the timer.
+    """Per-round node behavior after visits: when ``v``'s :func:`due_tick`
+    is the current round clock, release its smallest waiting id and
+    restart the timer.
 
     A board that is not due is a guarded no-op; in particular an empty
     waiting set leaves an expired timer expired, so a later-arriving
@@ -238,7 +234,7 @@ def timeout_check_and_execute(cfg: Configuration, v: int) -> list[tuple[MoveInte
     matching parked agent at the node is discarded without a move.
     """
     board = cfg.boards[v]
-    if not release_due(cfg, board):
+    if due_tick(cfg, board) != cfg.ticks:
         return []
     i = min(board.waiting)
     board.waiting = board.waiting - {i}

@@ -13,8 +13,8 @@ A run carries one :class:`RoundIndex` from round to round (or step to
 step), so a round pays for the agents that act and the boards that can
 come due, not for every agent and board: the agents grouped by node,
 the waiting agents, the nodes agents arrived at (the only ones where a
-merge can find something new), a queue of the ticks at which boards
-come due and a record of what the last round wrote.
+merge can find something new), the tick at which each board comes due
+and a record of what the last round wrote.
 
 An asynchronous step activates the one agent a policy picks (no duplex
 conflicts can arise) and never advances the round clock: the timer
@@ -139,10 +139,8 @@ class RoundIndex:
       then grow anything, so none runs again: ``apply`` stops recording
       arrivals.
     - ``due_at``: node -> its :func:`~gossipsim.protocol_dft.due_tick`,
-      for every board that has one, and ``due``: tick -> the nodes
-      scheduled for it, stale entries (the node's ``due_at`` moved since)
-      included.  Kept only if a quiescing agent runs (``timed``): no other
-      protocol releases anyone.
+      for every board that has one.  Kept only if a quiescing agent runs
+      (``timed``): no other protocol releases anyone.
     - ``boards`` and ``agents``: the record of the last round, the nodes
       whose boards and the indices of the agents whose control state it
       may have written; empty at build time.  A round starts it afresh.
@@ -154,7 +152,7 @@ class RoundIndex:
     - ``grown``: how many of its merges grew a known set or a store.
     """
 
-    __slots__ = ("groups", "waiting", "arrivals", "settled", "due_at", "due", "timed", "boards",
+    __slots__ = ("groups", "waiting", "arrivals", "settled", "due_at", "timed", "boards",
                  "agents", "grown", "_rank")
 
     def __init__(self, cfg: Configuration):
@@ -170,7 +168,6 @@ class RoundIndex:
         self.arrivals = set(self.groups)
         self.settled = False
         self.due_at: dict[int, int] = {}
-        self.due: dict[int, list[int]] = {}
         self.timed = any(a.program == PROGRAM_DFT for a in agents)
         self.boards: set[int] = set()
         self.agents: set[int] = set()
@@ -185,17 +182,12 @@ class RoundIndex:
         tick = due_tick(cfg, cfg.boards[v])
         if tick is None:
             self.due_at.pop(v, None)
-        elif self.due_at.get(v) != tick:
+        else:
             self.due_at[v] = tick
-            self.due.setdefault(tick, []).append(v)
 
     def pop_due(self, tick: int) -> list[int]:
-        """The nodes due at ``tick``, ascending; forgets the tick's entries."""
-        nodes = self.due.pop(tick, None)
-        if nodes is None:
-            return []
-        due_at = self.due_at
-        return sorted({v for v in nodes if due_at.get(v) == tick})
+        """The nodes due at ``tick``, ascending."""
+        return sorted(v for v, t in self.due_at.items() if t == tick)
 
     def settle(self, cfg: Configuration) -> bool:
         """Set ``settled`` and clear ``arrivals`` if every agent's known

@@ -13,6 +13,7 @@ import pytest
 from gossipsim import cli
 from gossipsim.cli import (
     EXIT_ILLEGAL,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARAM,
     EXIT_TRUNCATED,
@@ -207,6 +208,15 @@ class TestMainExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")
         assert not any(tmp_path.iterdir())
+
+    def test_assertion_exits_4(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise AssertionError("broken invariant")
+
+        monkeypatch.setattr(cli, "simulate", broken)
+        assert main(["run", "--graph", "ring:4"]) == EXIT_INTERNAL == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err == "internal assertion failure: broken invariant\n"
 
     def test_unparsable_seeds_named(self, capsys):
         assert main(["fuzz", "--graph", "ring:4", "--seeds", "a:b"]) == EXIT_PARAM

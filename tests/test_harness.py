@@ -744,6 +744,11 @@ class TestWitnesses:
         with pytest.raises(HarnessError):
             witness_mirror(build_ring(3), 3)
 
+    def test_mirror_base_must_converge(self, monkeypatch):
+        monkeypatch.setattr(harness, "default_cycle_budget", lambda cfg: 0)
+        with pytest.raises(HarnessError, match="base system failed to converge"):
+            witness_mirror(build_ring(4), 2)
+
     def test_mirror_ring4(self):
         report = witness_mirror(build_ring(4), 2, seed=0)
         assert report.ok

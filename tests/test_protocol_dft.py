@@ -10,7 +10,6 @@ from gossipsim.protocol_dft import (
     dft_agent_step,
     due_tick,
     next_port,
-    release_due,
     timeout_check_and_execute,
     visit,
 )
@@ -258,7 +257,7 @@ class TestDueTick:
         for _ in range(cap + 2):
             literal = cls != NW and bool(board.waiting) and timer(cfg, board) >= board.wait_t
             due = forecast is not None and cfg.ticks >= forecast
-            assert release_due(cfg, board) == due == literal
+            assert (due_tick(cfg, board) == cfg.ticks) == due == literal
             cfg.ticks += 1
 
 

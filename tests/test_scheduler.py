@@ -187,10 +187,7 @@ class TestSyncRound:
 
 def index_state(index: RoundIndex) -> tuple:
     """What a fresh index rebuilds from the configuration alone: the
-    groups, the waiting agents and every board's due tick.  Every due
-    tick must also be queued, or its node would never be checked."""
-    for v, tick in index.due_at.items():
-        assert v in index.due.get(tick, ()), (v, tick)
+    groups, the waiting agents and every board's due tick."""
     return index.groups, index.waiting, index.due_at
 
 
@@ -332,20 +329,13 @@ class TestRoundIndex:
         index.apply(cfg, intent, True)
         assert intent.accepted and index.arrivals == set() and merged == []
 
-    def test_pop_due_of_an_empty_tick(self):
+    def test_pop_due_reads_due_at(self):
         index = RoundIndex(dft_cfg([(1, 0), (2, 0)]))
-        index.due, index.due_at = {5: [1]}, {1: 5}
-        assert index.pop_due(3) == []
-        assert index.due == {5: [1]} and index.due_at == {1: 5}
-
-    def test_pop_due_of_stale_entries_only(self):
-        cfg = dft_cfg([(1, 0), (2, 0)])
-        index = RoundIndex(cfg)
-        index.due = {7: [0, 2], 9: [1]}
-        index.due_at = {0: 9, 1: 9}  # node 0 moved to tick 9, node 2 is due never
-        assert index.pop_due(7) == []
-        assert index.due == {9: [1]} and index.due_at == {0: 9, 1: 9}
-        assert index.pop_due(9) == [1]
+        index.due_at = {3: 9, 0: 7, 2: 9, 1: 9}
+        assert index.pop_due(9) == [1, 2, 3]
+        assert index.pop_due(7) == [0]
+        assert index.pop_due(8) == []
+        assert index.due_at == {3: 9, 0: 7, 2: 9, 1: 9}  # reading forgets nothing
 
     @pytest.mark.parametrize("case", sorted(ROUND_STARTS))
     def test_record_names_the_written_boards(self, case, monkeypatch):

@@ -34,6 +34,11 @@ class TestRing:
         with pytest.raises(GraphError):
             build_ring(1)
 
+    @pytest.mark.parametrize("port", [2, 3])
+    def test_no_port_at_or_above_degree(self, port):
+        with pytest.raises(GraphError, match=rf"^node 0 has no port {port} \(degree 2\)$"):
+            build_ring(4).neighbor(0, port)
+
     @given(st.integers(min_value=2, max_value=30))
     def test_always_valid(self, n):
         assert validate(build_ring(n)) == []
