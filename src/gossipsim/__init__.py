@@ -1,37 +1,4 @@
 """Deterministic simulator for self-stabilizing mobile-agent gossip on
 anonymous port-labeled graphs."""
 
-from .model import (
-    Agent,
-    Configuration,
-    Token,
-    Whiteboard,
-    make_configuration,
-)
-from .topology import (
-    PortLabeledGraph,
-    build_grid,
-    build_ring,
-    mirror_join,
-    parse_graph,
-    random_connected_graph,
-    serialize_graph,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Agent",
-    "Configuration",
-    "PortLabeledGraph",
-    "Token",
-    "Whiteboard",
-    "build_grid",
-    "build_ring",
-    "make_configuration",
-    "mirror_join",
-    "parse_graph",
-    "random_connected_graph",
-    "serialize_graph",
-    "__version__",
-]

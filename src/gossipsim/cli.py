@@ -43,7 +43,6 @@ from itertools import count
 from .harness import (
     CLEAN_SPEC,
     FuzzSpec,
-    HarnessError,
     audit_move_bounds,
     detect_cycle,
     fuzz_config,
@@ -102,19 +101,14 @@ def load_graph(spec: str):
         raise CliError(f"bad graph source {spec!r}: {exc}") from exc
 
 
-def check_legality(protocol: str, board: str, schedule: str, unsafe_async: bool) -> None:
-    """Refuse (exit 3) a combination :func:`~gossipsim.model.refusal` rules out."""
-    reason = refusal(protocol, board, schedule == SYNC, unsafe_async)
+def check_params(args) -> None:
+    """Refuse (exit 3) a combination :func:`~gossipsim.model.refusal` rules
+    out, then reject numeric options outside their documented ranges and
+    options the run would never read, and parse ``--script`` into agent
+    indices below ``--k``, before any output is opened."""
+    reason = refusal(args.protocol, args.board, args.schedule == SYNC, args.unsafe_async)
     if reason:
         raise CliError(reason, EXIT_ILLEGAL)
-
-
-def check_params(args) -> None:
-    """Refuse an illegal combination (:func:`check_legality`), then reject
-    numeric options outside their documented ranges and options the run
-    would never read, and parse ``--script`` into agent indices below
-    ``--k``, before any output is opened."""
-    check_legality(args.protocol, args.board, args.schedule, args.unsafe_async)
     if args.k < 1:
         raise CliError(f"--k must be at least 1, got {args.k}")
     if args.max_steps < 0:
@@ -365,7 +359,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (HarnessError, ModelError, GraphError, OSError) as exc:
+    except (ModelError, GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAM
     except AssertionError as exc:

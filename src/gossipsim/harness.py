@@ -3,8 +3,8 @@
 Four concerns live here: fuzzing structurally valid but semantically
 arbitrary initial configurations, exact quiescence detection by finding
 the cycle the deterministic synchronous system must enter, auditing
-per-traversal move bounds from traces, and the two executable
-impossibility witnesses (mirrored network, symmetric ring).
+per-traversal move bounds from a run's step records, and the two
+executable impossibility witnesses (mirrored network, symmetric ring).
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .model import (
     state_key,
     timer,
 )
+from .protocol_dft import BACKTRACK, FORWARD
 from .scheduler import HALF, RoundIndex, SchedulePolicy, StepRecord, SYNC, _below, run, sync_round
 from .topology import PortLabeledGraph, build_ring, mirror_join, mirror_node
 
@@ -389,8 +390,10 @@ def audit_move_bounds(records: list[StepRecord], graph: PortLabeledGraph) -> Mov
 
     A segment is the span between two consecutive traversal-bit flips of
     one agent; the first and last segment of each agent are truncated by
-    the trace boundaries and therefore skipped.  Only accepted moves
-    count (a rejected intent moves nobody).
+    the record boundaries and therefore skipped.  A flip opens a segment
+    even when its move is rejected (the protocol flipped the bit during
+    the step, and duplex resolution does not undo it), but only accepted
+    moves count (a rejected intent moves nobody).
     """
     m = graph.edge_count
     n = graph.node_count
@@ -398,15 +401,15 @@ def audit_move_bounds(records: list[StepRecord], graph: PortLabeledGraph) -> Mov
     segments: dict[int, list[list[int]]] = {}
     for rec in records:
         for mv in rec.moves:
-            if not mv.accepted:
-                continue
             segs = segments.setdefault(mv.agent, [[0, 0]])
             if mv.flipped:
                 segs.append([0, 0])
+            if not mv.accepted:
+                continue
             cur = segs[-1]
-            if mv.kind == "forward":
+            if mv.kind == FORWARD:
                 cur[0] += 1
-            elif mv.kind == "backtrack":
+            elif mv.kind == BACKTRACK:
                 cur[1] += 1
     checked = 0
     fwd_max = 0

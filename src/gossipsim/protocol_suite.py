@@ -26,8 +26,6 @@ from .protocol_dft import (
     visit,
 )
 
-__all__ = ["PathCursor", "fw_dft_step", "anon_path_enum_step"]
-
 
 def fw_dft_step(cfg: Configuration, idx: int) -> tuple[MoveIntent, StepMeta]:
     """One activation of the non-quiescing DFT; requires an FW whiteboard."""

@@ -18,12 +18,11 @@ from gossipsim.cli import (
     EXIT_PARAM,
     EXIT_TRUNCATED,
     CliError,
-    check_legality,
     load_graph,
     main,
 )
 from gossipsim.harness import CLEAN_SPEC, fuzz_config
-from gossipsim.model import BOARD_CLASSES, PROGRAMS
+from gossipsim.model import BOARD_CLASSES, PROGRAMS, refusal
 from gossipsim.scheduler import SchedulePolicy, SchedulerError, run
 from gossipsim.topology import build_grid, build_ring, serialize_graph
 
@@ -52,24 +51,22 @@ class TestLoadGraph:
 
 
 class TestLegality:
-    def test_nw_always_illegal(self):
-        with pytest.raises(CliError) as err:
-            check_legality("dft_kminus1", "NW", "sync", False)
-        assert err.value.code == EXIT_ILLEGAL
+    def test_nw_always_illegal(self, capsys):
+        reason = refusal("dft_kminus1", "NW", True, False)
+        assert reason == "dft_kminus1 cannot run on NW whiteboards"
+        assert main(["run", "--graph", "ring:3", "--board", "NW"]) == EXIT_ILLEGAL
+        assert capsys.readouterr().err == f"error: {reason}\n"
 
     def test_dft_async_gated(self):
-        with pytest.raises(CliError) as err:
-            check_legality("dft_kminus1", "CW", "async_round_robin", False)
-        assert err.value.code == EXIT_ILLEGAL
-        check_legality("dft_kminus1", "CW", "async_round_robin", True)
+        assert "synchronous-only" in refusal("dft_kminus1", "CW", False, False)
+        assert refusal("dft_kminus1", "CW", False, True) is None
 
     def test_fw_protocols_need_fw(self):
-        with pytest.raises(CliError) as err:
-            check_legality("fw_async_dft", "CW", "async_round_robin", False)
-        assert err.value.code == EXIT_ILLEGAL
+        assert refusal("fw_async_dft", "CW", False, False) == (
+            "fw_async_dft cannot run on CW whiteboards")
         # the walker never writes a board, so every board class admits it
         for board in ("NW", "CW", "FW"):
-            check_legality("anon_path_enum", board, "async_round_robin", False)
+            assert refusal("anon_path_enum", board, False, False) is None
 
     @pytest.mark.parametrize("unsafe", [False, True])
     @pytest.mark.parametrize("schedule", cli.SCHEDULES)

@@ -230,10 +230,10 @@ def reference_detect(cfg, duplex=HALF, *, budget=None):
 
 
 def flip_steps(records, k):
-    """Per agent index below ``k``: the steps of its accepted moves that
-    flip its traversal bit."""
+    """Per agent index below ``k``: the steps of its moves, accepted or
+    not, that flip its traversal bit."""
     return {i: tuple(step for step, r in enumerate(records) for mv in r.moves
-                     if mv.agent == i and mv.flipped and mv.accepted)
+                     if mv.agent == i and mv.flipped)
             for i in range(k)}
 
 
@@ -725,12 +725,24 @@ class TestAuditMoveBounds:
     def test_within_m_forward_n_back(self):
         g = build_grid(2, 3)  # m = 7 edges, n = 6 nodes
         records = bound_records({0: [(7, 6), (3, 2)], 1: [(0, 6)]}, lead=20)
-        # a rejected move neither counts nor flips, even inside a segment
+        # a rejected move counts nowhere, but its flip stays on the agent,
+        # so it splits agent 1's (0, 6) segment into (0, 5) and (0, 1)
         records.insert(len(records) - 2, StepRecord(
             acting=(1,), moves=[MoveIntent(1, 0, 0, FORWARD, True, to=1, accepted=False)]))
         report = audit_move_bounds(records, g)
-        assert report.ok and report.segments_checked == 3
+        assert report.ok and report.segments_checked == 4
         assert (report.fwd_max, report.back_max) == (7, 6)
+
+    def test_rejected_flip_opens_a_segment(self):
+        # agent 2's first move flips its traversal bit and loses duplex
+        # resolution at step 0; the bit stays flipped, so a traversal starts
+        g = random_connected_graph(7, 2, seed=3)
+        rep = detect_cycle(fuzz_config(g, 3, FuzzSpec(), 226), HALF)
+        assert [(step, mv.agent) for step, r in enumerate(rep.records) for mv in r.moves
+                if mv.flipped and not mv.accepted] == [(0, 2)]
+        report = audit_move_bounds(rep.records, g)
+        assert report.segments_checked == 6
+        assert (report.fwd_max, report.back_max) == (9, 12)
 
     def test_over_m_forward_or_n_back(self):
         g = build_grid(2, 3)

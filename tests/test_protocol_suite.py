@@ -2,8 +2,8 @@
 
 import pytest
 
-from gossipsim.model import Agent, CW, FW, make_configuration
-from gossipsim.protocol_suite import PathCursor, anon_path_enum_step, fw_dft_step
+from gossipsim.model import Agent, CW, FW, PathCursor, make_configuration
+from gossipsim.protocol_suite import anon_path_enum_step, fw_dft_step
 from gossipsim.protocol_dft import ProtocolError
 from gossipsim.topology import build_grid, build_ring, random_connected_graph
 

@@ -90,12 +90,18 @@ class TestRandomGraph:
 
 
 class TestMirrorJoin:
-    def test_counts(self):
-        g = build_ring(4)
-        mg = mirror_join(g, 2)
-        assert mg.node_count == 2 * 4 - 1
-        assert mg.edge_count == 2 * 4
+    @pytest.mark.parametrize("g, join", [
+        pytest.param(g, join, id=f"{name}-{join}")
+        for name, g in (("ring:4", build_ring(4)), ("grid:2x3", build_grid(2, 3)),
+                        ("random:7:2:3", random_connected_graph(7, 2, 3)))
+        for join in range(g.node_count)
+    ])
+    def test_counts(self, g, join):
+        # the construction is total: mirror_join itself validates nothing
+        mg = mirror_join(g, join)
         assert validate(mg) == []
+        assert mg.node_count == 2 * g.node_count - 1
+        assert mg.edge_count == 2 * g.edge_count
 
     def test_join_node_degree_doubles(self):
         g = build_ring(5)
@@ -138,6 +144,11 @@ class TestSerialization:
         text = "# a ring\n\n" + serialize_graph(build_ring(3))
         assert parse_graph(text) == build_ring(3)
 
+    def test_loop_through_two_ports_is_valid(self):
+        # node 0's ports 1 and 2 lead to each other: a loop, counted as one edge
+        g = parse_graph("2\n0:1:0 1:0:2 2:0:1\n0:0:0\n")
+        assert validate(g) == [] and g.edge_count == 2
+
     @pytest.mark.parametrize(
         "text,fragment",
         [
@@ -151,6 +162,7 @@ class TestSerialization:
             ("2\n0:5:0\n0:0:0\n", "node 0 port 0 points at missing node 5"),
             ("2\n0:1:3\n0:0:0\n", "node 0 port 0: peer node 1 has no port 3"),
             ("2\n0:1:0\n0:1:0\n", "involution broken"),
+            ("2\n0:1:0 1:0:1\n0:0:0\n", "node 0 port 1 is paired with itself"),
             ("4\n0:1:0\n0:0:0\n0:3:0\n0:2:0\n", "disconnected"),
         ],
     )
