@@ -32,7 +32,8 @@ from .model import (
     timer,
 )
 from .protocol_dft import BACKTRACK, FORWARD
-from .scheduler import HALF, RoundIndex, SchedulePolicy, StepRecord, SYNC, _below, run, sync_round
+from .scheduler import (HALF, RoundIndex, SchedulePolicy, StepRecord, SYNC, _below, check_start,
+                        run, sync_round)
 from .topology import PortLabeledGraph, build_ring, mirror_join, mirror_node
 
 UNIFORM = "uniform"
@@ -124,7 +125,6 @@ def fuzz_config(
             ident=idents[j],
             pos=positions[j],
             t_bit=rng.random() < 0.5 if spec.random_t_bit else False,
-            program=program,
             arrival_port=rng.randrange(graph.degree(positions[j])),
         )
         if program == PROGRAM_PATH_ENUM:
@@ -138,9 +138,8 @@ def fuzz_config(
             agent.bounced = rng.random() < spec.table_garbage_rate
         agents.append(agent)
 
-    cfg = make_configuration(
-        graph, agents, board_class, max_id=spec.id_high + 1 if not anonymous else None
-    )
+    cfg = make_configuration(graph, agents, board_class, program=program,
+                             max_id=spec.id_high + 1 if not anonymous else None)
 
     for j, agent in enumerate(cfg.agents):
         if rng.random() < spec.garbage_token_rate:
@@ -170,7 +169,7 @@ def fuzz_config(
                 board.in_link[i] = port
             if rand() < rate and (port := ports[_below(bits, len(ports))]) is not None:
                 board.out_link[i] = port
-        if board.cls == FW and rand() < spec.store_garbage_rate:
+        if board_class == FW and rand() < spec.store_garbage_rate:
             board.store = board.store | {Token(f"ghost{_below(bits, 1000)}", "stale")}
     return cfg
 
@@ -258,6 +257,8 @@ def detect_cycle(
 ) -> CycleReport:
     """Run synchronous rounds until an exact state repeat.
 
+    Before the first round, raises what
+    :func:`~gossipsim.scheduler.check_start` raises for ``cfg`` and ``duplex``.
     The rounds carry one :class:`~gossipsim.scheduler.RoundIndex`, so a
     round in which k-1 agents wait costs about what its mover does.
     Each round's state is indexed by the
@@ -299,6 +300,7 @@ def detect_cycle(
     cycle; clone first to keep the start state.  ``observer(cfg, record)``
     runs after every round, for monitoring; it must not write ``cfg``.
     """
+    check_start(cfg, duplex)
     limit = budget if budget is not None else default_cycle_budget(cfg)
     fingerprint = Fingerprint(cfg)
     index = RoundIndex(cfg)
@@ -567,8 +569,8 @@ def witness_symmetry(n: int, k: int, board_class: str) -> SymmetryReport:
     if n % k != 0:
         raise HarnessError(f"{k} does not divide {n}")
     g = build_ring(n)
-    agents = [Agent(ident=None, pos=j * (n // k), program=PROGRAM_PATH_ENUM) for j in range(k)]
-    cfg = make_configuration(g, agents, board_class)
+    agents = [Agent(ident=None, pos=j * (n // k)) for j in range(k)]
+    cfg = make_configuration(g, agents, board_class, program=PROGRAM_PATH_ENUM)
     crowded = []  # per round: the nodes holding two or more agents after it
 
     def meet(c: Configuration, _rec: StepRecord) -> None:

@@ -1,9 +1,9 @@
 """Global simulation state: agents, whiteboards, gossip tokens, configurations.
 
-Whiteboards come in three classes: NW (no storage at all), CW (control
-data: traversal tables, link records, timer machinery) and FW (CW plus a
-gossip store).  Only :func:`merge_gossip` writes a store, and only on
-FW boards; the fuzzer seeds garbage into FW stores only.
+A configuration runs one protocol on boards of one class: NW (no
+storage at all), CW (control data: traversal tables, link records, timer
+machinery) or FW (CW plus a gossip store).  Only :func:`merge_gossip`
+and the fuzzer write a store, and only on FW boards.
 
 A :class:`Configuration` is a value and cloning is cheap.
 :func:`state_key` is the one place that lists which fields make up a
@@ -106,19 +106,18 @@ class PathCursor(NamedTuple):
 
 @dataclass(slots=True)
 class Agent:
-    """One mobile agent.  ``ident`` is None for anonymous agents.
+    """One mobile agent, running its configuration's ``program``.
 
-    ``parked`` and ``bounced`` are the DFT agent's registers, ``cursor``
-    the walk enumerator's.  Every field holds an immutable value:
-    ``known`` is a frozenset that a write replaces, never mutates, so a
-    clone shares it.
+    ``ident`` is None for anonymous agents.  ``parked`` and ``bounced``
+    are the DFT agent's registers, ``cursor`` the walk enumerator's.
+    Every field holds an immutable value: ``known`` is a frozenset that
+    a write replaces, never mutates, so a clone shares it.
     """
 
     ident: int | None
     pos: int
     t_bit: bool = False
     known: frozenset[Token] = frozenset()
-    program: str = PROGRAM_DFT
     parked: bool = False
     bounced: bool = False
     cursor: PathCursor = PathCursor()
@@ -126,30 +125,29 @@ class Agent:
     last_move_accepted: bool = True
 
     def clone(self) -> "Agent":
-        return Agent(self.ident, self.pos, self.t_bit, self.known, self.program,
-                     self.parked, self.bounced, self.cursor, self.arrival_port,
-                     self.last_move_accepted)
+        return Agent(self.ident, self.pos, self.t_bit, self.known, self.parked, self.bounced,
+                     self.cursor, self.arrival_port, self.last_move_accepted)
 
 
 @dataclass(slots=True)
 class Whiteboard:
-    """One node's whiteboard.  Its timer is not a field: ``timer_base`` is
-    the value last given by :func:`set_timer` and ``timer_stamp`` the
-    round clock at that write; read it with :func:`timer`.
+    """One node's whiteboard, of its configuration's ``board_class``.  Its
+    timer is not a field: ``timer_base`` is the value last given by
+    :func:`set_timer` and ``timer_stamp`` the round clock at that write;
+    read it with :func:`timer`.
 
     ``t_table``, ``in_link`` and ``out_link`` map an agent id to its row.
     A missing row reads as its table's default, True for the traversal
     bit and None (the paper's ⊥) for a link, and no row ever stores it:
     :func:`state_key` compares tables as sets of rows, so a stored default
-    would make equal states unequal.  The DFT protocols refuse NW boards
-    in ``visit``, and their timeout check never reaches one (``due_tick``
-    is None for it), so no NW board holds a row.
+    would make equal states unequal.  No step writes an NW board (the DFT
+    protocols refuse the class, and the walk enumerator writes no board),
+    so its fields keep their defaults.
 
     Only the three row tables are mutable.  ``waiting`` and ``store`` are
     frozensets that a write replaces, never mutates, so a clone copies the
     tables and shares the sets."""
 
-    cls: str = CW
     t_table: dict[int, bool] = field(default_factory=dict)
     in_link: dict[int, int] = field(default_factory=dict)
     out_link: dict[int, int] = field(default_factory=dict)
@@ -161,7 +159,7 @@ class Whiteboard:
     store: frozenset[Token] = frozenset()
 
     def clone(self) -> "Whiteboard":
-        return Whiteboard(self.cls, dict(self.t_table), dict(self.in_link),
+        return Whiteboard(dict(self.t_table), dict(self.in_link),
                           dict(self.out_link), self.min_id, self.wait_t, self.waiting,
                           self.timer_base, self.timer_stamp, self.store)
 
@@ -170,13 +168,16 @@ class Whiteboard:
 class Configuration:
     """Graph, agents and whiteboards, the round clock ``ticks`` (the
     synchronous rounds, which board timers are read against) and run
-    constants."""
+    constants: the timer cap, the boards' class, the agents' protocol
+    and each agent's genuine token."""
 
     graph: PortLabeledGraph
     agents: list[Agent]
     boards: list[Whiteboard]
     ticks: int = 0
     timer_cap: int = 0
+    board_class: str = CW
+    program: str = PROGRAM_DFT
     genuine: dict[int, Token] = field(default_factory=dict)
 
     @property
@@ -190,7 +191,7 @@ class Configuration:
         included."""
         return Configuration(self.graph, [a.clone() for a in self.agents],
                              [b.clone() for b in self.boards], self.ticks,
-                             self.timer_cap, self.genuine)
+                             self.timer_cap, self.board_class, self.program, self.genuine)
 
 
 def timer(cfg: Configuration, board: Whiteboard) -> int:
@@ -199,7 +200,7 @@ def timer(cfg: Configuration, board: Whiteboard) -> int:
     timer written at or above the cap never tick."""
     t = board.timer_base
     cap = cfg.timer_cap
-    if t >= cap or board.cls == NW:
+    if t >= cap or cfg.board_class == NW:
         return t
     t += cfg.ticks - board.timer_stamp
     return t if t < cap else cap
@@ -218,35 +219,29 @@ def default_timer_cap(graph: PortLabeledGraph) -> int:
     return 16 * graph.edge_count + 1
 
 
-def clean_board(cls: str, max_id: int) -> Whiteboard:
-    if cls not in BOARD_CLASSES:
-        raise ModelError(f"unknown board class {cls!r}")
-    if cls == NW:
-        return Whiteboard(cls=NW)
-    return Whiteboard(cls=cls, min_id=max_id)
-
-
 def make_configuration(
     graph: PortLabeledGraph,
     agents: list[Agent],
     board_class: str,
     *,
+    program: str = PROGRAM_DFT,
     max_id: int | None = None,
 ) -> Configuration:
-    """Clean configuration under the graph's default timer cap: default
-    boards (CW and FW MinID ``max_id``, by default one above the largest
-    id) and one genuine token per agent."""
+    """Clean configuration of agents running ``program`` under the graph's
+    default timer cap: default ``board_class`` boards (CW and FW MinID
+    ``max_id``, by default one above the largest id) and one genuine
+    token per agent."""
     idents = [a.ident for a in agents if a.ident is not None]
     if len(set(idents)) != len(idents):
         raise ModelError("named agents must have pairwise-distinct ids")
+    if board_class not in BOARD_CLASSES:
+        raise ModelError(f"unknown board class {board_class!r}")
     if max_id is None:
         max_id = max(idents, default=0) + 1
-    cfg = Configuration(
-        graph=graph,
-        agents=agents,
-        boards=[clean_board(board_class, max_id) for _ in range(graph.node_count)],
-        timer_cap=default_timer_cap(graph),
-    )
+    min_id = 0 if board_class == NW else max_id
+    boards = [Whiteboard(min_id=min_id) for _ in range(graph.node_count)]
+    cfg = Configuration(graph, agents, boards, timer_cap=default_timer_cap(graph),
+                        board_class=board_class, program=program)
     for idx, agent in enumerate(agents):
         token = Token(origin=f"agent{idx}", payload=f"gossip-{idx}")
         cfg.genuine[idx] = token
@@ -264,7 +259,7 @@ def merge_gossip(cfg: Configuration, node: int, idxs: list[int]) -> bool:
     is left as it is, so a merge that grows nothing changes no object."""
     agents = cfg.agents
     board = cfg.boards[node]
-    fw = board.cls == FW
+    fw = cfg.board_class == FW
     if len(idxs) == 1:
         if not fw:
             return False
@@ -304,7 +299,6 @@ def _agent_key(a: Agent) -> tuple:
         a.ident,
         a.pos,
         a.t_bit,
-        a.program,
         a.parked,
         a.bounced,
         a.cursor,
@@ -314,10 +308,7 @@ def _agent_key(a: Agent) -> tuple:
 
 
 def _board_key(b: Whiteboard) -> tuple:
-    if b.cls == NW:
-        return (NW,)
     return (
-        b.cls,
         frozenset(b.t_table.items()),
         frozenset(b.in_link.items()),
         frozenset(b.out_link.items()),
@@ -335,15 +326,15 @@ def state_key(cfg: Configuration) -> tuple:
     Sets and tables are encoded as frozensets (of members, or of
     ``(id, value)`` rows), which compare exactly like sorted tuples but
     need no sort.  Every field of :class:`Agent` and :class:`Whiteboard`
-    is encoded, the gossip store only on FW boards (no other store is
-    ever written) and only the class and the never-ticking timer on NW
-    boards.  Timers tick every round but a round writes few boards'
-    other fields, hence the separate timers tuple.  No protocol reads
-    gossip and merges only take unions, so gossip sets only grow during
-    a run, hence the separate gossip, which :func:`fingerprint` leaves
-    out.  Agents are listed in hidden-index order: half-duplex ties
-    between anonymous agents are broken by that index, so swapping two
-    indistinguishable agents can change the future.
+    is encoded, on every board class alike: no step writes an NW board
+    or a store that is not FW, so those keep their defaults.  Timers tick
+    every round but a round writes few boards' other fields, hence the
+    separate timers tuple.  No protocol reads gossip and merges only take
+    unions, so gossip sets only grow during a run, hence the separate
+    gossip, which :func:`fingerprint` leaves out.  Agents are listed in
+    hidden-index order: half-duplex ties between anonymous agents are
+    broken by that index, so swapping two indistinguishable agents can
+    change the future.
 
     Left out, because they do not belong to the state:
 
@@ -351,8 +342,8 @@ def state_key(cfg: Configuration) -> tuple:
       could repeat; it enters the key only through the timer values read
       against it.
     - ``graph`` is immutable and shared by every configuration of a run.
-    - ``timer_cap`` is a run constant, set when the configuration is made
-      and never written by a step.
+    - ``timer_cap``, ``board_class`` and ``program`` are run constants,
+      set when the configuration is made and never written by a step.
     - ``genuine`` names each agent's initial token for the gossip check;
       it is never written after the configuration is made.
     """
@@ -361,7 +352,7 @@ def state_key(cfg: Configuration) -> tuple:
         tuple(_board_key(b) for b in cfg.boards),
         tuple(timer(cfg, b) for b in cfg.boards),
         (tuple(frozenset(a.known) for a in cfg.agents),
-         tuple(frozenset(b.store if b.cls == FW else ()) for b in cfg.boards)),
+         tuple(frozenset(b.store) for b in cfg.boards)),
     )
 
 
@@ -431,6 +422,7 @@ class Fingerprint:
         boards = cfg.boards
         cap = cfg.timer_cap
         ticks = cfg.ticks
+        nw = cfg.board_class == NW
         weights, terms, stamps = self._weights, self._terms, self._stamps
         for v in nodes:
             b = boards[v]
@@ -440,7 +432,7 @@ class Fingerprint:
                 self._rate -= w
             term = hash((v, _board_key(b)))
             t = timer(cfg, b)
-            if b.cls == NW or t >= cap:
+            if nw or t >= cap:
                 stamps[v] = None
                 term += w * t
             else:
@@ -485,10 +477,11 @@ def _canonical(value):
 def snapshot_hash(cfg: Configuration) -> str:
     """SHA-256 hex digest of :func:`state_key`, its sets sorted, in the
     historical layout that keeps saved trace hashes valid: (agent keys
-    with the known set at index 3, board keys with, on CW and FW, the
-    timer at index 7 and, on FW, the store after it)."""
+    with the known set and ``program`` at indices 3 and 4, board keys
+    ``(NW,)`` on NW and else ``board_class``, key, timer and, on FW, store)."""
     agents, boards, timers, (known, stores) = state_key(cfg)
-    agents = tuple(a[:3] + (k,) + a[3:] for a, k in zip(agents, known))
-    boards = tuple(b if b[0] == NW else b + (t,) + ((s,) if b[0] == FW else ())
+    cls, program = cfg.board_class, cfg.program
+    agents = tuple(a[:3] + (k, program) + a[3:] for a, k in zip(agents, known))
+    boards = tuple((NW,) if cls == NW else (cls,) + b + (t,) + ((s,) if cls == FW else ())
                    for b, t, s in zip(boards, timers, stores))
     return hashlib.sha256(repr(_canonical((agents, boards))).encode()).hexdigest()

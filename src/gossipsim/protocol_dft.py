@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import (
-    CW,
-    FW,
     NW,
     Agent,
     Configuration,
@@ -147,9 +145,9 @@ def visit(
     agent = cfg.agents[idx]
     if agent.ident is None:
         raise ProtocolError("the DFT protocols require named agents")
-    board = cfg.boards[v]
-    if board.cls == NW:
+    if cfg.board_class == NW:
         raise ProtocolError("the DFT protocols require at least a CW whiteboard")
+    board = cfg.boards[v]
     deg = cfg.graph.degree(v)
     if not 0 <= in_port < deg:
         # arbitrary initial arrival label; clamp into range deterministically
@@ -213,7 +211,7 @@ def due_tick(cfg: Configuration, board: Whiteboard) -> int | None:
     a waiter is not due; a timer that has reached the recorded traversal
     time is due now, and one still ticking toward a traversal time within
     the cap is due when it gets there."""
-    if board.cls == NW or not board.waiting:
+    if cfg.board_class == NW or not board.waiting:
         return None
     t = timer(cfg, board)
     if t >= board.wait_t:
@@ -269,10 +267,8 @@ def waits(cfg: Configuration, agent: Agent) -> bool:
     activation stays put and writes nothing; it re-enters the traversal
     only through a timeout release.  Parked state is real only while the
     two sides agree: either one alone is stale initialization."""
-    if not agent.parked:
-        return False
-    board = cfg.boards[agent.pos]
-    return board.cls in (CW, FW) and agent.ident in board.waiting
+    return (agent.parked and cfg.board_class != NW
+            and agent.ident in cfg.boards[agent.pos].waiting)
 
 
 def dft_agent_step(cfg: Configuration, idx: int) -> tuple[MoveIntent, StepMeta]:

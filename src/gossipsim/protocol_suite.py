@@ -30,7 +30,7 @@ from .protocol_dft import (
 def fw_dft_step(cfg: Configuration, idx: int) -> tuple[MoveIntent, StepMeta]:
     """One activation of the non-quiescing DFT; requires an FW whiteboard."""
     agent = cfg.agents[idx]
-    if cfg.boards[agent.pos].cls != FW:
+    if cfg.board_class != FW:
         raise ProtocolError("fw_async_dft requires FW whiteboards")
     return visit(cfg, agent.pos, idx, agent.arrival_port, quiesce=False)
 

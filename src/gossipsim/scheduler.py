@@ -18,11 +18,11 @@ and a record of what the last round wrote.
 
 An asynchronous step activates the one agent a policy picks (no duplex
 conflicts can arise) and never advances the round clock: the timer
-protocol is proven for the synchronous model only.  :func:`run`
-refuses, before its first step, a policy it cannot play and a
-configuration whose protocol and board class
-:func:`~gossipsim.model.refusal` rules out, timer-dependent protocols
-under async scheduling included unless explicitly forced.
+protocol is proven for the synchronous model only.  Before their first
+step, :func:`run` and :func:`~gossipsim.harness.detect_cycle` refuse
+(:func:`check_start`) an unknown duplex mode and a protocol and board
+class that :func:`~gossipsim.model.refusal` rules out, timer-dependent
+protocols under async scheduling included unless explicitly forced.
 """
 
 from __future__ import annotations
@@ -139,8 +139,8 @@ class RoundIndex:
       then grow anything, so none runs again: ``apply`` stops recording
       arrivals.
     - ``due_at``: node -> its :func:`~gossipsim.protocol_dft.due_tick`,
-      for every board that has one.  Kept only if a quiescing agent runs
-      (``timed``): no other protocol releases anyone.
+      for every board that has one.  Kept only if the configuration runs
+      the quiescing protocol: no other protocol releases anyone.
     - ``boards`` and ``agents``: the record of the last round, the nodes
       whose boards and the indices of the agents whose control state it
       may have written; empty at build time.  A round starts it afresh.
@@ -152,8 +152,8 @@ class RoundIndex:
     - ``grown``: how many of its merges grew a known set or a store.
     """
 
-    __slots__ = ("groups", "waiting", "arrivals", "settled", "due_at", "timed", "boards",
-                 "agents", "grown", "_rank")
+    __slots__ = ("groups", "waiting", "arrivals", "settled", "due_at", "boards", "agents",
+                 "grown", "_rank")
 
     def __init__(self, cfg: Configuration):
         agents = cfg.agents
@@ -163,16 +163,15 @@ class RoundIndex:
         for rank, idx in enumerate(order):
             self._rank[idx] = rank
             self.groups.setdefault(agents[idx].pos, []).append(idx)
-        self.waiting = {idx for idx, a in enumerate(agents)
-                        if a.program == PROGRAM_DFT and waits(cfg, a)}
+        quiescing = cfg.program == PROGRAM_DFT
+        self.waiting = {idx for idx, a in enumerate(agents) if quiescing and waits(cfg, a)}
         self.arrivals = set(self.groups)
         self.settled = False
         self.due_at: dict[int, int] = {}
-        self.timed = any(a.program == PROGRAM_DFT for a in agents)
         self.boards: set[int] = set()
         self.agents: set[int] = set()
         self.grown = 0
-        if self.timed:
+        if quiescing:
             for v in range(len(cfg.boards)):
                 self.schedule(cfg, v)
         self.settle(cfg)
@@ -196,7 +195,8 @@ class RoundIndex:
         so a settled run stays settled."""
         if not self.settled:
             sets = [a.known for a in cfg.agents]
-            sets += [b.store for b in cfg.boards if b.cls == FW]
+            if cfg.board_class == FW:
+                sets += [b.store for b in cfg.boards]
             if all(s == sets[0] for s in sets):
                 self.settled = True
                 self.arrivals.clear()
@@ -304,18 +304,19 @@ def sync_round(
     index.agents = written = set()
     intents: list[MoveIntent] = []
     acting: list[int] = []
-    agents = cfg.agents
-    groups, waiting, arrivals, timed = index.groups, index.waiting, index.arrivals, index.timed
+    groups, waiting, arrivals = index.groups, index.waiting, index.arrivals
+    fw = cfg.board_class == FW
+    step = _STEP_FNS[cfg.program]
     occupied = sorted(groups)
     for node in occupied:
         here = groups[node]
-        if node in arrivals and (len(here) > 1 or cfg.boards[node].cls == FW):
+        if node in arrivals and (len(here) > 1 or fw):
             index.merge(cfg, node)
         acting.extend(here)
         for idx in here:
             if idx in waiting:
                 continue
-            intent, meta = _STEP_FNS[agents[idx].program](cfg, idx)
+            intent, meta = step(cfg, idx)
             boards.add(node)
             written.add(idx)
             if meta.joined_waiting:
@@ -324,7 +325,7 @@ def sync_round(
                 intents.append(intent)
     releases = []
     due: list[int] = []
-    if timed:
+    if cfg.program == PROGRAM_DFT:
         for node in boards:
             index.schedule(cfg, node)
         # a check reads and writes its own board only, so the due boards
@@ -403,16 +404,27 @@ def async_step(cfg: Configuration, idx: int, index: RoundIndex | None = None) ->
     or not.  The round clock, and every timer, stands still."""
     if index is None:
         index = RoundIndex(cfg)
-    agent = cfg.agents[idx]
-    pos = agent.pos
+    pos = cfg.agents[idx].pos
     if pos in index.arrivals:
         index.merge(cfg, pos)
-    intent, _ = _STEP_FNS[agent.program](cfg, idx)
+    intent, _ = _STEP_FNS[cfg.program](cfg, idx)
     if intent.stay:
         return StepRecord((idx,), merges=(pos,))
     index.apply(cfg, intent, True)
     index.merge(cfg, intent.to)
     return StepRecord((idx,), [intent], (pos, intent.to))
+
+
+def check_start(cfg: Configuration, duplex: str, *, synchronous: bool = True,
+                unsafe_async: bool = False) -> None:
+    """Raise :class:`SchedulerError` with :func:`~gossipsim.model.refusal`'s
+    reason against ``cfg``'s protocol and board class under a synchronous
+    (or asynchronous) schedule, or for an unknown ``duplex`` mode."""
+    reason = refusal(cfg.program, cfg.board_class, synchronous, unsafe_async)
+    if reason:
+        raise SchedulerError(reason)
+    if duplex not in (HALF, FULL):
+        raise SchedulerError(f"unknown duplex mode {duplex!r}")
 
 
 def run(
@@ -428,21 +440,15 @@ def run(
     """Step until the stop predicate holds, the budget ends or the picks run out.
 
     Before anything else, raises :class:`SchedulerError` with the reason
-    :func:`~gossipsim.model.refusal` gives for the first (agent program,
-    board class) pair of ``cfg`` it refuses under ``policy``, or that
-    :func:`_picks` gives for ``policy``; a run whose script ends first is
-    truncated.  Mutates ``cfg`` in place; clone first to keep the start.
+    :func:`check_start` gives for ``cfg`` under ``policy`` and ``duplex``,
+    or that :func:`_picks` gives for ``policy``; a run whose script ends
+    first is truncated.  Mutates ``cfg`` in place; clone first to keep the start.
     A run carries one :class:`RoundIndex` through its rounds or steps.
     ``observer(cfg, record)`` runs after every step and must not write
     ``cfg``; the trace keeps only the step count, so a caller that wants
     the records collects them there.
     """
-    classes = sorted({b.cls for b in cfg.boards})
-    for program in sorted({a.program for a in cfg.agents}):
-        for cls in classes:
-            reason = refusal(program, cls, policy.kind == SYNC, unsafe_async)
-            if reason:
-                raise SchedulerError(reason)
+    check_start(cfg, duplex, synchronous=policy.kind == SYNC, unsafe_async=unsafe_async)
     picks = _picks(policy, cfg.k)
     if stop is not None and stop(cfg):
         return Trace(0, "met")

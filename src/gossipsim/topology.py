@@ -17,19 +17,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-__all__ = [
-    "GraphError",
-    "PortLabeledGraph",
-    "build_ring",
-    "build_grid",
-    "random_connected_graph",
-    "mirror_join",
-    "mirror_node",
-    "parse_graph",
-    "serialize_graph",
-    "validate",
-]
-
 
 class GraphError(ValueError):
     """Raised for malformed graph descriptions or invalid arguments."""

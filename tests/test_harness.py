@@ -244,8 +244,8 @@ def summary(rep, k):
 
 def symmetric_walkers(board_class=CW):
     # witness_symmetry(4, 2, board_class)'s start
-    agents = [Agent(ident=None, pos=j * 2, program=PROGRAM_PATH_ENUM) for j in range(2)]
-    return make_configuration(build_ring(4), agents, board_class)
+    agents = [Agent(ident=None, pos=j * 2) for j in range(2)]
+    return make_configuration(build_ring(4), agents, board_class, program=PROGRAM_PATH_ENUM)
 
 
 def seed_246():
@@ -412,7 +412,7 @@ class TestDetectCycleExactness:
 
 def one_gossip_value(cfg):
     """True iff every known set and every FW store of ``cfg`` are equal."""
-    sets = {a.known for a in cfg.agents} | {b.store for b in cfg.boards if b.cls == FW}
+    sets = {a.known for a in cfg.agents} | {b.store for b in cfg.boards if cfg.board_class == FW}
     return len(sets) <= 1
 
 

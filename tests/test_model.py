@@ -18,7 +18,6 @@ from gossipsim.model import (
     PathCursor,
     Token,
     Whiteboard,
-    clean_board,
     default_timer_cap,
     fingerprint,
     make_configuration,
@@ -48,7 +47,7 @@ def check_rows(cfg: Configuration) -> None:
         assert True not in b.t_table.values(), (v, b.t_table)
         assert None not in b.in_link.values(), (v, b.in_link)
         assert None not in b.out_link.values(), (v, b.out_link)
-        assert b.cls != NW or not (b.t_table or b.in_link or b.out_link), v
+        assert cfg.board_class != NW or not (b.t_table or b.in_link or b.out_link), v
 
 
 class TestCheckRows:
@@ -66,9 +65,9 @@ class TestCheckRows:
 
 class TestConfiguration:
     def test_clean_board_sentinel(self):
-        b = clean_board(CW, max_id=100)
-        assert b.min_id == 100
-        assert clean_board(NW, max_id=100).min_id == 0
+        g = build_ring(3)
+        assert make_configuration(g, [], CW, max_id=100).boards[0].min_id == 100
+        assert make_configuration(g, [], NW, max_id=100).boards[0].min_id == 0
 
     def test_duplicate_ids_rejected(self):
         g = build_ring(3)
@@ -513,7 +512,6 @@ class TestEncodingCoverage:
         "pos": 1,
         "t_bit": True,
         "known": {Token("x", "y")},
-        "program": PROGRAM_PATH_ENUM,
         "parked": True,
         "bounced": True,
         "cursor": PathCursor(length=2),
@@ -521,7 +519,6 @@ class TestEncodingCoverage:
         "last_move_accepted": False,
     }
     BOARD_ALTERNATIVES = {
-        "cls": NW,
         "t_table": {1: False},
         "in_link": {1: 0},
         "out_link": {1: 0},
@@ -533,8 +530,6 @@ class TestEncodingCoverage:
     }
     # the stored form of the timer: the value last given and the clock then
     TIMER_FIELDS = {"timer_base", "timer_stamp"}
-    # CW boards reject gossip-store writes, so their store stays empty
-    BOARD_UNENCODED = {CW: {"store"}, FW: set()}
     # the fields of state_key's fourth part; every other one is control state
     GOSSIP_FIELDS = {"known", "store"}
     # the state_key docstring gives the reason for each
@@ -542,6 +537,8 @@ class TestEncodingCoverage:
         "ticks": 7,
         "graph": build_grid(2, 2),
         "timer_cap": 99,
+        "board_class": NW,
+        "program": PROGRAM_PATH_ENUM,
         "genuine": {},
     }
 
@@ -581,14 +578,14 @@ class TestEncodingCoverage:
         setattr(cfg.agents[0], name, self.AGENT_ALTERNATIVES[name])
         assert self._check_parts(name, key, cfg)
 
-    @pytest.mark.parametrize("board_class", [CW, FW])
+    @pytest.mark.parametrize("board_class", [NW, CW, FW])
     @pytest.mark.parametrize("name", sorted(BOARD_ALTERNATIVES))
     def test_board_field_encoded(self, board_class, name):
+        # no field is left out on any class, the store included
         cfg = self._cfg(board_class)
         key = state_key(cfg)
         self._set_board_field(cfg, cfg.boards[1], name, self.BOARD_ALTERNATIVES[name])
-        changed = self._check_parts(name, key, cfg)
-        assert changed is (name not in self.BOARD_UNENCODED[board_class])
+        assert self._check_parts(name, key, cfg)
 
     @pytest.mark.parametrize("name", sorted(CONFIG_LEFT_OUT))
     def test_config_field_left_out(self, name):
@@ -619,11 +616,11 @@ class TestSnapshotHash:
         # half-duplex tie goes to hidden index 0, so the index is state
         def cfg(order):
             walkers = {
-                "a": Agent(ident=None, pos=0, program=PROGRAM_PATH_ENUM),
-                "b": Agent(ident=None, pos=1, program=PROGRAM_PATH_ENUM,
-                           cursor=PathCursor(next_label=1)),
+                "a": Agent(ident=None, pos=0),
+                "b": Agent(ident=None, pos=1, cursor=PathCursor(next_label=1)),
             }
-            c = make_configuration(build_ring(3), [walkers[w] for w in order], FW)
+            c = make_configuration(build_ring(3), [walkers[w] for w in order], FW,
+                                   program=PROGRAM_PATH_ENUM)
             for agent in c.agents:
                 agent.known = set()
             return c

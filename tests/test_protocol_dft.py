@@ -40,7 +40,7 @@ class TestNextPort:
 class TestMark:
     @given(st.lists(st.tuples(st.integers(0, 9), st.booleans()), max_size=30))
     def test_last_write_wins_and_true_is_no_row(self, writes):
-        board = Whiteboard(cls=CW)
+        board = Whiteboard()
         shadow = {}
         for ident, bit in writes:
             _mark(board, ident, bit)

@@ -50,7 +50,7 @@ class TestEnumerationOrder:
     def test_matches_recursive_oracle(self, graph, n):
         assert graph.node_count == n
         cfg = make_configuration(
-            graph, [Agent(ident=None, pos=0, program="anon_path_enum")], FW)
+            graph, [Agent(ident=None, pos=0)], FW, program="anon_path_enum")
         expected = [(ell, w)
                     for ell in range(1, n + 1)
                     for w in all_walks(graph, 0, ell)]
@@ -64,7 +64,7 @@ class TestEnumerationOrder:
         # run 1, 2, 1, 2, ...
         g = build_ring(2)
         cfg = make_configuration(
-            g, [Agent(ident=None, pos=0, program="anon_path_enum")], FW)
+            g, [Agent(ident=None, pos=0)], FW, program="anon_path_enum")
         phases = []
         for _ in range(40):
             intent, meta = anon_path_enum_step(cfg, 0)
@@ -80,7 +80,7 @@ class TestEnumerationOrder:
     def test_cursor_footprint_stays_bounded(self):
         g = build_grid(1, 3)  # three nodes: walks of length at most 3
         cfg = make_configuration(
-            g, [Agent(ident=None, pos=0, program="anon_path_enum")], FW)
+            g, [Agent(ident=None, pos=0)], FW, program="anon_path_enum")
         for _ in range(1000):
             cur = cfg.agents[0].cursor
             assert len(cur.labels) <= 3 and len(cur.trail) <= 3
@@ -110,7 +110,7 @@ class TestCursorReset:
     def test_garbage_resets_to_phase_one(self, regs):
         g = build_ring(4)
         cfg = make_configuration(
-            g, [Agent(ident=None, pos=1, program="anon_path_enum")], FW)
+            g, [Agent(ident=None, pos=1)], FW, program="anon_path_enum")
         cfg.agents[0].cursor = regs
         intent, meta = anon_path_enum_step(cfg, 0)
         assert intent.stay and meta.reset
@@ -122,7 +122,7 @@ class TestCursorReset:
         g = build_grid(2, 3)
         assert (g.degree(0), g.max_degree) == (2, 3)
         cfg = make_configuration(
-            g, [Agent(ident=None, pos=0, program="anon_path_enum")], FW)
+            g, [Agent(ident=None, pos=0)], FW, program="anon_path_enum")
         cfg.agents[0].cursor = PathCursor(1, (0,), (2,), 0, False)
         intent, meta = anon_path_enum_step(cfg, 0)
         assert intent.stay and meta.branch == "cursor_reset"
@@ -131,7 +131,7 @@ class TestCursorReset:
     def test_rejected_move_retries_same_label(self):
         g = build_ring(4)
         cfg = make_configuration(
-            g, [Agent(ident=None, pos=0, program="anon_path_enum")], FW)
+            g, [Agent(ident=None, pos=0)], FW, program="anon_path_enum")
         intent, meta = anon_path_enum_step(cfg, 0)
         assert meta.branch == "descend" and intent.via == 0
         cfg.agents[0].last_move_accepted = False  # duplex loss, agent stayed put
@@ -143,19 +143,19 @@ class TestCursorReset:
 class TestFwDft:
     def test_requires_fw_board(self):
         g = build_ring(3)
-        cfg = make_configuration(g, [Agent(ident=1, pos=0, program="fw_async_dft")], CW)
+        cfg = make_configuration(g, [Agent(ident=1, pos=0)], CW, program="fw_async_dft")
         with pytest.raises(ProtocolError):
             fw_dft_step(cfg, 0)
 
     def test_anonymous_rejected(self):
         g = build_ring(3)
-        cfg = make_configuration(g, [Agent(ident=None, pos=0, program="fw_async_dft")], FW)
+        cfg = make_configuration(g, [Agent(ident=None, pos=0)], FW, program="fw_async_dft")
         with pytest.raises(ProtocolError):
             fw_dft_step(cfg, 0)
 
     def test_moves_on_fw(self):
         g = build_ring(3)
-        cfg = make_configuration(g, [Agent(ident=1, pos=0, program="fw_async_dft")], FW)
+        cfg = make_configuration(g, [Agent(ident=1, pos=0)], FW, program="fw_async_dft")
         intent, meta = fw_dft_step(cfg, 0)
         assert meta.branch == "first_visit"
         assert not intent.stay

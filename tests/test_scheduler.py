@@ -13,6 +13,7 @@ from gossipsim.harness import (
     UNIFORM,
     FuzzSpec,
     _park_for_good,
+    detect_cycle,
     fuzz_config,
     gossip_complete,
 )
@@ -63,8 +64,8 @@ def dft_cfg(positions_ids, n=4, cls=CW):
 
 def walker_cfg(positions, n=6):
     g = build_ring(n)
-    agents = [Agent(ident=None, pos=p, program="anon_path_enum") for p in positions]
-    return make_configuration(g, agents, FW)
+    agents = [Agent(ident=None, pos=p) for p in positions]
+    return make_configuration(g, agents, FW, program="anon_path_enum")
 
 
 class TestDuplex:
@@ -207,7 +208,7 @@ def check_arrivals(cfg, index: RoundIndex) -> None:
     across its agents, equal to the store on FW."""
     for node in {a.pos for a in cfg.agents} - index.arrivals:
         sets = {frozenset(cfg.agents[i].known) for i in group_at(cfg, node)}
-        if cfg.boards[node].cls == FW:
+        if cfg.board_class == FW:
             sets.add(frozenset(cfg.boards[node].store))
         assert len(sets) == 1, node
 
@@ -554,8 +555,7 @@ class TestRun:
     @pytest.mark.parametrize("max_steps", [0, 5])
     def test_illegal_boards_refused_before_the_first_step(self, kind, max_steps):
         # fw_async_dft writes the gossip store, so CW boards cannot hold it
-        agents = [Agent(ident=1, pos=0, program="fw_async_dft")]
-        cfg = make_configuration(build_ring(4), agents, CW)
+        cfg = make_configuration(build_ring(4), [Agent(ident=1, pos=0)], CW, program="fw_async_dft")
         before = state_key(cfg)
         seen = []
         with pytest.raises(SchedulerError) as err:
@@ -577,13 +577,27 @@ class TestRun:
         assert str(err.value) == message
         assert state_key(cfg) == before
 
-    def test_unknown_program_refused_before_the_first_step(self):
-        cfg = make_configuration(build_ring(4), [Agent(ident=1, pos=0, program="dft")], FW)
+    @pytest.mark.parametrize("entry", ["detect_cycle", "run"])
+    @pytest.mark.parametrize("program, board_class, duplex, message", [
+        ("dft", FW, HALF, "unknown protocol 'dft'"),
+        (PROGRAM_FW_DFT, CW, HALF, "fw_async_dft cannot run on CW whiteboards"),
+        (PROGRAM_DFT, NW, HALF, "dft_kminus1 cannot run on NW whiteboards"),
+        (PROGRAM_DFT, CW, "diagonal", "unknown duplex mode 'diagonal'"),
+    ])
+    def test_bad_starts_refused_before_the_first_round(self, entry, program, board_class,
+                                                       duplex, message):
+        # the synchronous entry points share one up-front check
+        agents = [Agent(ident=1, pos=0), Agent(ident=2, pos=2)]
+        cfg = make_configuration(build_ring(4), agents, board_class, program=program)
         before = state_key(cfg)
+        seen = []
         with pytest.raises(SchedulerError) as err:
-            run(cfg, SchedulePolicy())
-        assert str(err.value) == "unknown protocol 'dft'"
-        assert state_key(cfg) == before
+            if entry == "run":
+                run(cfg, SchedulePolicy(kind=SYNC), duplex, observer=lambda c, rec: seen.append(rec))
+            else:
+                detect_cycle(cfg, duplex, observer=lambda c, rec: seen.append(rec))
+        assert str(err.value) == message
+        assert seen == [] and cfg.ticks == 0 and state_key(cfg) == before
 
     def test_stop_checked_before_first_step(self):
         cfg = dft_cfg([(1, 0)])
@@ -597,7 +611,7 @@ class TestRun:
 
     @pytest.mark.parametrize("kind", [ASYNC_RANDOM_FAIR, ASYNC_ROUND_ROBIN, ASYNC_SCRIPTED])
     def test_no_agents_truncate_after_no_step(self, kind):
-        cfg = make_configuration(build_ring(4), [], FW)
+        cfg = make_configuration(build_ring(4), [], FW, program=PROGRAM_FW_DFT)
         trace = run(cfg, SchedulePolicy(kind=kind), stop=lambda c: False, max_steps=5)
         assert trace.status == "truncated" and len(trace) == 0
 
@@ -715,7 +729,7 @@ def literal_sync_round(cfg, duplex):
         here = [i for i in order if agents[i].pos == node]
         merge_gossip(cfg, node, here)
         for idx in here:
-            intent, _ = scheduler._STEP_FNS[agents[idx].program](cfg, idx)
+            intent, _ = scheduler._STEP_FNS[cfg.program](cfg, idx)
             if not intent.stay:
                 intents.append(intent)
     for node in range(len(cfg.boards)):
@@ -774,7 +788,7 @@ def literal_async_step(cfg, idx):
     agent = cfg.agents[idx]
     frm = agent.pos
     merge_gossip(cfg, frm, group_at(cfg, frm))
-    intent, _ = scheduler._STEP_FNS[agent.program](cfg, idx)
+    intent, _ = scheduler._STEP_FNS[cfg.program](cfg, idx)
     rec = StepRecord((idx,), merges=(frm,))
     if not intent.stay:
         to, port = cfg.graph.neighbor(intent.frm, intent.via)
